@@ -166,14 +166,17 @@ def cmd_fig1(args) -> int:
     params = _load_params(args, defaults)
     if params["points"] < 1:
         raise ValueError("need at least one grid point")
+    gamma = params["gamma"]
+    if not (math.isfinite(gamma) and gamma > 0):
+        raise ValueError(f"gamma must be positive and finite, got {gamma}")
     grid = np.geomspace(params["gamma_tau_min"], params["gamma_tau_max"], params["points"])
     rows = []
     failures = []
     for gtau in grid:
         try:
-            schedule = SweepSchedule(params["eps1"], params["eps2"], float(gtau) / params["gamma"])
+            schedule = SweepSchedule(params["eps1"], params["eps2"], float(gtau) / gamma)
             traj = master_eq.integrate_population(
-                schedule, params["gamma"], n0=params["n0"], dt=params["dt"]
+                schedule, gamma, n0=params["n0"], dt=params["dt"]
             )
             rows.append((float(gtau), master_eq.heat_dissipated(traj)))
         except (NoCrossingError, ValueError) as exc:

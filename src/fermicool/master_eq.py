@@ -3,6 +3,11 @@
 Integrates n_S' = -Gamma * [n_S - f(eps_S(t))] for a linear energy sweep
 and computes the dissipated heat -Q = -int eps_S(t) n_S'(t) dt up to the
 time t_f at which the population first reaches 1/2.
+
+The integrator is classical fixed-step RK4.  Because the ODE is linear, one
+RK4 step is an affine map of n_S, so the steps are evaluated as a vectorised
+scan over blocks of the time grid; only the blocks up to the crossing are
+ever built.
 """
 
 from __future__ import annotations
@@ -11,13 +16,22 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid, trapezoid
 
 from .gaussian import fermi_occupation
+
+# steps per scan block; since Gamma*dt <= 0.01, A**-m stays below about e**41
+_BLOCK_STEPS = 4096
+# longest time grid accepted; a grid this long already takes seconds and gigabytes
+_MAX_STEPS = 10**8
 
 
 class NoCrossingError(RuntimeError):
     """Population never reached the switch-off threshold."""
+
+
+def _require_finite(name: str, value) -> None:
+    if not np.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -29,6 +43,8 @@ class SweepSchedule:
     tau: float
 
     def __post_init__(self):
+        for name in ("eps1", "eps2", "tau"):
+            _require_finite(name, getattr(self, name))
         if not self.eps1 < self.eps2:
             raise ValueError(f"require eps1 < eps2, got {self.eps1} >= {self.eps2}")
         if not self.tau > 0:
@@ -70,7 +86,14 @@ def integrate_population(
     Stops at the first sample with n_S <= threshold (that sample is kept so
     the crossing is bracketed), or raises NoCrossingError at max_time.
     Pass threshold=None to integrate to max_time unconditionally.
+
+    For n' = -Gamma (n - f(t)) one RK4 step is exactly affine, with h = Gamma*dt:
+    n_{k+1} = A n_k + B0 f_k + Bm f_{k+1/2} + B1 f_{k+1}.  The steps are
+    evaluated block by block as n_j = A^j (n_start + sum_{i<j} b_i / A^{i+1}),
+    with the Fermi factors built for one block at a time, so memory is bounded
+    by the samples kept up to the crossing.
     """
+    _require_finite("gamma", gamma)
     if gamma <= 0:
         raise ValueError(f"gamma must be positive, got {gamma}")
     if gamma > 0.1:
@@ -83,34 +106,49 @@ def integrate_population(
         raise ValueError(f"initial population {n0} outside [0, 1]")
     if dt is None:
         dt = min(0.01 / gamma, schedule.tau / 1000.0)
-    elif dt > 0.01 / gamma * (1 + 1e-12):
-        raise ValueError(f"dt={dt} too coarse; require dt <= 0.01/gamma = {0.01 / gamma}")
+    else:
+        _require_finite("dt", dt)
+        if not dt > 0:
+            raise ValueError(f"dt must be positive, got {dt}")
+        if dt > 0.01 / gamma * (1 + 1e-12):
+            raise ValueError(f"dt={dt} too coarse; require dt <= 0.01/gamma = {0.01 / gamma}")
     if max_time is None:
         max_time = schedule.tau + 20.0 / gamma
+    _require_finite("max_time", max_time)
 
+    if max_time / dt > _MAX_STEPS:
+        raise ValueError(
+            f"max_time/dt = {max_time}/{dt} needs {max_time / dt:.3g} steps, "
+            f"more than {_MAX_STEPS:.0e}"
+        )
     nsteps = int(np.ceil(max_time / dt))
-    # precompute the Fermi factor on the full and half grids
-    t_grid = dt * np.arange(nsteps + 1)
-    f_full = fermi_occupation(schedule.energy(t_grid)).tolist()
-    f_half = fermi_occupation(schedule.energy(t_grid[:-1] + 0.5 * dt)).tolist()
+    h = gamma * dt
+    a = 1.0 - h + h**2 / 2.0 - h**3 / 6.0 + h**4 / 24.0
+    b0 = h / 6.0 * (1.0 - h + h**2 / 2.0 - h**3 / 4.0)
+    bm = h / 6.0 * (4.0 - 2.0 * h + h**2 / 2.0)
+    b1 = h / 6.0
+    powers = a ** np.arange(1, min(_BLOCK_STEPS, nsteps) + 1)
 
-    ns = [float(n0)]
     n = float(n0)
-    g = float(gamma)
-    kmax = nsteps
+    chunks = [np.array([n])]
     crossed = threshold is not None and n <= threshold
     k = 0
-    while not crossed and k < kmax:
-        f0, fm, f1 = f_full[k], f_half[k], f_full[k + 1]
-        k1 = -g * (n - f0)
-        k2 = -g * (n + 0.5 * dt * k1 - fm)
-        k3 = -g * (n + 0.5 * dt * k2 - fm)
-        k4 = -g * (n + dt * k3 - f1)
-        n = n + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        k += 1
-        ns.append(n)
-        if threshold is not None and n <= threshold:
-            crossed = True
+    while not crossed and k < nsteps:
+        m = min(_BLOCK_STEPS, nsteps - k)
+        t = dt * np.arange(k, k + m + 1)
+        f = fermi_occupation(schedule.energy(t))
+        f_half = fermi_occupation(schedule.energy(t[:-1] + 0.5 * dt))
+        drive = b0 * f[:-1] + bm * f_half + b1 * f[1:]
+        pw = powers[:m]
+        ns = pw * (n + np.cumsum(drive / pw))
+        if threshold is not None:
+            below = np.flatnonzero(ns <= threshold)
+            if below.size:
+                ns = ns[: below[0] + 1]
+                crossed = True
+        chunks.append(ns)
+        n = float(ns[-1])
+        k += m
 
     if threshold is not None and not crossed:
         raise NoCrossingError(
@@ -118,8 +156,8 @@ def integrate_population(
             f"(final n_S={n:.6f})"
         )
 
-    times = t_grid[: len(ns)]
-    populations = np.clip(np.array(ns), 0.0, 1.0)
+    populations = np.clip(np.concatenate(chunks), 0.0, 1.0)
+    times = dt * np.arange(populations.size)
     return PopulationTrajectory(
         times=times,
         populations=populations,
@@ -145,6 +183,11 @@ def find_half_population_time(traj: PopulationTrajectory, threshold: float = 0.5
     return float(t0 + (t1 - t0) * (n[i - 1] - threshold) / (n[i - 1] - n[i]))
 
 
+def _trapezoid_areas(g: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Per-interval trapezoid areas of g over the grid t."""
+    return np.diff(t) * (g[1:] + g[:-1]) / 2.0
+
+
 def heat_dissipated(traj: PopulationTrajectory, threshold: float = 0.5) -> float:
     """-Q = -int_0^{t_f} eps_S(t) n_S'(t) dt, trapezoidal in time.
 
@@ -157,7 +200,7 @@ def heat_dissipated(traj: PopulationTrajectory, threshold: float = 0.5) -> float
     if i == 0:
         return 0.0
     g = traj.energies * traj.rhs()
-    full = trapezoid(g[:i], traj.times[:i])
+    full = _trapezoid_areas(g[:i], traj.times[:i]).sum()
     frac = (t_f - traj.times[i - 1]) / (traj.times[i] - traj.times[i - 1])
     g_tf = g[i - 1] + (g[i] - g[i - 1]) * frac
     partial = (t_f - traj.times[i - 1]) * 0.5 * (g[i - 1] + g_tf)
@@ -167,7 +210,7 @@ def heat_dissipated(traj: PopulationTrajectory, threshold: float = 0.5) -> float
 def cumulative_heat(traj: PopulationTrajectory) -> np.ndarray:
     """-Q(t) at every sample time (cumulative trapezoid of -eps * n')."""
     g = traj.energies * traj.rhs()
-    return -cumulative_trapezoid(g, traj.times, initial=0.0)
+    return -np.concatenate(([0.0], np.cumsum(_trapezoid_areas(g, traj.times))))
 
 
 def sweep_heat_curve(

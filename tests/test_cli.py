@@ -1,9 +1,14 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import fermicool
 from fermicool.cli import main
 from fermicool.protocol import ProtocolConfig, run_purification
 
@@ -91,6 +96,13 @@ class TestProtocolCommand:
                      "--out", str(tmp_path / "x.csv")]) == 3
         assert "engine error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag,value", [("tau", "inf"), ("gamma", "nan"), ("eps2", "inf")])
+    def test_non_finite_parameter_exit_code(self, tmp_path, capsys, flag, value):
+        argv = ["protocol", "--engine", "master-equation", f"--{flag}", value,
+                "--out", str(tmp_path / "x.csv")]
+        assert main(argv) == 2
+        assert f"{flag} must be finite" in capsys.readouterr().err
+
     def test_missing_config_file(self, tmp_path):
         assert main(["protocol", "--config", str(tmp_path / "absent.json"),
                      "--out", str(tmp_path / "x.csv")]) == 2
@@ -119,6 +131,13 @@ class TestFig1Command:
         doc = json.loads(out.read_text())
         assert len(doc["rows"]) == 3
         assert set(doc["rows"][0]) == {"gamma_tau", "minus_Q"}
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-0.02"])
+    def test_invalid_gamma_exit_code(self, tmp_path, capsys, value):
+        assert main(["fig1", "--gamma", value, "--out", str(tmp_path / "x.csv")]) == 2
+        err = capsys.readouterr().err
+        assert "gamma must be positive and finite" in err
+        assert "gamma_tau=" not in err
 
 
 class TestFig2Command:
@@ -179,3 +198,17 @@ class TestInvariantsCommand:
         main(["invariants", "--samples", "10", "--seed", "3", "--out", str(a)])
         main(["invariants", "--samples", "10", "--seed", "3", "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestStartup:
+    def test_import_skips_slow_scipy_subpackages(self):
+        # scipy.integrate and scipy.signal each take a large share of the
+        # start-up time of every CLI call; the package needs neither
+        code = (
+            "import sys, fermicool\n"
+            "print(sorted(m for m in ('scipy.integrate', 'scipy.signal') if m in sys.modules))\n"
+        )
+        src = str(Path(fermicool.__file__).resolve().parents[1])
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src}, check=True).stdout
+        assert out.strip() == "[]"

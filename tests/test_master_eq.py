@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from fermicool import master_eq
 from fermicool.gaussian import binary_entropy, fermi_occupation
 from fermicool.master_eq import (
     NoCrossingError,
@@ -30,6 +35,30 @@ def constant_schedule(eps: float, tau: float = 1e-9) -> SweepSchedule:
     return SweepSchedule(eps - 1e-12, eps, tau)
 
 
+def rk4_loop(schedule, gamma, dt, max_time, n0=1.0, threshold=0.5):
+    """Reference: the plain per-step RK4 loop over the whole horizon.
+
+    integrate_population evaluates the same steps as a blockwise scan.
+    """
+    nsteps = int(np.ceil(max_time / dt))
+    t = dt * np.arange(nsteps + 1)
+    f_full = fermi_occupation(schedule.energy(t))
+    f_half = fermi_occupation(schedule.energy(t[:-1] + 0.5 * dt))
+    n = float(n0)
+    ns = [n]
+    for k in range(nsteps):
+        if threshold is not None and n <= threshold:
+            break
+        f0, fm, f1 = f_full[k], f_half[k], f_full[k + 1]
+        k1 = -gamma * (n - f0)
+        k2 = -gamma * (n + 0.5 * dt * k1 - fm)
+        k3 = -gamma * (n + 0.5 * dt * k2 - fm)
+        k4 = -gamma * (n + dt * k3 - f1)
+        n = n + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        ns.append(n)
+    return np.clip(np.array(ns), 0.0, 1.0)
+
+
 class TestSweepSchedule:
     def test_linear_then_held(self):
         s = SweepSchedule(-5.0, 1.0, 10.0)
@@ -47,6 +76,14 @@ class TestSweepSchedule:
             SweepSchedule(1.0, -5.0, 10.0)
         with pytest.raises(ValueError, match="tau > 0"):
             SweepSchedule(-5.0, 1.0, 0.0)
+
+    @pytest.mark.parametrize("name", ["eps1", "eps2", "tau"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_rejected(self, name, value):
+        params = dict(eps1=-5.0, eps2=1.0, tau=10.0)
+        params[name] = value
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            SweepSchedule(**params)
 
 
 class TestIntegratePopulation:
@@ -109,6 +146,94 @@ class TestIntegratePopulation:
             integrate_population(constant_schedule(1.0), -0.1)
         with pytest.raises(ValueError, match="population"):
             integrate_population(constant_schedule(1.0), 0.05, n0=1.5)
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_non_finite_inputs_rejected(self, value):
+        schedule = constant_schedule(1.0)
+        with pytest.raises(ValueError, match="gamma must be finite"):
+            integrate_population(schedule, value, dt=0.1)
+        with pytest.raises(ValueError, match="dt must be finite"):
+            integrate_population(schedule, 0.05, dt=value)
+        with pytest.raises(ValueError, match="max_time must be finite"):
+            integrate_population(schedule, 0.05, dt=0.1, max_time=value)
+
+    def test_nonpositive_dt_rejected(self):
+        for dt in (0.0, -0.1):
+            with pytest.raises(ValueError, match="dt must be positive"):
+                integrate_population(constant_schedule(1.0), 0.05, dt=dt)
+
+    def test_step_budget_enforced(self):
+        # rejected before anything the size of the grid is allocated
+        with pytest.raises(ValueError, match="steps"):
+            integrate_population(constant_schedule(1.0), 0.05, dt=1e-300)
+
+
+PAIRS = [(-5.0, 1.0), (-5.0, 2.0), (-5.0, 3.0), (-3.0, 1.0), (-10.0, 1.0)]
+
+
+class TestBlockwiseScan:
+    """The scan reproduces the per-step RK4 loop, including where it stops."""
+
+    @pytest.mark.parametrize("eps1,eps2", PAIRS)
+    def test_matches_rk4_loop(self, eps1, eps2):
+        gamma = 0.02
+        for gtau in [*np.geomspace(0.1, 100.0, 50)[::7], 0.01]:
+            schedule = SweepSchedule(eps1, eps2, gtau / gamma)
+            traj = integrate_population(schedule, gamma)
+            ref = rk4_loop(schedule, gamma, traj.dt, schedule.tau + 20.0 / gamma)
+            assert traj.populations.size == ref.size
+            assert np.array_equal(traj.times, traj.dt * np.arange(ref.size))
+            assert np.abs(traj.populations - ref).max() <= 1e-12
+
+    def test_threshold_none_keeps_every_sample(self):
+        schedule = constant_schedule(1.0)
+        for max_time in (100.0, 1000.05, 2000.0):
+            traj = integrate_population(schedule, 0.05, dt=0.1, threshold=None,
+                                        max_time=max_time)
+            assert traj.populations.size == math.ceil(max_time / 0.1) + 1
+            ref = rk4_loop(schedule, 0.05, 0.1, max_time, threshold=None)
+            assert np.abs(traj.populations - ref).max() <= 1e-12
+
+    def test_crossing_on_block_boundary(self):
+        # the relaxation decreases strictly, so a threshold equal to one
+        # sample makes that sample the first one at or below it
+        schedule = constant_schedule(1.0)
+        full = integrate_population(schedule, 0.05, dt=0.01, threshold=None,
+                                    max_time=200.0)
+        block = master_eq._BLOCK_STEPS
+        assert full.populations.size > block + 2
+        for i in (block - 1, block, block + 1):
+            traj = integrate_population(schedule, 0.05, dt=0.01,
+                                        threshold=full.populations[i], max_time=200.0)
+            assert traj.populations.size == i + 1
+            assert np.array_equal(traj.populations, full.populations[: i + 1])
+
+    def test_crossing_on_first_step(self):
+        schedule = constant_schedule(1.0)
+        first = integrate_population(schedule, 0.05, dt=0.1, threshold=None,
+                                     max_time=0.1).populations
+        traj = integrate_population(schedule, 0.05, dt=0.1, threshold=first[1])
+        assert np.array_equal(traj.populations, first)
+        # a population already at the threshold takes no step at all
+        traj = integrate_population(schedule, 0.05, n0=0.4, dt=0.1)
+        assert traj.populations.tolist() == [0.4]
+        assert traj.times.tolist() == [0.0]
+
+    def test_fast_sweep_memory_bounded(self):
+        # Gamma*tau = 0.001 takes ~1.15 million steps to the crossing over a
+        # 20-million-step horizon; only the samples up to the crossing are kept
+        code = (
+            "import resource\n"
+            "from fermicool.master_eq import SweepSchedule, integrate_population\n"
+            "traj = integrate_population(SweepSchedule(-5.0, 1.0, 0.001 / 0.02), 0.02)\n"
+            "print(traj.populations.size, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+        )
+        src = str(Path(master_eq.__file__).resolve().parents[1])
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src}, check=True).stdout.split()
+        samples, peak_kib = int(out[0]), int(out[1])
+        assert samples < 2_000_000
+        assert peak_kib < 200 * 1024
 
 
 class TestHeat:
