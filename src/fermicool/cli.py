@@ -13,6 +13,7 @@ Exit status: 0 success, 2 validation error, 3 engine error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -127,24 +128,18 @@ _LEDGER_COLUMNS = ["step", "n_M", "n_S", "S_M", "S_S", "S_MS", "E", "Q", "W", "s
 
 
 def cmd_protocol(args) -> int:
-    defaults = dict(
-        engine="quasistatic", p=0.5, phi=math.pi / 2, diagonal=None, omega=1.0,
-        step2_target=None, eps1=-5.0, eps2=1.0, gamma=0.02, tau=500.0,
-        dt=None, K=200,
-    )
+    # every config field but final_swap, which the run decides from its shape
+    defaults = {
+        f.name: f.default for f in dataclasses.fields(ProtocolConfig) if f.name != "final_swap"
+    }
     params = _load_params(args, defaults)
     if params["diagonal"] is not None:
         params["diagonal"] = tuple(params["diagonal"])
     config = ProtocolConfig(**params)
     ledger = protocol.run_purification(config)
-    rows = [
-        (s.label, s.n_M, s.n_S, s.S_M, s.S_S, s.S_MS, s.energy, s.heat, s.work,
-         s.entropy_production)
-        for s in ledger.steps
-    ]
-    last = ledger.steps[-1]
-    rows.append(("total", last.n_M, last.n_S, last.S_M, last.S_S, last.S_MS,
-                 last.energy, last.heat, last.work, last.entropy_production))
+    rows = [dataclasses.astuple(s) for s in ledger.steps]
+    # the total row repeats the last step's state and cumulative heat, work, sigma
+    rows.append(("total",) + rows[-1][1:])
     meta = {
         "experiment": "protocol",
         "engine": config.engine,
@@ -160,7 +155,7 @@ def cmd_protocol(args) -> int:
 
 def cmd_fig1(args) -> int:
     defaults = dict(
-        eps1=-5.0, eps2=1.0, gamma=0.02, n0=1.0, points=50,
+        eps1=master_eq.EPS1, eps2=master_eq.EPS2, gamma=master_eq.GAMMA, n0=1.0, points=50,
         gamma_tau_min=0.1, gamma_tau_max=100.0, dt=None,
     )
     params = _load_params(args, defaults)
@@ -169,12 +164,15 @@ def cmd_fig1(args) -> int:
     gamma = params["gamma"]
     if not (math.isfinite(gamma) and gamma > 0):
         raise ValueError(f"gamma must be positive and finite, got {gamma}")
+    master_eq._check_rate_inputs(gamma, params["n0"], params["dt"])
     grid = np.geomspace(params["gamma_tau_min"], params["gamma_tau_max"], params["points"])
+    schedules = [SweepSchedule(params["eps1"], params["eps2"], float(g) / gamma) for g in grid]
     rows = []
     failures = []
-    for gtau in grid:
+    # parameters are checked above: a failure here (no crossing, the step
+    # budget, a non-monotone bracket) belongs to one grid point
+    for gtau, schedule in zip(grid, schedules):
         try:
-            schedule = SweepSchedule(params["eps1"], params["eps2"], float(gtau) / gamma)
             traj = master_eq.integrate_population(
                 schedule, gamma, n0=params["n0"], dt=params["dt"]
             )
@@ -199,8 +197,8 @@ def cmd_fig1(args) -> int:
 
 def cmd_fig2(args) -> int:
     defaults = dict(
-        gamma=0.02, gamma_tau=10.0, gamma_dt=0.06, K=200,
-        eps1=-5.0, eps2=1.0, n0=1.0,
+        gamma=master_eq.GAMMA, gamma_tau=master_eq.GAMMA_TAU, gamma_dt=master_eq.GAMMA_DT,
+        K=master_eq.RESERVOIR_MODES, eps1=master_eq.EPS1, eps2=master_eq.EPS2, n0=1.0,
     )
     params = _load_params(args, defaults)
     gamma = params["gamma"]
@@ -235,14 +233,13 @@ _DEFAULT_SEQUENCE = [{"op": "rotate"}]
 
 
 def cmd_witness(args) -> int:
-    defaults = dict(p=0.5, phi=math.pi / 2, diagonal=None, omega=1.0,
-                    sequence=_DEFAULT_SEQUENCE)
-    params = _load_params(args, defaults)
-    if params["diagonal"] is not None:
-        C0 = np.diag(np.asarray(params["diagonal"], dtype=float)).astype(complex)
-    else:
-        C0 = protocol.prepare_one_body_state(params["p"], params["phi"])
-    report = protocol.run_witness_sequence(C0, params["sequence"], omega=params["omega"])
+    defaults = {k: getattr(ProtocolConfig, k) for k in ("p", "phi", "diagonal", "omega")}
+    params = _load_params(args, dict(defaults, sequence=_DEFAULT_SEQUENCE))
+    sequence = params.pop("sequence")
+    config = ProtocolConfig(**params)
+    report = protocol.run_witness_sequence(
+        protocol._initial_state(config), sequence, omega=config.omega
+    )
     meta = {
         "experiment": "witness",
         "verdict": "entanglement certified" if report.certified else "not certified",
@@ -331,8 +328,8 @@ def cmd_invariants(args) -> int:
     check("separable_run_witness_violation", worst_witness, 1e-9)
 
     # second law along a finite-time sweep
-    schedule = SweepSchedule(-5.0, 1.0, 10.0 / 0.02)
-    traj = master_eq.integrate_population(schedule, 0.02)
+    schedule = SweepSchedule(master_eq.EPS1, master_eq.EPS2, master_eq.GAMMA_TAU / master_eq.GAMMA)
+    traj = master_eq.integrate_population(schedule, master_eq.GAMMA)
     mq = master_eq.cumulative_heat(traj)
     sigma = np.array([binary_entropy(n) for n in traj.populations]) \
         - binary_entropy(traj.populations[0]) + mq

@@ -14,14 +14,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gaussian import evolve_step, fermi_occupation, thermal_correlation
+from .gaussian import propagator, thermal_correlation
 from .master_eq import (
+    GAMMA_DT,
     NoCrossingError,
-    PopulationTrajectory,
     SweepSchedule,
+    _first_crossing,
+    _require_finite,
+    _switch_off,
     cumulative_heat,
-    find_half_population_time,
-    heat_dissipated,
     integrate_population,
 )
 
@@ -37,6 +38,7 @@ class ReservoirSpec:
     def __post_init__(self):
         if self.K < 2:
             raise ValueError(f"need at least 2 reservoir modes, got K={self.K}")
+        _require_finite("gamma", self.gamma)
         if self.gamma <= 0:
             raise ValueError(f"gamma must be positive, got {self.gamma}")
         if not self.window[0] < self.window[1]:
@@ -124,11 +126,12 @@ def simulate(
 
     eps_S is held constant over each [t, t+dt) interval and the state is
     conjugated by the exact propagator of that interval's Hamiltonian.  The
-    run stops when n_S first reaches `threshold` (the bath switch-off point,
-    refined by linear interpolation) or raises NoCrossingError at max_time.
+    run stops when n_S first reaches `threshold`; t_f and minus_Q_tf follow
+    the rate equation's switch-off rule.  Raises NoCrossingError at max_time.
     """
     if dt is None:
-        dt = 0.06 / spec.gamma
+        dt = GAMMA_DT / spec.gamma
+    _require_finite("dt", dt)
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
     if spec.gamma * dt > 0.1:
@@ -139,6 +142,7 @@ def simulate(
         )
     if max_time is None:
         max_time = schedule.tau + 20.0 / spec.gamma
+    _require_finite("max_time", max_time)
 
     levels, t_amp = build_reservoir(spec)
     C = initial_state(spec, n_S0)
@@ -174,9 +178,7 @@ def simulate(
         if eps == prev_eps and cached_U is not None:
             U = cached_U
         else:
-            w, V = np.linalg.eigh(H)
-            U = (V * np.exp(1j * dt * w)) @ V.conj().T
-            cached_U = U
+            U = cached_U = propagator(H, dt)
         C = U @ C @ U.conj().T
         C = 0.5 * (C + C.conj().T)
         t += dt
@@ -209,23 +211,13 @@ def simulate(
         energy_log=log if track_energy else None,
     )
     if crossed:
-        traj_like = np.array(ns)
-        i = int(np.nonzero(traj_like <= threshold)[0][0])
-        if i == 0:
-            run.t_f = 0.0
-            run.minus_Q_tf = 0.0
-        else:
-            frac = (ns[i - 1] - threshold) / (ns[i - 1] - ns[i])
-            run.t_f = float(times[i - 1] + frac * dt)
-            mq = run.minus_Q
-            run.minus_Q_tf = float(mq[i - 1] + frac * (mq[i] - mq[i - 1]))
+        _, (run.t_f, run.minus_Q_tf) = _first_crossing(run.n_S, threshold, run.times, run.minus_Q)
     return run
 
 
 def interaction_energy(run: BathRun) -> float:
     """Residual system-reservoir coupling energy in the final state."""
-    _, t_amp = build_reservoir(run.spec)
-    return float(2.0 * t_amp * np.sum(np.real(run.C_final[0, 1:])))
+    return float(2.0 * run.spec.t_amp * np.sum(np.real(run.C_final[0, 1:])))
 
 
 @dataclass
@@ -239,7 +231,6 @@ class DeviationReport:
     master_minus_Q_tf: float
     n_master: np.ndarray = field(repr=False)
     minus_Q_master: np.ndarray = field(repr=False)
-    trajectory: PopulationTrajectory = field(repr=False, default=None)
 
 
 def compare_with_master_equation(
@@ -261,8 +252,7 @@ def compare_with_master_equation(
     mq_me = np.interp(run.times, traj.times, cumulative_heat(traj))
     mask = run.times <= (run.t_f if run.t_f is not None else run.times[-1])
     dev = np.abs(run.n_S[mask] - n_me[mask])
-    t_f_me = find_half_population_time(traj, threshold)
-    mq_tf_me = heat_dissipated(traj, threshold)
+    t_f_me, mq_tf_me = _switch_off(traj, threshold)
     heat_dev = abs((run.minus_Q_tf if run.minus_Q_tf is not None else run.minus_Q[-1]) - mq_tf_me)
     return DeviationReport(
         max_population_deviation=float(dev.max()),
@@ -272,5 +262,4 @@ def compare_with_master_equation(
         master_minus_Q_tf=mq_tf_me,
         n_master=n_me,
         minus_Q_master=mq_me,
-        trajectory=traj,
     )

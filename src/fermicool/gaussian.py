@@ -11,7 +11,6 @@ import numpy as np
 from scipy.special import expit, xlogy
 
 HERMITIAN_TOL = 1e-12
-SPECTRUM_TOL = 1e-10
 PROB_TOL = 1e-12
 
 
@@ -33,19 +32,6 @@ def require_hermitian(a, tol: float = HERMITIAN_TOL, name: str = "matrix") -> np
     return m
 
 
-def require_correlation(a, tol: float = SPECTRUM_TOL) -> np.ndarray:
-    """Validate a correlation matrix: Hermitian with spectrum in [0, 1]."""
-    c = require_hermitian(a, name="correlation matrix")
-    if c.size:
-        ev = np.linalg.eigvalsh(c)
-        if ev[0] < -tol or ev[-1] > 1.0 + tol:
-            raise ValueError(
-                f"correlation matrix eigenvalues outside [0, 1]: "
-                f"min={ev[0]:.3e}, max={ev[-1]:.3e}"
-            )
-    return c
-
-
 def _mode_indices(modes, dim: int) -> np.ndarray:
     idx = [int(m) for m in modes]
     if not idx:
@@ -56,6 +42,12 @@ def _mode_indices(modes, dim: int) -> np.ndarray:
     if len(set(idx)) != len(idx):
         raise ValueError("duplicate mode indices")
     return np.array(sorted(idx), dtype=int)
+
+
+def propagator(H, dt: float) -> np.ndarray:
+    """exp(+i*dt*H) of a Hermitian H, built from its eigendecomposition."""
+    w, V = np.linalg.eigh(H)
+    return (V * np.exp(1j * dt * w)) @ V.conj().T
 
 
 def evolve_step(C, H, dt: float) -> np.ndarray:
@@ -73,8 +65,7 @@ def evolve_step(C, H, dt: float) -> np.ndarray:
         raise ValueError(f"dt must be nonnegative, got {dt}")
     if dt == 0:
         return C.copy()
-    w, V = np.linalg.eigh(H)
-    U = (V * np.exp(1j * dt * w)) @ V.conj().T
+    U = propagator(H, dt)
     out = U @ C @ U.conj().T
     return 0.5 * (out + out.conj().T)
 

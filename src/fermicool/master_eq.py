@@ -19,6 +19,14 @@ import numpy as np
 
 from .gaussian import fermi_occupation
 
+# the published parameters of Figs. 1 and 2 (units of k_B*T), the only place they are set
+EPS1 = -5.0
+EPS2 = 1.0
+GAMMA = 0.02
+GAMMA_TAU = 10.0
+RESERVOIR_MODES = 200
+GAMMA_DT = 0.06
+
 # steps per scan block; since Gamma*dt <= 0.01, A**-m stays below about e**41
 _BLOCK_STEPS = 4096
 # longest time grid accepted; a grid this long already takes seconds and gigabytes
@@ -73,6 +81,21 @@ class PopulationTrajectory:
         return -self.gamma * (self.populations - fermi_occupation(self.energies))
 
 
+def _check_rate_inputs(gamma: float, n0: float, dt: float | None) -> None:
+    """Reject the rate-equation inputs that do not depend on the sweep schedule."""
+    _require_finite("gamma", gamma)
+    if gamma <= 0:
+        raise ValueError(f"gamma must be positive, got {gamma}")
+    if not 0.0 <= n0 <= 1.0:
+        raise ValueError(f"initial population n0={n0} outside [0, 1]")
+    if dt is not None:
+        _require_finite("dt", dt)
+        if not dt > 0:
+            raise ValueError(f"dt must be positive, got {dt}")
+        if dt > 0.01 / gamma * (1 + 1e-12):
+            raise ValueError(f"dt={dt} too coarse; require dt <= 0.01/gamma = {0.01 / gamma}")
+
+
 def integrate_population(
     schedule: SweepSchedule,
     gamma: float,
@@ -93,25 +116,15 @@ def integrate_population(
     with the Fermi factors built for one block at a time, so memory is bounded
     by the samples kept up to the crossing.
     """
-    _require_finite("gamma", gamma)
-    if gamma <= 0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
+    _check_rate_inputs(gamma, n0, dt)
     if gamma > 0.1:
         warnings.warn(
             f"gamma={gamma} is not small compared to k_B*T; the rate equation "
             "assumes weak system-reservoir coupling",
             stacklevel=2,
         )
-    if not 0.0 <= n0 <= 1.0:
-        raise ValueError(f"initial population {n0} outside [0, 1]")
     if dt is None:
         dt = min(0.01 / gamma, schedule.tau / 1000.0)
-    else:
-        _require_finite("dt", dt)
-        if not dt > 0:
-            raise ValueError(f"dt must be positive, got {dt}")
-        if dt > 0.01 / gamma * (1 + 1e-12):
-            raise ValueError(f"dt={dt} too coarse; require dt <= 0.01/gamma = {0.01 / gamma}")
     if max_time is None:
         max_time = schedule.tau + 20.0 / gamma
     _require_finite("max_time", max_time)
@@ -168,24 +181,47 @@ def integrate_population(
     )
 
 
-def find_half_population_time(traj: PopulationTrajectory, threshold: float = 0.5) -> float:
-    """Linear-interpolated time at which the population first reaches threshold."""
-    n = traj.populations
-    below = np.nonzero(n <= threshold)[0]
+def _first_crossing(values, threshold: float, *series) -> tuple[int, list[float]]:
+    """The switch-off rule of both engines: the index i of the first of `values`
+    at or below threshold, and each of `series` linearly interpolated to where
+    `values` crosses it between samples i - 1 and i (its first entry if i == 0).
+    """
+    below = np.flatnonzero(values <= threshold)
     if below.size == 0:
         raise NoCrossingError(f"trajectory never reaches {threshold}")
     i = int(below[0])
     if i == 0:
-        return 0.0
-    if not n[i - 1] > threshold:
+        return 0, [float(s[0]) for s in series]
+    if not values[i - 1] > threshold:
         raise ValueError("population not monotone across the crossing bracket")
-    t0, t1 = traj.times[i - 1], traj.times[i]
-    return float(t0 + (t1 - t0) * (n[i - 1] - threshold) / (n[i - 1] - n[i]))
+    frac = (values[i - 1] - threshold) / (values[i - 1] - values[i])
+    return i, [float(s[i - 1] + frac * (s[i] - s[i - 1])) for s in series]
+
+
+def find_half_population_time(traj: PopulationTrajectory, threshold: float = 0.5) -> float:
+    """Linear-interpolated time at which the population first reaches threshold."""
+    _, (t_f,) = _first_crossing(traj.populations, threshold, traj.times)
+    return t_f
 
 
 def _trapezoid_areas(g: np.ndarray, t: np.ndarray) -> np.ndarray:
     """Per-interval trapezoid areas of g over the grid t."""
     return np.diff(t) * (g[1:] + g[:-1]) / 2.0
+
+
+def _switch_off(traj: PopulationTrajectory, threshold: float) -> tuple[float, float]:
+    """The switch-off time t_f and -Q(t_f), from one search for the crossing."""
+    i, (t_f,) = _first_crossing(traj.populations, threshold, traj.times)
+    if i == 0:
+        return t_f, 0.0
+    g = traj.energies * traj.rhs()
+    full = _trapezoid_areas(g[:i], traj.times[:i]).sum()
+    # the partial-step fraction is recomputed from t_f: the crossing's own
+    # fraction can differ from it in the last bit
+    frac = (t_f - traj.times[i - 1]) / (traj.times[i] - traj.times[i - 1])
+    g_tf = g[i - 1] + (g[i] - g[i - 1]) * frac
+    partial = (t_f - traj.times[i - 1]) * 0.5 * (g[i - 1] + g_tf)
+    return t_f, float(-(full + partial))
 
 
 def heat_dissipated(traj: PopulationTrajectory, threshold: float = 0.5) -> float:
@@ -194,17 +230,7 @@ def heat_dissipated(traj: PopulationTrajectory, threshold: float = 0.5) -> float
     n_S' is evaluated from the ODE right-hand side; the final partial step
     is handled by linear interpolation of the integrand to t_f.
     """
-    t_f = find_half_population_time(traj, threshold)
-    n = traj.populations
-    i = int(np.nonzero(n <= threshold)[0][0])
-    if i == 0:
-        return 0.0
-    g = traj.energies * traj.rhs()
-    full = _trapezoid_areas(g[:i], traj.times[:i]).sum()
-    frac = (t_f - traj.times[i - 1]) / (traj.times[i] - traj.times[i - 1])
-    g_tf = g[i - 1] + (g[i] - g[i - 1]) * frac
-    partial = (t_f - traj.times[i - 1]) * 0.5 * (g[i - 1] + g_tf)
-    return float(-(full + partial))
+    return _switch_off(traj, threshold)[1]
 
 
 def cumulative_heat(traj: PopulationTrajectory) -> np.ndarray:

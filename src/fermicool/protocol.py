@@ -4,9 +4,11 @@ The protocol concentrates a delocalized particle onto the system mode by a
 tunnel-coupling rotation, extracts its sharpness as heat through a
 quasistatic (or finite-time) contact with the reservoir, and swaps system
 and memory so the memory marginal is restored while the system ends pure.
-Full thermodynamic bookkeeping (heat, work, entropy production) is kept in
-a ledger, together with the bound and witness checks that separate
-entangled from separable initial states.
+Both the protocol run and the witness sequence are lists of rotate/relax/swap
+operations applied by one interpreter, `_run_operations`; the protocol run
+also keeps full thermodynamic bookkeeping (heat, work, entropy production)
+in a ledger.  The bound and witness checks separate entangled from
+separable initial states.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from . import exact_bath, master_eq
 from .gaussian import (
     binary_entropy,
     coherent_information,
-    energy_expectation,
     evolve_step,
     fermi_occupation,
     subsystem_entropy,
@@ -46,19 +47,12 @@ def prepare_one_body_state(p: float, phi: float) -> np.ndarray:
 
     The coherence phase is placed so that for phi = pi/2 the quarter-period
     tunnel rotation maps the p = 1/2 state exactly onto the particle sitting
-    in the system mode (the sign convention is verified by a self-test).
+    in the system mode (test_step1_lands_on_system_mode checks the sign).
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"probability p={p} outside [0, 1]")
     z = math.sqrt(p * (1.0 - p)) * np.exp(-1j * phi)
     return np.array([[p, z], [np.conj(z), 1.0 - p]], dtype=complex)
-
-
-def _bloch(C) -> tuple[float, float, float]:
-    a_x = 2.0 * C[MEMORY, SYSTEM].real
-    a_y = -2.0 * C[MEMORY, SYSTEM].imag
-    a_z = float((C[MEMORY, MEMORY] - C[SYSTEM, SYSTEM]).real)
-    return a_x, a_y, a_z
 
 
 def concentration_duration(C, omega: float) -> float:
@@ -67,7 +61,9 @@ def concentration_duration(C, omega: float) -> float:
     For the default one-body state (p = 1/2, phi = pi/2) this is the
     quarter period pi/(4*omega); for the opposite phase it is 3*pi/(4*omega).
     """
-    _, a_y, a_z = _bloch(C)
+    # Bloch-vector components of the two-mode state
+    a_y = -2.0 * C[MEMORY, SYSTEM].imag
+    a_z = float((C[MEMORY, MEMORY] - C[SYSTEM, SYSTEM]).real)
     alpha = (math.pi - math.atan2(a_y, a_z)) % (2.0 * math.pi)
     return alpha / (2.0 * omega)
 
@@ -95,12 +91,7 @@ def step2_quasistatic(n0: float = 1.0, target: float = 0.5) -> tuple[float, floa
 
 def step3_swap(C, omega: float) -> np.ndarray:
     """Half-period tunnel rotation: exchanges system and memory populations."""
-    C = np.asarray(C, dtype=complex)
-    if C.shape != (2, 2):
-        raise ValueError(f"expected a two-mode state, got shape {C.shape}")
-    if omega <= 0:
-        raise ValueError(f"omega must be positive, got {omega}")
-    return evolve_step(C, tunnel_hamiltonian(omega), math.pi / (2.0 * omega))
+    return step1_rotate(C, omega, math.pi / (2.0 * omega))
 
 
 def witness_value(n_S0, n_M0, n_S1, n_M1, beta_q: float) -> float:
@@ -199,13 +190,13 @@ class ProtocolConfig:
     engine: str = "quasistatic"  # quasistatic | master-equation | exact-bath
     step2_target: float | None = None  # default: initial memory population
     final_swap: bool | None = None  # default: decided from the run shape
-    # finite-time engine parameters
-    eps1: float = -5.0
-    eps2: float = 1.0
-    gamma: float = 0.02
-    tau: float = 500.0
+    # finite-time engine parameters; the defaults are the published ones
+    eps1: float = master_eq.EPS1
+    eps2: float = master_eq.EPS2
+    gamma: float = master_eq.GAMMA
+    tau: float = master_eq.GAMMA_TAU / master_eq.GAMMA
     dt: float | None = None
-    K: int = 200
+    K: int = master_eq.RESERVOIR_MODES
 
     ENGINES = ("quasistatic", "master-equation", "exact-bath")
 
@@ -218,23 +209,26 @@ class ProtocolConfig:
                 raise ValueError(f"diagonal populations {self.diagonal} outside [0, 1]")
         elif not 0.0 <= self.p <= 1.0:
             raise ValueError(f"probability p={self.p} outside [0, 1]")
-        if self.omega <= 0:
-            raise ValueError(f"omega must be positive, got {self.omega}")
+        if not math.isfinite(self.phi):
+            raise ValueError(f"phi must be finite, got {self.phi}")
+        if not (math.isfinite(self.omega) and self.omega > 0):
+            raise ValueError(f"omega must be positive and finite, got {self.omega}")
         if self.step2_target is not None and not 0.0 <= self.step2_target <= 1.0:
             raise ValueError(f"step2 target {self.step2_target} outside [0, 1]")
 
 
 def _initial_state(config: ProtocolConfig) -> np.ndarray:
+    """Validate the config and build its initial two-mode state."""
+    config.validate()
     if config.diagonal is not None:
         return np.diag(np.asarray(config.diagonal, dtype=float)).astype(complex)
     return prepare_one_body_state(config.p, config.phi)
 
 
 def _run_engine(config: ProtocolConfig, n0: float, target: float):
-    """Dispatch step 2; returns (Q, n_final, eps_end, interaction_residual)."""
+    """Dispatch a relaxation; returns (Q, eps_end, interaction_residual)."""
     if config.engine == "quasistatic":
-        q, n_fin = step2_quasistatic(n0, target)
-        return q, n_fin, 0.0, 0.0
+        return step2_quasistatic(n0, target)[0], 0.0, 0.0
     schedule = master_eq.SweepSchedule(config.eps1, config.eps2, config.tau)
     if fermi_occupation(config.eps2) >= target:
         raise EngineError(
@@ -250,17 +244,48 @@ def _run_engine(config: ProtocolConfig, n0: float, target: float):
             traj = master_eq.integrate_population(
                 schedule, config.gamma, n0=n0, dt=config.dt, threshold=target
             )
-            minus_q = master_eq.heat_dissipated(traj, threshold=target)
-            t_f = master_eq.find_half_population_time(traj, threshold=target)
-            return -minus_q, target, schedule.energy(t_f), 0.0
+            t_f, minus_q = master_eq._switch_off(traj, target)
+            return -minus_q, schedule.energy(t_f), 0.0
         spec = exact_bath.ReservoirSpec(K=config.K, gamma=config.gamma)
         run = exact_bath.simulate(
             spec, schedule, n_S0=n0, dt=config.dt, threshold=target
         )
         residual = exact_bath.interaction_energy(run)
-        return -run.minus_Q_tf, target, schedule.energy(run.t_f), residual
+        return -run.minus_Q_tf, schedule.energy(run.t_f), residual
     except master_eq.NoCrossingError as exc:
         raise EngineError(str(exc)) from exc
+
+
+def _run_operations(C, operations, config: ProtocolConfig, ledger: ThermoLedger | None = None):
+    """Apply rotate/relax/swap operations (see run_witness_sequence) to C.
+
+    Relaxations use the configured engine.  With a ledger, each step is
+    recorded under its operation's name.  Returns (final C, total heat).
+    """
+    heat = 0.0
+    for op in operations:
+        kind = op["op"]
+        eps_end = 0.0
+        if kind == "rotate":
+            C = step1_rotate(C, config.omega, op.get("duration"))
+        elif kind == "swap":
+            C = step3_swap(C, config.omega)
+        elif kind == "relax":
+            target = float(op.get("target", 0.5))
+            q, eps_end, residual = _run_engine(config, float(C[SYSTEM, SYSTEM].real), target)
+            heat += q
+            # bath contact destroys any residual memory-system coherence
+            C = np.diag([C[MEMORY, MEMORY].real, target]).astype(complex)
+            if ledger is not None:
+                ledger.interaction_residual = residual
+        else:
+            raise ValueError(f"unknown operation {kind!r}")
+        if ledger is not None:
+            ledger.record(kind, C, (0.0, eps_end), heat)
+            if eps_end != 0.0:
+                # quench the decoupled system level back to zero (pure work, no heat)
+                ledger.record("reset-energy", C, (0.0, 0.0), heat)
+    return C, heat
 
 
 def run_purification(config: ProtocolConfig) -> ThermoLedger:
@@ -273,7 +298,6 @@ def run_purification(config: ProtocolConfig) -> ThermoLedger:
     target (0 or 1) instead purifies the system in place, in which case the
     swap is skipped so the memory stays untouched.
     """
-    config.validate()
     C0 = _initial_state(config)
     ledger = ThermoLedger(
         engine=config.engine,
@@ -283,31 +307,18 @@ def run_purification(config: ProtocolConfig) -> ThermoLedger:
 
     n_M0 = float(C0[MEMORY, MEMORY].real)
     coherent = abs(C0[MEMORY, SYSTEM]) > _COHERENCE_TOL
-    C = C0
-    heat = 0.0
-    if coherent:
-        C = step1_rotate(C, config.omega, concentration_duration(C0, config.omega))
-        ledger.record("rotate", C, (0.0, 0.0), heat)
-
     target = config.step2_target if config.step2_target is not None else n_M0
-    n0 = float(C[SYSTEM, SYSTEM].real)
-    q_step, n_fin, eps_end, residual = _run_engine(config, n0, target)
-    heat += q_step
-    ledger.interaction_residual = residual
-    # bath contact destroys any residual memory-system coherence
-    C = np.diag([C[MEMORY, MEMORY].real, n_fin]).astype(complex)
-    ledger.record("relax", C, (0.0, eps_end), heat)
-    if eps_end != 0.0:
-        # quench the decoupled system level back to zero (pure work, no heat)
-        ledger.record("reset-energy", C, (0.0, 0.0), heat)
-
+    operations = [{"op": "relax", "target": target}]
+    if coherent:
+        duration = concentration_duration(C0, config.omega)
+        operations.insert(0, {"op": "rotate", "duration": duration})
     if config.final_swap is not None:
         do_swap = config.final_swap
     else:
         do_swap = coherent or abs(target - n_M0) <= 1e-12
     if do_swap:
-        C = step3_swap(C, config.omega)
-        ledger.record("swap", C, (0.0, 0.0), heat)
+        operations.append({"op": "swap"})
+    _run_operations(C0, operations, config, ledger)
 
     tol = 1e-6 if config.engine == "quasistatic" else 1e-2
     ledger.purified = ledger.steps[-1].S_S <= tol
@@ -369,28 +380,15 @@ def run_witness_sequence(C0, operations, omega: float = 1.0) -> WitnessReport:
 
     `operations` is a list of dicts: {"op": "rotate", "duration": t},
     {"op": "relax", "target": x} (quasistatic, accumulates heat) or
-    {"op": "swap"}.
+    {"op": "swap"}.  They are applied by the same interpreter as the
+    protocol's steps, with no ledger kept.
     """
     C = np.asarray(C0, dtype=complex)
     if C.shape != (2, 2):
         raise ValueError(f"expected a two-mode state, got shape {C.shape}")
     n_M0 = float(C[MEMORY, MEMORY].real)
     n_S0 = float(C[SYSTEM, SYSTEM].real)
-    heat = 0.0
-    for op in operations:
-        kind = op["op"]
-        if kind == "rotate":
-            C = step1_rotate(C, omega, op.get("duration"))
-        elif kind == "swap":
-            C = step3_swap(C, omega)
-        elif kind == "relax":
-            q, n_fin = step2_quasistatic(
-                float(C[SYSTEM, SYSTEM].real), op.get("target", 0.5)
-            )
-            heat += q
-            C = np.diag([C[MEMORY, MEMORY].real, n_fin]).astype(complex)
-        else:
-            raise ValueError(f"unknown operation {kind!r}")
+    C, heat = _run_operations(C, operations, ProtocolConfig(omega=omega))
     n_M1 = float(C[MEMORY, MEMORY].real)
     n_S1 = float(C[SYSTEM, SYSTEM].real)
     value = witness_value(n_S0, n_M0, n_S1, n_M1, heat)
@@ -398,16 +396,3 @@ def run_witness_sequence(C0, operations, omega: float = 1.0) -> WitnessReport:
         n_S0=n_S0, n_M0=n_M0, n_S1=n_S1, n_M1=n_M1,
         beta_q=heat, value=value, certified=value < 0,
     )
-
-
-def _convention_self_test():
-    """The fixed sign convention must send the default state to |0_M 1_S>."""
-    C = prepare_one_body_state(0.5, math.pi / 2.0)
-    out = step1_rotate(C, 1.0)
-    assert abs(out[MEMORY, MEMORY]) < 1e-12 and abs(out[SYSTEM, SYSTEM] - 1.0) < 1e-12, (
-        "tunnel-coupling sign convention broken: quarter-period rotation did "
-        "not concentrate the particle on the system mode"
-    )
-
-
-_convention_self_test()

@@ -13,6 +13,11 @@ from functools import reduce
 import numpy as np
 from scipy.linalg import expm
 
+from fermicool.cli import (  # the seeded generators of the invariants battery
+    _random_correlation as random_correlation,
+    _random_hermitian as random_hermitian,
+)
+
 _I2 = np.eye(2, dtype=complex)
 _SZ = np.diag([1.0, -1.0]).astype(complex)
 # basis order per qubit: |0>, |1>; annihilation maps |1> -> |0>
@@ -106,15 +111,3 @@ def subsystem_entropy_bruteforce(C, modes) -> float:
     rho = density_from_correlation(Cp)
     rho_a = _partial_trace_last(rho, n, len(keep))
     return von_neumann_entropy(rho_a)
-
-
-def random_correlation(rng, dim: int) -> np.ndarray:
-    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    q, _ = np.linalg.qr(z)
-    nu = rng.uniform(0.0, 1.0, size=dim)
-    return (q * nu) @ q.conj().T
-
-
-def random_hermitian(rng, dim: int) -> np.ndarray:
-    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return 0.5 * (z + z.conj().T)

@@ -96,12 +96,31 @@ class TestProtocolCommand:
                      "--out", str(tmp_path / "x.csv")]) == 3
         assert "engine error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flag,value", [("tau", "inf"), ("gamma", "nan"), ("eps2", "inf")])
-    def test_non_finite_parameter_exit_code(self, tmp_path, capsys, flag, value):
-        argv = ["protocol", "--engine", "master-equation", f"--{flag}", value,
-                "--out", str(tmp_path / "x.csv")]
-        assert main(argv) == 2
-        assert f"{flag} must be finite" in capsys.readouterr().err
+    @pytest.mark.parametrize("argv,config,message", [
+        pytest.param(["protocol", "--engine", "master-equation", "--tau", "inf"], None,
+                     "tau must be finite", id="tau-inf"),
+        pytest.param(["protocol", "--engine", "master-equation", "--gamma", "nan"], None,
+                     "gamma must be finite", id="gamma-nan"),
+        pytest.param(["protocol", "--engine", "master-equation", "--eps2", "inf"], None,
+                     "eps2 must be finite", id="eps2-inf"),
+        pytest.param(["protocol", "--engine", "exact-bath", "--gamma", "nan"], None,
+                     "gamma must be finite", id="exact-bath-gamma-nan"),
+        pytest.param(["protocol", "--engine", "exact-bath", "--dt", "nan"], None,
+                     "dt must be finite", id="exact-bath-dt-nan"),
+        pytest.param(["protocol", "--phi", "nan"], None, "phi must be finite", id="phi-nan"),
+        pytest.param(["protocol"], {"omega": math.nan}, "omega must be positive and finite",
+                     id="config-omega-nan"),
+        pytest.param(["witness", "--phi", "inf"], None, "phi must be finite",
+                     id="witness-phi-inf"),
+        pytest.param(["fig2", "--K", "50", "--gamma", "nan"], None, "gamma must be finite",
+                     id="fig2-gamma-nan"),
+    ])
+    def test_non_finite_parameter_exit_code(self, tmp_path, capsys, argv, config, message):
+        if config is not None:
+            (tmp_path / "cfg.json").write_text(json.dumps(config))
+            argv = argv + ["--config", str(tmp_path / "cfg.json")]
+        assert main([*argv, "--out", str(tmp_path / "x.csv")]) == 2
+        assert message in capsys.readouterr().err
 
     def test_missing_config_file(self, tmp_path):
         assert main(["protocol", "--config", str(tmp_path / "absent.json"),
@@ -132,11 +151,19 @@ class TestFig1Command:
         assert len(doc["rows"]) == 3
         assert set(doc["rows"][0]) == {"gamma_tau", "minus_Q"}
 
-    @pytest.mark.parametrize("value", ["nan", "inf", "-0.02"])
-    def test_invalid_gamma_exit_code(self, tmp_path, capsys, value):
-        assert main(["fig1", "--gamma", value, "--out", str(tmp_path / "x.csv")]) == 2
+    @pytest.mark.parametrize("flag,value,message", [
+        pytest.param("gamma", "nan", "gamma must be positive and finite", id="nan"),
+        pytest.param("gamma", "inf", "gamma must be positive and finite", id="inf"),
+        pytest.param("gamma", "-0.02", "gamma must be positive and finite", id="-0.02"),
+        pytest.param("eps1", "nan", "eps1 must be finite", id="eps1-nan"),
+        pytest.param("dt", "nan", "dt must be finite", id="dt-nan"),
+        pytest.param("n0", "2", "n0=2.0 outside [0, 1]", id="n0-2"),
+    ])
+    def test_invalid_gamma_exit_code(self, tmp_path, capsys, flag, value, message):
+        # a parameter error is reported once, not once per grid point
+        assert main(["fig1", f"--{flag}", value, "--out", str(tmp_path / "x.csv")]) == 2
         err = capsys.readouterr().err
-        assert "gamma must be positive and finite" in err
+        assert message in err
         assert "gamma_tau=" not in err
 
 

@@ -105,11 +105,31 @@ class TestSimulate:
         assert run.n_S[-1] <= 0.5 < run.n_S[-2]
         assert run.gamma_t_f == pytest.approx(spec.gamma * run.t_f)
 
+    def test_crossing_on_first_sample(self):
+        # a population already at or below the threshold takes no step at all
+        spec = ReservoirSpec(K=20, gamma=0.05)
+        run = simulate(spec, SweepSchedule(-5.0, 1.0, 10.0), n_S0=0.4, dt=1.0)
+        assert run.t_f == 0.0
+        assert run.minus_Q_tf == 0.0
+        assert run.times.tolist() == [0.0]
+        assert run.n_S.tolist() == [0.4]
+
     def test_no_crossing_raises(self):
         spec = ReservoirSpec(K=20, gamma=0.05)
         schedule = SweepSchedule(-5.0, -4.0, 10.0)
         with pytest.raises(NoCrossingError):
             simulate(spec, schedule, dt=1.0, max_time=30.0)
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_non_finite_inputs_rejected(self, value):
+        spec = ReservoirSpec(K=10, gamma=0.05)
+        schedule = SweepSchedule(-5.0, 1.0, 10.0)
+        with pytest.raises(ValueError, match="gamma must be finite"):
+            ReservoirSpec(K=10, gamma=value)
+        with pytest.raises(ValueError, match="dt must be finite"):
+            simulate(spec, schedule, dt=value)
+        with pytest.raises(ValueError, match="max_time must be finite"):
+            simulate(spec, schedule, dt=1.0, max_time=value)
 
     def test_coarse_step_warns(self):
         spec = ReservoirSpec(K=10, gamma=0.05)
