@@ -20,7 +20,7 @@ GAMMA = 0.02
 def main():
     spec = ReservoirSpec(K=200, gamma=GAMMA)
     schedule = SweepSchedule(-5.0, 1.0, 10.0 / GAMMA)
-    print(f"evolving {spec.K + 1} modes exactly (this takes a few seconds)...")
+    print(f"evolving {spec.K + 1} modes exactly (about a second)...")
     run = simulate(spec, schedule, n_S0=1.0, dt=0.06 / GAMMA)
     report = compare_with_master_equation(run)
 

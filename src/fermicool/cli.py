@@ -77,6 +77,27 @@ def write_table(path: Path, fmt: str, meta: dict, columns: list[str], rows: list
 # configuration plumbing
 
 
+# what the keys with a None default take besides null
+_NULLABLE_KINDS = {"dt": float, "step2_target": float, "diagonal": list}
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _check_type(key: str, value, default) -> None:
+    """A config value must have its default's type; an int is also a float."""
+    if default is None and value is None:
+        return
+    kind = type(default) if default is not None else _NULLABLE_KINDS[key]
+    if kind is float:
+        ok = _is_number(value)
+    else:  # bool is an int subclass, but no key takes true/false
+        ok = isinstance(value, kind) and not isinstance(value, bool)
+    if not ok:
+        raise ValueError(f"config key {key!r} must be of type {kind.__name__}, got {value!r}")
+
+
 def _load_params(args, defaults: dict) -> dict:
     params = dict(defaults)
     if args.config is not None:
@@ -87,6 +108,8 @@ def _load_params(args, defaults: dict) -> dict:
         unknown = set(loaded) - set(defaults)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        for key, value in loaded.items():
+            _check_type(key, value, defaults[key])
         params.update(loaded)
     for key in defaults:
         flag = getattr(args, key.replace("-", "_"), None)
@@ -236,6 +259,14 @@ def cmd_witness(args) -> int:
     defaults = {k: getattr(ProtocolConfig, k) for k in ("p", "phi", "diagonal", "omega")}
     params = _load_params(args, dict(defaults, sequence=_DEFAULT_SEQUENCE))
     sequence = params.pop("sequence")
+    for i, op in enumerate(sequence):
+        if not (isinstance(op, dict) and isinstance(op.get("op"), str)):
+            raise ValueError(f"sequence[{i}] must be an object with a string \"op\", got {op!r}")
+        duration, target = op.get("duration"), op.get("target", 0.5)
+        if not (duration is None or _is_number(duration)):
+            raise ValueError(f"sequence[{i}] duration must be a number, got {duration!r}")
+        if not _is_number(target):
+            raise ValueError(f"sequence[{i}] target must be a number, got {target!r}")
     config = ProtocolConfig(**params)
     report = protocol.run_witness_sequence(
         protocol._initial_state(config), sequence, omega=config.omega

@@ -4,17 +4,23 @@ The reservoir is a star of K modes with equispaced, cell-centered levels on
 a fixed energy window, tunnel-coupled to the system with a uniform amplitude
 chosen so that Gamma = 2*pi*T^2*xi holds exactly for the empirical density
 of states xi = K / window_width.  Heat is read off the reservoir energy.
+
+The single-particle Hamiltonian is a real symmetric arrowhead and the
+initial correlation matrix C0 = diag(c0) is diagonal, so `simulate` carries
+the accumulated propagator W instead of C: C(t) = W diag(c0) W^dag, and the
+occupations are the diagonal |W|^2 c0.  C itself is built once, at the end.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gaussian import propagator, thermal_correlation
+from .gaussian import thermal_correlation
 from .master_eq import (
     GAMMA_DT,
     NoCrossingError,
@@ -26,6 +32,13 @@ from .master_eq import (
     integrate_population,
 )
 
+# Budgets of `simulate`, checked before any (K+1)^2 allocation: the work of
+# a run is bounded by ceil(max_time/dt) eigensolves and products of (K+1)^3,
+# and it holds about _DENSE_MATRICES dense (K+1)^2 complex matrices at once.
+_WORK_BUDGET = 1e11
+_MEMORY_BUDGET = 2 * 2**30
+_DENSE_MATRICES = 6
+
 
 @dataclass(frozen=True)
 class ReservoirSpec:
@@ -36,6 +49,8 @@ class ReservoirSpec:
     window: tuple[float, float] = (-7.0, 3.0)
 
     def __post_init__(self):
+        if not isinstance(self.K, numbers.Integral):
+            raise ValueError(f"K must be an integer, got {self.K!r}")
         if self.K < 2:
             raise ValueError(f"need at least 2 reservoir modes, got K={self.K}")
         _require_finite("gamma", self.gamma)
@@ -67,10 +82,10 @@ def build_reservoir(spec: ReservoirSpec) -> tuple[np.ndarray, float]:
 
 
 def build_full_hamiltonian(eps_S: float, levels, t_amp: float) -> np.ndarray:
-    """Star-geometry single-particle matrix; system mode at index 0."""
+    """Star-geometry single-particle matrix (real arrowhead); system mode at index 0."""
     levels = np.asarray(levels, dtype=float)
     n = levels.size + 1
-    H = np.zeros((n, n), dtype=complex)
+    H = np.zeros((n, n))
     H[0, 0] = eps_S
     H[np.arange(1, n), np.arange(1, n)] = levels
     H[0, 1:] = t_amp
@@ -113,6 +128,28 @@ class BathRun:
         return self.spec.gamma * self.t_f
 
 
+def _check_budget(spec: ReservoirSpec, dt: float, max_time: float) -> None:
+    """Reject a run that would exceed the step or memory budget, before allocating."""
+    n = spec.K + 1
+    if _DENSE_MATRICES * 16 * n**2 > _MEMORY_BUDGET:
+        raise ValueError(
+            f"K={spec.K} needs {_DENSE_MATRICES} dense {n}x{n} complex matrices, "
+            f"more than the {_MEMORY_BUDGET / 2**30:g} GiB memory budget"
+        )
+    steps = np.ceil(max_time / dt)
+    if steps > _WORK_BUDGET / n**3:
+        raise ValueError(
+            f"max_time/dt = {max_time}/{dt} needs {steps:.3g} steps of "
+            f"(K+1)^3 = {n**3:.3g}, more than the work budget {_WORK_BUDGET:.0e}"
+        )
+
+
+def _correlation(W: np.ndarray, c0: np.ndarray) -> np.ndarray:
+    """C = W diag(c0) W^dag, symmetrized."""
+    C = (W * c0) @ W.conj().T
+    return 0.5 * (C + C.conj().T)
+
+
 def simulate(
     spec: ReservoirSpec,
     schedule: SweepSchedule,
@@ -124,10 +161,20 @@ def simulate(
 ) -> BathRun:
     """Stepwise-quenched exact evolution of the system-reservoir correlation matrix.
 
-    eps_S is held constant over each [t, t+dt) interval and the state is
-    conjugated by the exact propagator of that interval's Hamiltonian.  The
-    run stops when n_S first reaches `threshold`; t_f and minus_Q_tf follow
-    the rate equation's switch-off rule.  Raises NoCrossingError at max_time.
+    eps_S is held constant over each [t, t+dt) interval, whose exact
+    propagator is U = V e^{i dt w} V^T from the real eigendecomposition
+    H = V diag(w) V^T (reused while eps_S does not change).  The run carries
+    the accumulated propagator W <- U W, applied as two real matrix products
+    on the float view of W, and reads n_S and the reservoir energy off the
+    diagonal |W|^2 c0 of C = W diag(c0) W^dag.  C_final is built once, at
+    the end; with `track_energy` C is also built every step for the log.
+
+    The run stops when n_S first reaches `threshold`; t_f and minus_Q_tf
+    follow the rate equation's switch-off rule.  Raises NoCrossingError at
+    max_time.  Raises ValueError, before allocating any (K+1)^2 matrix, when
+    ceil(max_time/dt) * (K+1)^3 exceeds the work budget _WORK_BUDGET (1e11,
+    about a minute on a 2-vCPU host) or the run's dense (K+1)^2 complex
+    matrices exceed the memory budget _MEMORY_BUDGET (2 GiB).
     """
     if dt is None:
         dt = GAMMA_DT / spec.gamma
@@ -143,51 +190,55 @@ def simulate(
     if max_time is None:
         max_time = schedule.tau + 20.0 / spec.gamma
     _require_finite("max_time", max_time)
+    _check_budget(spec, dt, max_time)
 
     levels, t_amp = build_reservoir(spec)
-    C = initial_state(spec, n_S0)
-    idx = np.arange(1, spec.K + 1)
-    E_R0 = float(np.real(C[idx, idx] @ levels))
+    c0 = initial_state(spec, n_S0).diagonal().real.copy()
+    c0_pairs = np.repeat(c0, 2)  # weights for the interleaved (re, im) view of W
+    E_R0 = float(c0[1:] @ levels)
+    H = build_full_hamiltonian(schedule.energy(0.0), levels, t_amp)
+    W = np.eye(spec.K + 1, dtype=complex)
 
     times = [0.0]
-    ns = [float(C[0, 0].real)]
+    ns = [float(c0[0])]
     e_res = [E_R0]
     log: dict[str, list] = {
         "energy_pre": [],
         "energy_post": [],
         "quench_jump_actual": [],
         "quench_jump_expected": [],
-        "trace": [np.trace(C).real],
+        "trace": [float(c0.sum())],
     }
 
     t = 0.0
     prev_eps = None
-    prev_H = None
-    cached_U = None
     crossed = threshold is not None and ns[0] <= threshold
     while not crossed and t < max_time - 1e-12 * max(1.0, max_time):
         eps = schedule.energy(t)
-        H = build_full_hamiltonian(eps, levels, t_amp)
         if track_energy:
+            C = _correlation(W, c0)
+            e_old = float(np.real(np.trace(H @ C)))  # H still holds prev_eps
+            H[0, 0] = eps
             e_new = float(np.real(np.trace(H @ C)))
-            if prev_H is not None:
-                e_old = float(np.real(np.trace(prev_H @ C)))
+            if prev_eps is not None:
                 log["quench_jump_actual"].append(e_new - e_old)
                 log["quench_jump_expected"].append((eps - prev_eps) * ns[-1])
             log["energy_pre"].append(e_new)
-        if eps == prev_eps and cached_U is not None:
-            U = cached_U
-        else:
-            U = cached_U = propagator(H, dt)
-        C = U @ C @ U.conj().T
-        C = 0.5 * (C + C.conj().T)
+        if eps != prev_eps:
+            H[0, 0] = eps
+            w, V = np.linalg.eigh(H)
+            phase = np.exp(1j * dt * w)[:, None]
+        X = (V.T @ W.view(np.float64)).view(complex)
+        X *= phase
+        W = (V @ X.view(np.float64)).view(complex)
         t += dt
         prev_eps = eps
-        prev_H = H
+        P = np.square(W.view(np.float64)) @ c0_pairs
         times.append(t)
-        ns.append(float(C[0, 0].real))
-        e_res.append(float(np.real(C[idx, idx] @ levels)))
+        ns.append(float(P[0]))
+        e_res.append(float(P[1:] @ levels))
         if track_energy:
+            C = _correlation(W, c0)
             log["energy_post"].append(float(np.real(np.trace(H @ C))))
             log["trace"].append(np.trace(C).real)
         if threshold is not None and ns[-1] <= threshold:
@@ -207,7 +258,7 @@ def simulate(
         dt=dt,
         schedule=schedule,
         spec=spec,
-        C_final=C,
+        C_final=_correlation(W, c0),
         energy_log=log if track_energy else None,
     )
     if crossed:

@@ -14,6 +14,7 @@ separable initial states.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -205,6 +206,8 @@ class ProtocolConfig:
             raise ValueError(f"unknown engine {self.engine!r}; choose from {self.ENGINES}")
         if self.diagonal is not None:
             n_M, n_S = self.diagonal
+            if not (isinstance(n_M, numbers.Real) and isinstance(n_S, numbers.Real)):
+                raise ValueError(f"diagonal populations {self.diagonal} must be numbers")
             if not (0.0 <= n_M <= 1.0 and 0.0 <= n_S <= 1.0):
                 raise ValueError(f"diagonal populations {self.diagonal} outside [0, 1]")
         elif not 0.0 <= self.p <= 1.0:

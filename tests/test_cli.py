@@ -114,6 +114,19 @@ class TestProtocolCommand:
                      id="witness-phi-inf"),
         pytest.param(["fig2", "--K", "50", "--gamma", "nan"], None, "gamma must be finite",
                      id="fig2-gamma-nan"),
+        # config values of the wrong type
+        pytest.param(["witness"], {"sequence": [{"duration": 1.0}]}, 'string "op"',
+                     id="witness-op-missing"),
+        pytest.param(["witness"], {"sequence": [{"op": "rotate", "duration": "1"}]},
+                     "duration must be a number", id="witness-duration-str"),
+        pytest.param(["fig1"], {"points": 2.5}, "config key 'points'", id="fig1-points-float"),
+        pytest.param(["fig2"], {"K": 50.5}, "config key 'K'", id="fig2-K-float"),
+        # exact-bath runs beyond the memory or work budget, rejected before they start
+        pytest.param(["fig2", "--K", "20000"], None, "K=20000", id="fig2-K-memory"),
+        pytest.param(["fig2", "--K", "400", "--gamma-dt", "0.006"], None, "work budget",
+                     id="fig2-gamma-dt-work"),
+        pytest.param(["protocol", "--engine", "exact-bath", "--dt", "0.05"], None,
+                     "work budget", id="exact-bath-dt-work"),
     ])
     def test_non_finite_parameter_exit_code(self, tmp_path, capsys, argv, config, message):
         if config is not None:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from fermicool import exact_bath
 from fermicool.exact_bath import (
     BathRun,
     ReservoirSpec,
@@ -13,8 +14,39 @@ from fermicool.exact_bath import (
     interaction_energy,
     simulate,
 )
-from fermicool.gaussian import fermi_occupation
+from fermicool.gaussian import fermi_occupation, propagator
 from fermicool.master_eq import NoCrossingError, SweepSchedule
+
+
+def conjugation_loop(spec, schedule, n_S0, dt, threshold, max_time):
+    """Reference: conjugate the full C by each step's complex propagator.
+
+    simulate carries the accumulated propagator W instead and builds C once.
+    Returns (times, n_S, minus_Q, t_f, minus_Q_tf, C_final).
+    """
+    levels, t_amp = build_reservoir(spec)
+    C = initial_state(spec, n_S0)
+    idx = np.arange(1, spec.K + 1)
+    E_R0 = float(np.real(C[idx, idx] @ levels))
+    times, ns, mq = [0.0], [float(C[0, 0].real)], [0.0]
+    t = 0.0
+    end = max_time - 1e-12 * max(1.0, max_time)
+    while not (threshold is not None and ns[-1] <= threshold) and t < end:
+        H = build_full_hamiltonian(schedule.energy(t), levels, t_amp).astype(complex)
+        U = propagator(H, dt)
+        C = U @ C @ U.conj().T
+        C = 0.5 * (C + C.conj().T)
+        t += dt
+        times.append(t)
+        ns.append(float(C[0, 0].real))
+        mq.append(float(np.real(C[idx, idx] @ levels)) - E_R0)
+    t_f = minus_Q_tf = None
+    if threshold is not None:
+        i = next(k for k, n in enumerate(ns) if n <= threshold)
+        frac = (ns[i - 1] - threshold) / (ns[i - 1] - ns[i])
+        t_f = times[i - 1] + frac * dt
+        minus_Q_tf = mq[i - 1] + frac * (mq[i] - mq[i - 1])
+    return np.array(times), np.array(ns), np.array(mq), t_f, minus_Q_tf, C
 
 
 class TestReservoirSpec:
@@ -32,6 +64,8 @@ class TestReservoirSpec:
     def test_validation(self):
         with pytest.raises(ValueError, match="at least 2"):
             ReservoirSpec(K=1, gamma=0.02)
+        with pytest.raises(ValueError, match="K must be an integer"):
+            ReservoirSpec(K=50.5, gamma=0.02)
         with pytest.raises(ValueError, match="gamma"):
             ReservoirSpec(K=10, gamma=0.0)
         with pytest.raises(ValueError, match="window"):
@@ -55,6 +89,7 @@ class TestBuildReservoir:
         assert np.allclose(np.diag(H).real, [-5.0, -4.5, 0.5])
         assert np.allclose(H[0, 1:], t_amp)
         assert np.abs(H - H.conj().T).max() == 0.0
+        assert H.dtype == np.float64
 
 
 class TestInitialState:
@@ -145,6 +180,70 @@ class TestSimulate:
         f = fermi_occupation(1.0)
         exact = f + (1.0 - f) * np.exp(-spec.gamma * run.times)
         assert np.abs(run.n_S - exact).max() < 0.03
+
+
+class TestPropagatorAccumulation:
+    """simulate against the per-step conjugation it replaces."""
+
+    @staticmethod
+    def assert_same_run(run, ref):
+        times, n_S, minus_Q, t_f, minus_Q_tf, C_final = ref
+        assert len(run.times) == len(times)
+        assert np.abs(run.times - times).max() <= 1e-10
+        assert np.abs(run.n_S - n_S).max() <= 1e-10
+        assert np.abs(run.minus_Q - minus_Q).max() <= 1e-10
+        assert np.abs(run.C_final - C_final).max() <= 1e-10
+        if t_f is None:
+            assert run.t_f is None
+        else:
+            assert abs(run.t_f - t_f) <= 1e-10
+            assert abs(run.minus_Q_tf - minus_Q_tf) <= 1e-10
+
+    @pytest.mark.parametrize("K,n_S0,threshold,max_time,window", [
+        pytest.param(2, 1.0, 0.5, 300.0, (-7.0, 3.0), id="K2"),
+        pytest.param(30, 1.0, 0.5, 600.0, (-7.0, 3.0), id="K30"),
+        pytest.param(30, 0.7, 0.5, 600.0, (-7.0, 3.0), id="K30-n0.7"),
+        # past tau = 200 into the hold phase, where the eigenbasis is reused
+        pytest.param(30, 0.7, None, 400.0, (-7.0, 3.0), id="K30-hold"),
+        pytest.param(30, 1.0, 0.5, 600.0, (-9.0, 4.0), id="K30-window"),
+    ])
+    def test_matches_conjugation_loop(self, K, n_S0, threshold, max_time, window):
+        spec = ReservoirSpec(K=K, gamma=0.05, window=window)
+        schedule = SweepSchedule(-5.0, 1.0, 10.0 / 0.05)
+        run = simulate(spec, schedule, n_S0=n_S0, dt=1.2, threshold=threshold,
+                       max_time=max_time)
+        self.assert_same_run(run, conjugation_loop(spec, schedule, n_S0, 1.2, threshold,
+                                                   max_time))
+
+    def test_published_run_matches_conjugation_loop(self, fig2_run):
+        ref = conjugation_loop(fig2_run.spec, fig2_run.schedule, 1.0, fig2_run.dt, 0.5,
+                               fig2_run.schedule.tau + 20.0 / fig2_run.spec.gamma)
+        self.assert_same_run(fig2_run, ref)
+
+
+class TestBudget:
+    @pytest.fixture
+    def no_allocation(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the run was started")
+        monkeypatch.setattr(exact_bath, "build_reservoir", refuse)
+        monkeypatch.setattr(exact_bath, "initial_state", refuse)
+
+    def test_memory_budget(self, no_allocation):
+        spec = ReservoirSpec(K=20_000, gamma=0.02)
+        with pytest.raises(ValueError, match="K=20000 .* memory budget"):
+            simulate(spec, SweepSchedule(-5.0, 1.0, 500.0), max_time=3.0, dt=3.0)
+
+    @pytest.mark.parametrize("dt", [0.3, 1e-300, 5e-324])
+    def test_work_budget(self, no_allocation, dt):
+        spec = ReservoirSpec(K=400, gamma=0.02)
+        with pytest.raises(ValueError, match="max_time/dt .* work budget"):
+            simulate(spec, SweepSchedule(-5.0, 1.0, 500.0), dt=dt)
+
+    def test_published_runs_fit(self):
+        # the K=400 convergence run, the largest in the tests, demos and benchmark
+        spec = ReservoirSpec(K=400, gamma=0.02)
+        exact_bath._check_budget(spec, 3.0, 500.0 + 20.0 / 0.02)
 
 
 class TestCompareWithMasterEquation:
