@@ -188,6 +188,9 @@ def cmd_fig1(args) -> int:
     if not (math.isfinite(gamma) and gamma > 0):
         raise ValueError(f"gamma must be positive and finite, got {gamma}")
     master_eq._check_rate_inputs(gamma, params["n0"], params["dt"])
+    for key in ("gamma_tau_min", "gamma_tau_max"):
+        if not (math.isfinite(params[key]) and params[key] > 0):
+            raise ValueError(f"{key} must be positive and finite, got {params[key]}")
     grid = np.geomspace(params["gamma_tau_min"], params["gamma_tau_max"], params["points"])
     schedules = [SweepSchedule(params["eps1"], params["eps2"], float(g) / gamma) for g in grid]
     rows = []
@@ -297,6 +300,8 @@ def _random_hermitian(rng, dim: int) -> np.ndarray:
 def cmd_invariants(args) -> int:
     defaults = dict(seed=0, samples=200)
     params = _load_params(args, defaults)
+    if params["samples"] < 1:
+        raise ValueError(f"samples must be at least 1, got {params['samples']}")
     rng = np.random.default_rng(params["seed"])
     rows: list[tuple] = []
 

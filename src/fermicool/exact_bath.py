@@ -5,10 +5,12 @@ a fixed energy window, tunnel-coupled to the system with a uniform amplitude
 chosen so that Gamma = 2*pi*T^2*xi holds exactly for the empirical density
 of states xi = K / window_width.  Heat is read off the reservoir energy.
 
-The single-particle Hamiltonian is a real symmetric arrowhead and the
-initial correlation matrix C0 = diag(c0) is diagonal, so `simulate` carries
-the accumulated propagator W instead of C: C(t) = W diag(c0) W^dag, and the
-occupations are the diagonal |W|^2 c0.  C itself is built once, at the end.
+The single-particle Hamiltonian is a real symmetric arrowhead, whose
+eigenpairs `_SecularSolver` finds in O(K^2) from its secular equation, and
+the initial correlation matrix C0 = diag(c0) is diagonal, so `simulate`
+carries the accumulated propagator W instead of C: C(t) = W diag(c0) W^dag,
+and the occupations are the diagonal |W|^2 c0.  C itself is built once, at
+the end.
 """
 
 from __future__ import annotations
@@ -33,11 +35,23 @@ from .master_eq import (
 )
 
 # Budgets of `simulate`, checked before any (K+1)^2 allocation: the work of
-# a run is bounded by ceil(max_time/dt) eigensolves and products of (K+1)^3,
-# and it holds about _DENSE_MATRICES dense (K+1)^2 complex matrices at once.
+# a run is bounded by ceil(max_time/dt) propagator products of (K+1)^3, and
+# it holds about _DENSE_MATRICES dense (K+1)^2 complex matrices at once: W
+# and its two step buffers, the solver's real eigenvector buffer (half a
+# matrix), C with the two factors of its product and, with track_energy,
+# the real H (half a matrix) and the previous step's C.
 _WORK_BUDGET = 1e11
 _MEMORY_BUDGET = 2 * 2**30
-_DENSE_MATRICES = 6
+_DENSE_MATRICES = 8
+
+# float64 values per temporary of one block of secular solves: the block
+# takes as many sweep steps as fit, one at K=200 and 25 at K=50, so that
+# short steps share the per-call overhead without growing the footprint.
+_BLOCK_ELEMENTS = 2**16
+# Newton iterations per root before giving up; the published coupling
+# needs at most 6, and gamma = 1 (a level width of a tenth of the window) 17
+_MAX_ITERATIONS = 100
+_EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -91,6 +105,111 @@ def build_full_hamiltonian(eps_S: float, levels, t_amp: float) -> np.ndarray:
     H[0, 1:] = t_amp
     H[1:, 0] = t_amp
     return H
+
+
+class _SecularSolver:
+    """Eigenpairs of the arrowhead H(eps) = [[eps, t 1^T], [t 1, diag(d)]], a block of eps at once.
+
+    With ascending, distinct levels d and t > 0 the eigenvalues are the K+1
+    roots of the secular function F(lam) = lam - eps - t^2 sum_k 1/(lam - d_k),
+    one below d_0, one in each interval between levels and one above
+    d_{K-1}; the eigenvector of a root is (1, t/(lam - d_k)), normalised
+    (Gu & Eisenstat, SIAM J. Matrix Anal. Appl. 15, 1266 (1994); Stor,
+    Slapnicar & Barlow, Linear Algebra Appl. 464, 62 (2015)).
+
+    Each root is solved as mu = lam - d_j from its nearer level d_j, which
+    the sign of F at the interval midpoint decides, so lam - d_k =
+    mu + (d_j - d_k) keeps full relative accuracy.  Newton on F starts from
+    the perturbative root of mu^2 + ((d_j - eps) - t^2 S_j) mu - t^2, where
+    S_j = sum_{k != j} 1/(d_j - d_k) (its mu^2 term matters only next to
+    eps), and falls back to bisection when it leaves the bracket.  A root
+    leaves the active set once |F| is within its rounding noise, or once a
+    Newton step is so short that the next would be below rounding.  S_j and
+    the midpoint sums depend only on the reservoir and are computed once.
+
+    A call takes up to `block` energies, as many as fit in _BLOCK_ELEMENTS
+    per temporary, and returns a view of one eigenvector buffer that the
+    next call overwrites; reusing it spares the page faults of fresh arrays.
+    """
+
+    def __init__(self, levels: np.ndarray, t_amp: float):
+        d = np.asarray(levels, dtype=float)
+        K, n = d.size, d.size + 1
+        self.levels, self.t, self.t2 = d, t_amp, t_amp * t_amp
+        inv = d[:, None] - d
+        np.fill_diagonal(inv, 1.0)
+        np.reciprocal(inv, out=inv)
+        np.fill_diagonal(inv, 0.0)
+        self.S = inv.sum(axis=1)
+        self.mid = 0.5 * (d[:-1] + d[1:])
+        self.mid_sums = self.t2 * (1.0 / (self.mid[:, None] - d)).sum(axis=1)
+        self.gap = np.diff(d)
+        self.block = max(1, _BLOCK_ELEMENTS // (n * K))
+        self._Vt = np.empty((self.block, n, n))
+
+    def __call__(self, eps) -> tuple[np.ndarray, np.ndarray]:
+        """Return (w, Vt) with w[i] ascending and H(eps[i]) = Vt[i].T diag(w[i]) Vt[i]."""
+        eps = np.asarray(eps, dtype=float)
+        d, t2 = self.levels, self.t2
+        K = d.size
+        m, n = eps.size, K + 1
+        # F(midpoint) > 0 puts the root of that interval nearer the level below
+        below = self.mid - eps[:, None] - self.mid_sums >= 0
+        pole = np.empty((m, n), dtype=np.intp)
+        pole[:, 0], pole[:, -1] = 0, K - 1
+        pole[:, 1:-1] = np.arange(1, K) - below
+        # open brackets on mu; Weyl bounds the outer roots by t*sqrt(K)
+        lo, hi = np.zeros((m, n)), np.zeros((m, n))
+        spread = self.t * math.sqrt(K)
+        lo[:, 0] = np.minimum(eps - d[0], 0.0) - spread
+        hi[:, -1] = np.maximum(eps - d[-1], 0.0) + spread
+        hi[:, 1:-1] = np.where(below, self.gap, 0.0)
+        lo[:, 1:-1] = np.where(below, 0.0, -self.gap)
+        pole, lo, hi = pole.ravel(), lo.ravel(), hi.ravel()
+        o = d[pole]
+        c = o - np.repeat(eps, n)
+        # the quadratic's roots are q and -t^2/q, one of each sign
+        b = c - t2 * self.S[pole]
+        q = -0.5 * (b + np.copysign(np.sqrt(b * b + 4.0 * t2), b))
+        mu = np.where(hi > 0, np.maximum(q, -t2 / q), np.minimum(q, -t2 / q))
+        outside = ~((lo < mu) & (mu < hi))
+        mu[outside] = 0.5 * (lo[outside] + hi[outside])
+
+        # Newton's temporaries borrow the eigenvector buffer, filled only after it
+        work = self._Vt.reshape(-1)
+        active = np.arange(m * n)
+        for _ in range(_MAX_ITERATIONS):
+            if not active.size:
+                break
+            mu_a, c_a = mu[active], c[active]
+            X = work[: active.size * K].reshape(active.size, K)
+            np.subtract(o[active, None], d, out=X)  # d_j - d_k, exactly 0 for k = j
+            X += mu_a[:, None]
+            np.reciprocal(X, out=X)  # 1/(lam - d_k)
+            F = c_a + mu_a - t2 * X.sum(axis=1)
+            newton = F / (1.0 + t2 * np.einsum("ij,ij->i", X, X))
+            noise = 4.0 * _EPS * (np.abs(c_a) + np.abs(mu_a) + t2 * np.abs(X, out=X).sum(axis=1))
+            lo_a = np.where(F < 0, mu_a, lo[active])
+            hi_a = np.where(F > 0, mu_a, hi[active])
+            lo[active], hi[active] = lo_a, hi_a
+            step = mu_a - newton
+            inside = (lo_a < step) & (step < hi_a)
+            step[~inside] = 0.5 * (lo_a[~inside] + hi_a[~inside])
+            # F'' / 2F' < 1/|mu|, so after a step this short the error is below eps*|mu|/100
+            short = inside & (np.abs(newton) <= 0.1 * math.sqrt(_EPS) * np.abs(mu_a))
+            # an exact root (F == 0) is final, and so is a bracket shrunk to adjacent floats
+            final = (np.abs(F) <= noise) | (hi_a - lo_a <= 2.0 * _EPS * np.abs(mu_a))
+            mu[active] = np.where(final, mu_a, step)
+            active = active[~(final | short)]
+
+        Vt = self._Vt[:m].reshape(m * n, n)
+        X = Vt[:, 1:]
+        np.subtract(o[:, None], d, out=X)
+        X += mu[:, None]
+        np.divide(self.t, X, out=X)  # t/(lam - d_k)
+        Vt[:, 0] = 1.0
+        Vt /= np.sqrt(1.0 + np.einsum("ij,ij->i", X, X))[:, None]
+        return (o + mu).reshape(m, n), self._Vt[:m]
 
 
 def initial_state(spec: ReservoirSpec, n_S0: float = 1.0) -> np.ndarray:
@@ -162,19 +281,23 @@ def simulate(
     """Stepwise-quenched exact evolution of the system-reservoir correlation matrix.
 
     eps_S is held constant over each [t, t+dt) interval, whose exact
-    propagator is U = V e^{i dt w} V^T from the real eigendecomposition
-    H = V diag(w) V^T (reused while eps_S does not change).  The run carries
-    the accumulated propagator W <- U W, applied as two real matrix products
-    on the float view of W, and reads n_S and the reservoir energy off the
-    diagonal |W|^2 c0 of C = W diag(c0) W^dag.  C_final is built once, at
-    the end; with `track_energy` C is also built every step for the log.
+    propagator is U = V e^{i dt w} V^T from the eigendecomposition
+    H = V diag(w) V^T of the real arrowhead.  `_SecularSolver` finds it in
+    O(K^2) for a block of upcoming steps at once (as many as its element
+    budget allows, never past max_time), and a held eps_S reuses it.  The
+    run carries the accumulated propagator W <- U W, applied as two real
+    matrix products on the float view of W, and reads n_S and the reservoir
+    energy off the diagonal |W|^2 c0 of C = W diag(c0) W^dag.  C_final is
+    built once, at the end; with `track_energy` the dense H and C are also
+    built every step for the log.
 
     The run stops when n_S first reaches `threshold`; t_f and minus_Q_tf
     follow the rate equation's switch-off rule.  Raises NoCrossingError at
     max_time.  Raises ValueError, before allocating any (K+1)^2 matrix, when
     ceil(max_time/dt) * (K+1)^3 exceeds the work budget _WORK_BUDGET (1e11,
-    about a minute on a 2-vCPU host) or the run's dense (K+1)^2 complex
-    matrices exceed the memory budget _MEMORY_BUDGET (2 GiB).
+    about a minute on a 2-vCPU host) or the run's _DENSE_MATRICES dense
+    (K+1)^2 complex matrices exceed the memory budget _MEMORY_BUDGET (2 GiB,
+    so K <= 4095).
     """
     if dt is None:
         dt = GAMMA_DT / spec.gamma
@@ -196,8 +319,11 @@ def simulate(
     c0 = initial_state(spec, n_S0).diagonal().real.copy()
     c0_pairs = np.repeat(c0, 2)  # weights for the interleaved (re, im) view of W
     E_R0 = float(c0[1:] @ levels)
-    H = build_full_hamiltonian(schedule.energy(0.0), levels, t_amp)
+    solve = _SecularSolver(levels, t_amp)
+    H = build_full_hamiltonian(schedule.energy(0.0), levels, t_amp) if track_energy else None
     W = np.eye(spec.K + 1, dtype=complex)
+    # step buffers, reused so that no step pays the page faults of fresh arrays
+    X, W_next = np.empty_like(W), np.empty_like(W)
 
     times = [0.0]
     ns = [float(c0[0])]
@@ -211,38 +337,51 @@ def simulate(
     }
 
     t = 0.0
-    prev_eps = None
+    end = max_time - 1e-12 * max(1.0, max_time)
+    prev_eps = math.nan
     crossed = threshold is not None and ns[0] <= threshold
-    while not crossed and t < max_time - 1e-12 * max(1.0, max_time):
-        eps = schedule.energy(t)
-        if track_energy:
-            C = _correlation(W, c0)
-            e_old = float(np.real(np.trace(H @ C)))  # H still holds prev_eps
-            H[0, 0] = eps
-            e_new = float(np.real(np.trace(H @ C)))
-            if prev_eps is not None:
-                log["quench_jump_actual"].append(e_new - e_old)
-                log["quench_jump_expected"].append((eps - prev_eps) * ns[-1])
-            log["energy_pre"].append(e_new)
-        if eps != prev_eps:
-            H[0, 0] = eps
-            w, V = np.linalg.eigh(H)
-            phase = np.exp(1j * dt * w)[:, None]
-        X = (V.T @ W.view(np.float64)).view(complex)
-        X *= phase
-        W = (V @ X.view(np.float64)).view(complex)
-        t += dt
-        prev_eps = eps
-        P = np.square(W.view(np.float64)) @ c0_pairs
-        times.append(t)
-        ns.append(float(P[0]))
-        e_res.append(float(P[1:] @ levels))
-        if track_energy:
-            C = _correlation(W, c0)
-            log["energy_post"].append(float(np.real(np.trace(H @ C))))
-            log["trace"].append(np.trace(C).real)
-        if threshold is not None and ns[-1] <= threshold:
-            crossed = True
+    while not crossed and t < end:
+        # the next block of step start times, summed exactly as the steps sum them
+        starts = [t]
+        while len(starts) < solve.block and starts[-1] + dt < end:
+            starts.append(starts[-1] + dt)
+        eps_block = schedule.energy(np.array(starts))
+        fresh = eps_block != np.append(prev_eps, eps_block[:-1])  # held energies reuse
+        if fresh.any():
+            fresh[0] = True  # the solve overwrites the eigenvectors step 0 would reuse
+            w_block, Vt_block = solve(eps_block[fresh])
+            phase_block = np.exp(1j * dt * w_block)[:, :, None]
+            k = -1
+        for eps, new in zip(eps_block.tolist(), fresh):
+            if new:
+                k += 1
+                Vt, phase = Vt_block[k], phase_block[k]
+            if track_energy:
+                C = _correlation(W, c0)
+                e_old = float(np.real(np.trace(H @ C)))  # H still holds prev_eps
+                H[0, 0] = eps
+                e_new = float(np.real(np.trace(H @ C)))
+                if not math.isnan(prev_eps):
+                    log["quench_jump_actual"].append(e_new - e_old)
+                    log["quench_jump_expected"].append((eps - prev_eps) * ns[-1])
+                log["energy_pre"].append(e_new)
+            np.matmul(Vt, W.view(np.float64), out=X.view(np.float64))
+            X *= phase
+            np.matmul(Vt.T, X.view(np.float64), out=W_next.view(np.float64))
+            W, W_next = W_next, W
+            t += dt
+            prev_eps = eps
+            P = np.square(W.view(np.float64), out=X.view(np.float64)) @ c0_pairs
+            times.append(t)
+            ns.append(float(P[0]))
+            e_res.append(float(P[1:] @ levels))
+            if track_energy:
+                C = _correlation(W, c0)
+                log["energy_post"].append(float(np.real(np.trace(H @ C))))
+                log["trace"].append(np.trace(C).real)
+            if threshold is not None and ns[-1] <= threshold:
+                crossed = True
+                break
 
     if threshold is not None and not crossed:
         raise NoCrossingError(

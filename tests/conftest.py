@@ -23,7 +23,7 @@ def pytest_terminal_summary(terminalreporter):
 
 @pytest.fixture(scope="session")
 def fig2_run():
-    """Exact bath run at the published comparison parameters (shared, ~1 s)."""
+    """Exact bath run at the published comparison parameters (shared, ~0.4 s)."""
     spec = fc.ReservoirSpec(K=FIG2["K"], gamma=FIG2["gamma"])
     schedule = fc.SweepSchedule(FIG2["eps1"], FIG2["eps2"], FIG2["gamma_tau"] / FIG2["gamma"])
     start = time.perf_counter()

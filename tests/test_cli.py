@@ -127,6 +127,17 @@ class TestProtocolCommand:
                      id="fig2-gamma-dt-work"),
         pytest.param(["protocol", "--engine", "exact-bath", "--dt", "0.05"], None,
                      "work budget", id="exact-bath-dt-work"),
+        # inputs that would certify nothing or cannot span a geometric grid
+        pytest.param(["invariants", "--samples", "0"], None, "samples must be at least 1",
+                     id="invariants-samples-0"),
+        pytest.param(["invariants", "--samples", "-5"], None, "samples must be at least 1",
+                     id="invariants-samples-negative"),
+        pytest.param(["fig1"], {"gamma_tau_min": 0.0}, "gamma_tau_min must be positive",
+                     id="fig1-gamma-tau-min-0"),
+        pytest.param(["fig1"], {"gamma_tau_min": -1.0}, "gamma_tau_min must be positive",
+                     id="fig1-gamma-tau-min-negative"),
+        pytest.param(["fig1"], {"gamma_tau_max": -1.0}, "gamma_tau_max must be positive",
+                     id="fig1-gamma-tau-max-negative"),
     ])
     def test_non_finite_parameter_exit_code(self, tmp_path, capsys, argv, config, message):
         if config is not None:
@@ -243,10 +254,12 @@ class TestInvariantsCommand:
 class TestStartup:
     def test_import_skips_slow_scipy_subpackages(self):
         # scipy.integrate and scipy.signal each take a large share of the
-        # start-up time of every CLI call; the package needs neither
+        # start-up time of every CLI call; the package needs neither, and
+        # its eigensolvers are numpy's and its own, not scipy.linalg's
         code = (
             "import sys, fermicool\n"
-            "print(sorted(m for m in ('scipy.integrate', 'scipy.signal') if m in sys.modules))\n"
+            "print(sorted(m for m in ('scipy.integrate', 'scipy.signal', 'scipy.linalg')\n"
+            "             if m in sys.modules))\n"
         )
         src = str(Path(fermicool.__file__).resolve().parents[1])
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,

@@ -106,6 +106,32 @@ class TestInitialState:
             initial_state(ReservoirSpec(K=2, gamma=0.02), n_S0=-0.2)
 
 
+class TestSecularSolver:
+    """The O(K^2) arrowhead eigensolver against dense eigh."""
+
+    @pytest.mark.parametrize("K", [2, 50, 200, 400])
+    def test_matches_eigh(self, K):
+        levels, t_amp = build_reservoir(ReservoirSpec(K=K, gamma=0.02))
+        solve = exact_bath._SecularSolver(levels, t_amp)
+        # across and beyond the level window (-7, 3), on a level and on a midpoint
+        eps = np.concatenate([np.linspace(-12.0, 8.0, 21),
+                              [levels[K // 3], 0.5 * (levels[0] + levels[1])]])
+        for start in range(0, eps.size, solve.block):
+            chunk = eps[start:start + solve.block]
+            w, Vt = solve(chunk)
+            for e, w_e, Vt_e in zip(chunk, w, Vt):
+                H = build_full_hamiltonian(e, levels, t_amp)
+                V = Vt_e.T
+                assert np.abs(w_e - np.linalg.eigvalsh(H)).max() <= 1e-13
+                assert np.abs(V.T @ V - np.eye(K + 1)).max() <= 1e-13
+                assert np.abs(H @ V - V * w_e).max() <= 1e-13
+
+    def test_block_size_from_element_budget(self):
+        for K, block in [(50, 25), (200, 1), (400, 1)]:
+            levels, t_amp = build_reservoir(ReservoirSpec(K=K, gamma=0.02))
+            assert exact_bath._SecularSolver(levels, t_amp).block == block
+
+
 class TestSimulate:
     def test_decoupled_system_is_stationary(self):
         # drop the coupling by hand: zero tunnel amplitude leaves n_S frozen
@@ -214,6 +240,33 @@ class TestPropagatorAccumulation:
                        max_time=max_time)
         self.assert_same_run(run, conjugation_loop(spec, schedule, n_S0, 1.2, threshold,
                                                    max_time))
+
+    @pytest.mark.parametrize("crossing_step", [25, 26], ids=["last-of-block", "first-of-next"])
+    def test_crossing_at_solve_block_boundary(self, crossing_step):
+        # K = 50 solves 25 steps per block: the crossing ends the first block or opens the second
+        spec = ReservoirSpec(K=50, gamma=0.05)
+        schedule = SweepSchedule(-1.0, 1.0, 10.0 / 0.05)
+        free = simulate(spec, schedule, dt=1.2, threshold=None, max_time=60.0)
+        assert np.all(np.diff(free.n_S[: crossing_step + 1]) < 0)
+        threshold = float(free.n_S[crossing_step - 1:crossing_step + 1].mean())
+        run = simulate(spec, schedule, dt=1.2, threshold=threshold)
+        assert len(run.times) == crossing_step + 1
+        self.assert_same_run(run, conjugation_loop(spec, schedule, 1.0, 1.2, threshold,
+                                                   schedule.tau + 20.0 / spec.gamma))
+
+    def test_hold_ending_inside_a_solve_block(self):
+        # a held energy reuses its eigenpairs; this hold ends at step 31, the
+        # seventh step of the second K = 50 block, whose first steps still hold
+        class HeldThenRaised:
+            tau = 36.6
+
+            def energy(self, t):
+                e = np.where(np.asarray(t) < self.tau, -2.0, 0.5)
+                return float(e) if e.ndim == 0 else e
+
+        spec = ReservoirSpec(K=50, gamma=0.05)
+        run = simulate(spec, HeldThenRaised(), dt=1.2, threshold=None, max_time=60.0)
+        self.assert_same_run(run, conjugation_loop(spec, HeldThenRaised(), 1.0, 1.2, None, 60.0))
 
     def test_published_run_matches_conjugation_loop(self, fig2_run):
         ref = conjugation_loop(fig2_run.spec, fig2_run.schedule, 1.0, fig2_run.dt, 0.5,
