@@ -36,13 +36,15 @@ from .master_eq import (
 
 # Budgets of `simulate`, checked before any (K+1)^2 allocation: the work of
 # a run is bounded by ceil(max_time/dt) propagator products of (K+1)^3, and
-# it holds about _DENSE_MATRICES dense (K+1)^2 complex matrices at once: W
-# and its two step buffers, the solver's real eigenvector buffer (half a
-# matrix), C with the two factors of its product and, with track_energy,
-# the real H (half a matrix) and the previous step's C.
+# it holds at most _DENSE_MATRICES dense (K+1)^2 complex matrices at once
+# (tracemalloc peaks of 7.01 at K=1000 with track_energy, 6.51 without).
+# Held throughout: W and its two step buffers, the solver's real eigenvector
+# buffer and, with track_energy, the real H (half a matrix each).  On top
+# come three: the two factors and the product while C = W diag(c0) W^dag is
+# built, or, with track_energy, C, the complex copy of H and H @ C.
 _WORK_BUDGET = 1e11
 _MEMORY_BUDGET = 2 * 2**30
-_DENSE_MATRICES = 8
+_DENSE_MATRICES = 7
 
 # float64 values per temporary of one block of secular solves: the block
 # takes as many sweep steps as fit, one at K=200 and 25 at K=50, so that
@@ -288,8 +290,8 @@ def simulate(
     run carries the accumulated propagator W <- U W, applied as two real
     matrix products on the float view of W, and reads n_S and the reservoir
     energy off the diagonal |W|^2 c0 of C = W diag(c0) W^dag.  C_final is
-    built once, at the end; with `track_energy` the dense H and C are also
-    built every step for the log.
+    built once, at the end; with `track_energy` the dense H is kept and C is
+    built once per step for the log, the last one serving as C_final.
 
     The run stops when n_S first reaches `threshold`; t_f and minus_Q_tf
     follow the rate equation's switch-off rule.  Raises NoCrossingError at
@@ -297,7 +299,7 @@ def simulate(
     ceil(max_time/dt) * (K+1)^3 exceeds the work budget _WORK_BUDGET (1e11,
     about a minute on a 2-vCPU host) or the run's _DENSE_MATRICES dense
     (K+1)^2 complex matrices exceed the memory budget _MEMORY_BUDGET (2 GiB,
-    so K <= 4095).
+    so K <= 4377).
     """
     if dt is None:
         dt = GAMMA_DT / spec.gamma
@@ -320,8 +322,10 @@ def simulate(
     c0_pairs = np.repeat(c0, 2)  # weights for the interleaved (re, im) view of W
     E_R0 = float(c0[1:] @ levels)
     solve = _SecularSolver(levels, t_amp)
-    H = build_full_hamiltonian(schedule.energy(0.0), levels, t_amp) if track_energy else None
     W = np.eye(spec.K + 1, dtype=complex)
+    if track_energy:
+        H = build_full_hamiltonian(schedule.energy(0.0), levels, t_amp)
+        C = _correlation(W, c0)
     # step buffers, reused so that no step pays the page faults of fresh arrays
     X, W_next = np.empty_like(W), np.empty_like(W)
 
@@ -357,7 +361,7 @@ def simulate(
                 k += 1
                 Vt, phase = Vt_block[k], phase_block[k]
             if track_energy:
-                C = _correlation(W, c0)
+                # C is the previous step's post-step C: W has not moved since
                 e_old = float(np.real(np.trace(H @ C)))  # H still holds prev_eps
                 H[0, 0] = eps
                 e_new = float(np.real(np.trace(H @ C)))
@@ -365,6 +369,7 @@ def simulate(
                     log["quench_jump_actual"].append(e_new - e_old)
                     log["quench_jump_expected"].append((eps - prev_eps) * ns[-1])
                 log["energy_pre"].append(e_new)
+                del C  # rebuilt after the step, so two are never held at once
             np.matmul(Vt, W.view(np.float64), out=X.view(np.float64))
             X *= phase
             np.matmul(Vt.T, X.view(np.float64), out=W_next.view(np.float64))
@@ -397,7 +402,7 @@ def simulate(
         dt=dt,
         schedule=schedule,
         spec=spec,
-        C_final=_correlation(W, c0),
+        C_final=C if track_energy else _correlation(W, c0),
         energy_log=log if track_energy else None,
     )
     if crossed:

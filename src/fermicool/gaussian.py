@@ -7,8 +7,9 @@ energies are in units of k_B*T, times in 1/(k_B*T), entropies in nats.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
-from scipy.special import expit, xlogy
 
 HERMITIAN_TOL = 1e-12
 PROB_TOL = 1e-12
@@ -76,7 +77,11 @@ def binary_entropy(x: float) -> float:
     if x < -PROB_TOL or x > 1.0 + PROB_TOL:
         raise ValueError(f"probability {x} outside [0, 1]")
     x = min(max(x, 0.0), 1.0)
-    return float(-xlogy(x, x) - xlogy(1.0 - x, 1.0 - x))
+    return -_xlogx(x) - _xlogx(1.0 - x)
+
+
+def _xlogx(x: float) -> float:
+    return x * math.log(x) if x > 0.0 else 0.0
 
 
 def subsystem_entropy(C, modes) -> float:
@@ -103,8 +108,12 @@ def coherent_information(C, memory_modes) -> float:
 
 
 def fermi_occupation(eps):
-    """Fermi function 1/(1 + e^eps) at beta = 1, mu = 0 (no overflow)."""
-    out = expit(-np.asarray(eps, dtype=float))
+    """Fermi function 1/(1 + e^eps) at beta = 1, mu = 0.
+
+    Above eps = 709, e^eps overflows to inf, silently, and the result is exactly 0.
+    """
+    with np.errstate(over="ignore"):
+        out = 1.0 / (1.0 + np.exp(np.asarray(eps, dtype=float)))
     if out.ndim == 0:
         return float(out)
     return out
@@ -127,4 +136,4 @@ def thermal_correlation(levels) -> np.ndarray:
     levels = np.asarray(levels, dtype=float)
     if levels.size == 0:
         return np.zeros((0, 0), dtype=complex)
-    return np.diag(expit(-levels)).astype(complex)
+    return np.diag(fermi_occupation(levels)).astype(complex)

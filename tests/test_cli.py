@@ -251,17 +251,26 @@ class TestInvariantsCommand:
         assert a.read_bytes() == b.read_bytes()
 
 
+def _modules_after_fresh_import(module: str) -> set[str]:
+    """Names in sys.modules once a fresh interpreter has imported `module`."""
+    src = str(Path(fermicool.__file__).resolve().parents[1])
+    code = f"import sys, {module}\nprint('\\n'.join(sys.modules))\n"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, check=True).stdout
+    return set(out.split())
+
+
 class TestStartup:
     def test_import_skips_slow_scipy_subpackages(self):
         # scipy.integrate and scipy.signal each take a large share of the
         # start-up time of every CLI call; the package needs neither, and
         # its eigensolvers are numpy's and its own, not scipy.linalg's
-        code = (
-            "import sys, fermicool\n"
-            "print(sorted(m for m in ('scipy.integrate', 'scipy.signal', 'scipy.linalg')\n"
-            "             if m in sys.modules))\n"
-        )
-        src = str(Path(fermicool.__file__).resolve().parents[1])
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                             env={**os.environ, "PYTHONPATH": src}, check=True).stdout
-        assert out.strip() == "[]"
+        loaded = _modules_after_fresh_import("fermicool")
+        assert sorted(m for m in ("scipy.integrate", "scipy.signal", "scipy.linalg")
+                      if m in loaded) == []
+
+    @pytest.mark.parametrize("module", ["fermicool", "fermicool.cli"])
+    def test_import_loads_no_scipy(self, module):
+        # scipy.special alone costs more start-up time than any command's work
+        loaded = _modules_after_fresh_import(module)
+        assert sorted(m for m in loaded if m.split(".")[0] == "scipy") == []

@@ -1,11 +1,14 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import expit, xlogy
 
 from fermicool.gaussian import (
+    PROB_TOL,
     binary_entropy,
     coherent_information,
     energy_expectation,
@@ -82,6 +85,19 @@ class TestBinaryEntropy:
         assert 0.0 <= h <= LN2 + 1e-15
         assert h == pytest.approx(binary_entropy(1.0 - x), abs=1e-12)
 
+    def test_bit_identical_to_scipy_xlogy(self):
+        rng = np.random.default_rng(20260)
+        x = np.concatenate([
+            rng.random(50_000),
+            10.0 ** rng.uniform(-320.0, 0.0, 25_000),  # down to the subnormals
+            1.0 - 10.0 ** rng.uniform(-16.0, 0.0, 25_000),
+            [0.0, 1.0, 5e-324, 1.0 - 2.0**-53, -PROB_TOL, 1.0 + PROB_TOL],
+        ])
+        got = np.array([binary_entropy(v) for v in x])
+        c = np.clip(x, 0.0, 1.0)
+        want = -xlogy(c, c) - xlogy(1.0 - c, 1.0 - c)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
 
 class TestSubsystemEntropy:
     def test_one_body_state_marginal(self):
@@ -155,6 +171,24 @@ class TestFermiOccupation:
     def test_saturates_without_overflow(self):
         assert fermi_occupation(1e4) == 0.0
         assert fermi_occupation(-1e4) == 1.0
+
+    def test_saturates_exactly_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert fermi_occupation(800.0) == 0.0
+            assert fermi_occupation(-800.0) == 1.0
+            assert fermi_occupation(np.array([800.0, -800.0])).tolist() == [0.0, 1.0]
+
+    def test_matches_scipy_expit(self):
+        eps = np.concatenate([
+            np.linspace(-700.0, 700.0, 20_001),
+            np.random.default_rng(7).uniform(-700.0, 700.0, 20_000),
+        ])
+        np.testing.assert_allclose(fermi_occupation(eps), expit(-eps), rtol=1e-15, atol=0.0)
+
+    @pytest.mark.parametrize("eps", [0.3, -2, np.float64(1.5), np.array(4.0)])
+    def test_scalar_input_gives_python_float(self, eps):
+        assert type(fermi_occupation(eps)) is float
 
     @given(st.floats(min_value=-10, max_value=10), st.floats(min_value=0.01, max_value=10))
     def test_strictly_decreasing(self, eps, delta):
