@@ -35,6 +35,10 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_ENGINE = 3
 
+# the largest fig1 grid or invariants sample count: about 40 s of fig1 at
+# ~0.4 ms a point, or 90 s of invariants at ~0.9 ms a sample (2-vCPU host)
+_MAX_COUNT = 10**5
+
 
 # ---------------------------------------------------------------------------
 # output
@@ -118,6 +122,13 @@ def _load_params(args, defaults: dict) -> dict:
     return params
 
 
+def _check_count(key: str, value: int) -> None:
+    if value < 1:
+        raise ValueError(f"{key} must be at least 1, got {value}")
+    if value > _MAX_COUNT:
+        raise ValueError(f"{key} must be at most {_MAX_COUNT}, got {value}")
+
+
 def _add_common(sp, out_default: str):
     sp.add_argument("--config", type=Path, help="JSON file of parameter overrides")
     sp.add_argument("--out", type=Path, default=Path(out_default))
@@ -159,6 +170,11 @@ def cmd_protocol(args) -> int:
     if params["diagonal"] is not None:
         params["diagonal"] = tuple(params["diagonal"])
     config = ProtocolConfig(**params)
+    # the finite-time parameters are checked whichever engine runs
+    SweepSchedule(config.eps1, config.eps2, config.tau)
+    exact_bath.ReservoirSpec(K=config.K, gamma=config.gamma)
+    if config.dt is not None:
+        master_eq._require_positive("dt", config.dt)
     ledger = protocol.run_purification(config)
     rows = [dataclasses.astuple(s) for s in ledger.steps]
     # the total row repeats the last step's state and cumulative heat, work, sigma
@@ -182,8 +198,7 @@ def cmd_fig1(args) -> int:
         gamma_tau_min=0.1, gamma_tau_max=100.0, dt=None,
     )
     params = _load_params(args, defaults)
-    if params["points"] < 1:
-        raise ValueError("need at least one grid point")
+    _check_count("points", params["points"])
     gamma = params["gamma"]
     if not (math.isfinite(gamma) and gamma > 0):
         raise ValueError(f"gamma must be positive and finite, got {gamma}")
@@ -300,8 +315,7 @@ def _random_hermitian(rng, dim: int) -> np.ndarray:
 def cmd_invariants(args) -> int:
     defaults = dict(seed=0, samples=200)
     params = _load_params(args, defaults)
-    if params["samples"] < 1:
-        raise ValueError(f"samples must be at least 1, got {params['samples']}")
+    _check_count("samples", params["samples"])
     rng = np.random.default_rng(params["seed"])
     rows: list[tuple] = []
 

@@ -7,10 +7,10 @@ of states xi = K / window_width.  Heat is read off the reservoir energy.
 
 The single-particle Hamiltonian is a real symmetric arrowhead, whose
 eigenpairs `_SecularSolver` finds in O(K^2) from its secular equation, and
-the initial correlation matrix C0 = diag(c0) is diagonal, so `simulate`
-carries the accumulated propagator W instead of C: C(t) = W diag(c0) W^dag,
-and the occupations are the diagonal |W|^2 c0.  C itself is built once, at
-the end.
+the initial correlation matrix C0 = diag(c0) is diagonal, so the one step
+loop of `simulate` carries the accumulated propagator W instead of C:
+C(t) = W diag(c0) W^dag, and the occupations are the diagonal |W|^2 c0.
+C itself is built once, at the end.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from .master_eq import (
     SweepSchedule,
     _first_crossing,
     _require_finite,
+    _require_positive,
     _switch_off,
     cumulative_heat,
     integrate_population,
@@ -37,11 +38,10 @@ from .master_eq import (
 # Budgets of `simulate`, checked before any (K+1)^2 allocation: the work of
 # a run is bounded by ceil(max_time/dt) propagator products of (K+1)^3, and
 # it holds at most _DENSE_MATRICES dense (K+1)^2 complex matrices at once
-# (tracemalloc peaks of 7.01 at K=1000 with track_energy, 6.51 without).
-# Held throughout: W and its two step buffers, the solver's real eigenvector
-# buffer and, with track_energy, the real H (half a matrix each).  On top
-# come three: the two factors and the product while C = W diag(c0) W^dag is
-# built, or, with track_energy, C, the complex copy of H and H @ C.
+# (tracemalloc peaks of 6.74, 6.57 and 6.51 at K = 200, 400 and 1000).
+# Held throughout: W, its two step buffers and the solver's real eigenvector
+# buffer (half a matrix).  At the end come three more: the two factors and
+# the product while C_final = W diag(c0) W^dag is built.
 _WORK_BUDGET = 1e11
 _MEMORY_BUDGET = 2 * 2**30
 _DENSE_MATRICES = 7
@@ -69,9 +69,7 @@ class ReservoirSpec:
             raise ValueError(f"K must be an integer, got {self.K!r}")
         if self.K < 2:
             raise ValueError(f"need at least 2 reservoir modes, got K={self.K}")
-        _require_finite("gamma", self.gamma)
-        if self.gamma <= 0:
-            raise ValueError(f"gamma must be positive, got {self.gamma}")
+        _require_positive("gamma", self.gamma)
         if not self.window[0] < self.window[1]:
             raise ValueError(f"invalid level window {self.window}")
 
@@ -232,7 +230,6 @@ class BathRun:
 
     times: np.ndarray
     n_S: np.ndarray
-    reservoir_energy: np.ndarray
     minus_Q: np.ndarray
     dt: float
     schedule: SweepSchedule
@@ -240,7 +237,6 @@ class BathRun:
     C_final: np.ndarray
     t_f: float | None = None
     minus_Q_tf: float | None = None
-    energy_log: dict | None = None
 
     @property
     def gamma_t_f(self) -> float | None:
@@ -265,12 +261,6 @@ def _check_budget(spec: ReservoirSpec, dt: float, max_time: float) -> None:
         )
 
 
-def _correlation(W: np.ndarray, c0: np.ndarray) -> np.ndarray:
-    """C = W diag(c0) W^dag, symmetrized."""
-    C = (W * c0) @ W.conj().T
-    return 0.5 * (C + C.conj().T)
-
-
 def simulate(
     spec: ReservoirSpec,
     schedule: SweepSchedule,
@@ -278,7 +268,6 @@ def simulate(
     dt: float | None = None,
     threshold: float | None = 0.5,
     max_time: float | None = None,
-    track_energy: bool = False,
 ) -> BathRun:
     """Stepwise-quenched exact evolution of the system-reservoir correlation matrix.
 
@@ -289,9 +278,9 @@ def simulate(
     budget allows, never past max_time), and a held eps_S reuses it.  The
     run carries the accumulated propagator W <- U W, applied as two real
     matrix products on the float view of W, and reads n_S and the reservoir
-    energy off the diagonal |W|^2 c0 of C = W diag(c0) W^dag.  C_final is
-    built once, at the end; with `track_energy` the dense H is kept and C is
-    built once per step for the log, the last one serving as C_final.
+    energy off the diagonal |W|^2 c0 of C = W diag(c0) W^dag.  Only n_S and
+    -Q are kept per step; C_final is built once, at the end, so C after k
+    steps is the C_final of a run with threshold=None and max_time = k*dt.
 
     The run stops when n_S first reaches `threshold`; t_f and minus_Q_tf
     follow the rate equation's switch-off rule.  Raises NoCrossingError at
@@ -303,9 +292,7 @@ def simulate(
     """
     if dt is None:
         dt = GAMMA_DT / spec.gamma
-    _require_finite("dt", dt)
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
+    _require_positive("dt", dt)
     if spec.gamma * dt > 0.1:
         warnings.warn(
             f"gamma*dt = {spec.gamma * dt:.3f} is coarse; sweep quantization "
@@ -323,22 +310,12 @@ def simulate(
     E_R0 = float(c0[1:] @ levels)
     solve = _SecularSolver(levels, t_amp)
     W = np.eye(spec.K + 1, dtype=complex)
-    if track_energy:
-        H = build_full_hamiltonian(schedule.energy(0.0), levels, t_amp)
-        C = _correlation(W, c0)
     # step buffers, reused so that no step pays the page faults of fresh arrays
     X, W_next = np.empty_like(W), np.empty_like(W)
 
     times = [0.0]
     ns = [float(c0[0])]
-    e_res = [E_R0]
-    log: dict[str, list] = {
-        "energy_pre": [],
-        "energy_post": [],
-        "quench_jump_actual": [],
-        "quench_jump_expected": [],
-        "trace": [float(c0.sum())],
-    }
+    minus_Q = [0.0]
 
     t = 0.0
     end = max_time - 1e-12 * max(1.0, max_time)
@@ -356,34 +333,20 @@ def simulate(
             w_block, Vt_block = solve(eps_block[fresh])
             phase_block = np.exp(1j * dt * w_block)[:, :, None]
             k = -1
-        for eps, new in zip(eps_block.tolist(), fresh):
+        prev_eps = eps_block[-1]
+        for new in fresh:
             if new:
                 k += 1
                 Vt, phase = Vt_block[k], phase_block[k]
-            if track_energy:
-                # C is the previous step's post-step C: W has not moved since
-                e_old = float(np.real(np.trace(H @ C)))  # H still holds prev_eps
-                H[0, 0] = eps
-                e_new = float(np.real(np.trace(H @ C)))
-                if not math.isnan(prev_eps):
-                    log["quench_jump_actual"].append(e_new - e_old)
-                    log["quench_jump_expected"].append((eps - prev_eps) * ns[-1])
-                log["energy_pre"].append(e_new)
-                del C  # rebuilt after the step, so two are never held at once
             np.matmul(Vt, W.view(np.float64), out=X.view(np.float64))
             X *= phase
             np.matmul(Vt.T, X.view(np.float64), out=W_next.view(np.float64))
             W, W_next = W_next, W
             t += dt
-            prev_eps = eps
             P = np.square(W.view(np.float64), out=X.view(np.float64)) @ c0_pairs
             times.append(t)
             ns.append(float(P[0]))
-            e_res.append(float(P[1:] @ levels))
-            if track_energy:
-                C = _correlation(W, c0)
-                log["energy_post"].append(float(np.real(np.trace(H @ C))))
-                log["trace"].append(np.trace(C).real)
+            minus_Q.append(float(P[1:] @ levels) - E_R0)
             if threshold is not None and ns[-1] <= threshold:
                 crossed = True
                 break
@@ -394,16 +357,15 @@ def simulate(
             f"(final n_S={ns[-1]:.6f})"
         )
 
+    C = (W * c0) @ W.conj().T
     run = BathRun(
         times=np.array(times),
         n_S=np.array(ns),
-        reservoir_energy=np.array(e_res),
-        minus_Q=np.array(e_res) - E_R0,
+        minus_Q=np.array(minus_Q),
         dt=dt,
         schedule=schedule,
         spec=spec,
-        C_final=C if track_energy else _correlation(W, c0),
-        energy_log=log if track_energy else None,
+        C_final=0.5 * (C + C.conj().T),
     )
     if crossed:
         _, (run.t_f, run.minus_Q_tf) = _first_crossing(run.n_S, threshold, run.times, run.minus_Q)
@@ -420,7 +382,6 @@ class DeviationReport:
     """Pointwise disagreement between an exact run and the rate equation."""
 
     max_population_deviation: float
-    mean_population_deviation: float
     heat_deviation_at_tf: float
     master_t_f: float
     master_minus_Q_tf: float
@@ -451,7 +412,6 @@ def compare_with_master_equation(
     heat_dev = abs((run.minus_Q_tf if run.minus_Q_tf is not None else run.minus_Q[-1]) - mq_tf_me)
     return DeviationReport(
         max_population_deviation=float(dev.max()),
-        mean_population_deviation=float(dev.mean()),
         heat_deviation_at_tf=float(heat_dev),
         master_t_f=t_f_me,
         master_minus_Q_tf=mq_tf_me,

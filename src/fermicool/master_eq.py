@@ -42,6 +42,12 @@ def _require_finite(name: str, value) -> None:
         raise ValueError(f"{name} must be finite, got {value}")
 
 
+def _require_positive(name: str, value) -> None:
+    _require_finite(name, value)
+    if not value > 0:
+        raise ValueError(f"{name} must be positive, got {value}")
+
+
 @dataclass(frozen=True)
 class SweepSchedule:
     """Piecewise-linear system energy: eps1 -> eps2 over [0, tau], then held."""
@@ -83,15 +89,11 @@ class PopulationTrajectory:
 
 def _check_rate_inputs(gamma: float, n0: float, dt: float | None) -> None:
     """Reject the rate-equation inputs that do not depend on the sweep schedule."""
-    _require_finite("gamma", gamma)
-    if gamma <= 0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
+    _require_positive("gamma", gamma)
     if not 0.0 <= n0 <= 1.0:
         raise ValueError(f"initial population n0={n0} outside [0, 1]")
     if dt is not None:
-        _require_finite("dt", dt)
-        if not dt > 0:
-            raise ValueError(f"dt must be positive, got {dt}")
+        _require_positive("dt", dt)
         if dt > 0.01 / gamma * (1 + 1e-12):
             raise ValueError(f"dt={dt} too coarse; require dt <= 0.01/gamma = {0.01 / gamma}")
 

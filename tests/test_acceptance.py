@@ -176,7 +176,7 @@ def test_criterion_7_bruteforce_oracle():
     assert ok
 
 
-def test_criterion_8_conservation_suite():
+def test_criterion_8_conservation_suite(bath_bookkeeping):
     """Trace, spectrum, inter-quench energy and quench jumps to 1e-10."""
     rng = np.random.default_rng(8)
     worst_trace = worst_spec = 0.0
@@ -190,18 +190,10 @@ def test_criterion_8_conservation_suite():
             worst_spec, np.abs(np.linalg.eigvalsh(out) - np.linalg.eigvalsh(C)).max()
         )
 
-    spec = fc.ReservoirSpec(K=30, gamma=0.05)
-    schedule = fc.SweepSchedule(-5.0, 1.0, 10.0 / 0.05)
-    run = fc.simulate(spec, schedule, dt=1.0, threshold=None, max_time=40.0,
-                      track_energy=True)
-    log = run.energy_log
+    log = bath_bookkeeping
     trace_drift = float(np.abs(np.diff(log["trace"])).max())
-    energy_drift = float(np.abs(
-        np.array(log["energy_post"]) - np.array(log["energy_pre"])
-    ).max())
-    jump_err = float(np.abs(
-        np.array(log["quench_jump_actual"]) - np.array(log["quench_jump_expected"])
-    ).max())
+    energy_drift = float(np.abs(log["energy_post"] - log["energy_pre"]).max())
+    jump_err = float(np.abs(log["quench_jump_actual"] - log["quench_jump_expected"]).max())
     ok = (worst_trace < 1e-10 and worst_spec < 1e-10 and trace_drift < 1e-10
           and energy_drift < 1e-10 and jump_err < 1e-10)
     report(8, ok,

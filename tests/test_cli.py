@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -138,12 +139,28 @@ class TestProtocolCommand:
                      id="fig1-gamma-tau-min-negative"),
         pytest.param(["fig1"], {"gamma_tau_max": -1.0}, "gamma_tau_max must be positive",
                      id="fig1-gamma-tau-max-negative"),
+        # the quasistatic engine runs no sweep, but its finite-time parameters are checked
+        pytest.param(["protocol", "--tau", "nan"], None, "tau must be finite",
+                     id="quasistatic-tau-nan"),
+        pytest.param(["protocol", "--gamma", "inf"], None, "gamma must be finite",
+                     id="quasistatic-gamma-inf"),
+        pytest.param(["protocol", "--dt", "nan"], None, "dt must be finite",
+                     id="quasistatic-dt-nan"),
+        pytest.param(["protocol", "--K", "1"], None, "K=1", id="quasistatic-K-1"),
+        # counts one past the cap, which would run for minutes
+        pytest.param(["fig1", "--points", "100001"], None, "points must be at most 100000",
+                     id="fig1-points-cap"),
+        pytest.param(["invariants", "--samples", "100001"], None,
+                     "samples must be at most 100000", id="invariants-samples-cap"),
     ])
     def test_non_finite_parameter_exit_code(self, tmp_path, capsys, argv, config, message):
         if config is not None:
             (tmp_path / "cfg.json").write_text(json.dumps(config))
             argv = argv + ["--config", str(tmp_path / "cfg.json")]
+        start = time.perf_counter()
         assert main([*argv, "--out", str(tmp_path / "x.csv")]) == 2
+        # rejected before any work is done
+        assert time.perf_counter() - start < 1.0
         assert message in capsys.readouterr().err
 
     def test_missing_config_file(self, tmp_path):
