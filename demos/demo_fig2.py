@@ -27,12 +27,12 @@ def main():
     print("\nGamma*t    n_exact   n_rate    -Q_exact")
     for i in range(0, len(run.times), len(run.times) // 12):
         print(f"{GAMMA * run.times[i]:7.2f}   {run.n_S[i]:7.4f}   "
-              f"{report.n_master[i]:7.4f}   {run.minus_Q[i]:+8.4f}")
+              f"{report.master.n_S[i]:7.4f}   {run.minus_Q[i]:+8.4f}")
 
     print(f"\nswitch-off: Gamma*t_f = {run.gamma_t_f:.3f}, "
           f"-Q(t_f) = {run.minus_Q_tf:+.4f}")
-    print(f"rate equation: Gamma*t_f = {GAMMA * report.master_t_f:.3f}, "
-          f"-Q(t_f) = {report.master_minus_Q_tf:+.4f}")
+    print(f"rate equation: Gamma*t_f = {report.master.gamma_t_f:.3f}, "
+          f"-Q(t_f) = {report.master.minus_Q_tf:+.4f}")
     print(f"max population deviation: {report.max_population_deviation:.4f}")
 
 

@@ -11,17 +11,13 @@ from .gaussian import (
 )
 from .master_eq import (
     NoCrossingError,
-    PopulationTrajectory,
+    Relaxation,
     SweepSchedule,
-    cumulative_heat,
-    find_half_population_time,
     find_zero_crossing,
-    heat_dissipated,
     integrate_population,
     sweep_heat_curve,
 )
 from .exact_bath import (
-    BathRun,
     ReservoirSpec,
     build_full_hamiltonian,
     build_reservoir,
@@ -46,11 +42,10 @@ from .protocol import (
 )
 
 __all__ = [
-    "BathRun",
     "EngineError",
     "NoCrossingError",
-    "PopulationTrajectory",
     "ProtocolConfig",
+    "Relaxation",
     "ReservoirSpec",
     "SweepSchedule",
     "ThermoLedger",
@@ -59,13 +54,10 @@ __all__ = [
     "build_reservoir",
     "coherent_information",
     "compare_with_master_equation",
-    "cumulative_heat",
     "energy_expectation",
     "evolve_step",
     "fermi_occupation",
-    "find_half_population_time",
     "find_zero_crossing",
-    "heat_dissipated",
     "initial_state",
     "integrate_population",
     "interaction_energy",

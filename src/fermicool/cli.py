@@ -214,10 +214,10 @@ def cmd_fig1(args) -> int:
     # budget, a non-monotone bracket) belongs to one grid point
     for gtau, schedule in zip(grid, schedules):
         try:
-            traj = master_eq.integrate_population(
+            run = master_eq.integrate_population(
                 schedule, gamma, n0=params["n0"], dt=params["dt"]
             )
-            rows.append((float(gtau), master_eq.heat_dissipated(traj)))
+            rows.append((float(gtau), run.minus_Q_tf))
         except (NoCrossingError, ValueError) as exc:
             failures.append(f"gamma_tau={gtau:g}: {exc}")
     if not rows:
@@ -252,7 +252,7 @@ def cmd_fig2(args) -> int:
     rows = [
         (gamma * t, ne, nm, qe, qm)
         for t, ne, nm, qe, qm in zip(
-            run.times, run.n_S, report.n_master, run.minus_Q, report.minus_Q_master
+            run.times, run.n_S, report.master.n_S, run.minus_Q, report.master.minus_Q
         )
     ]
     meta = {
@@ -379,10 +379,9 @@ def cmd_invariants(args) -> int:
 
     # second law along a finite-time sweep
     schedule = SweepSchedule(master_eq.EPS1, master_eq.EPS2, master_eq.GAMMA_TAU / master_eq.GAMMA)
-    traj = master_eq.integrate_population(schedule, master_eq.GAMMA)
-    mq = master_eq.cumulative_heat(traj)
-    sigma = np.array([binary_entropy(n) for n in traj.populations]) \
-        - binary_entropy(traj.populations[0]) + mq
+    run = master_eq.integrate_population(schedule, master_eq.GAMMA)
+    sigma = np.array([binary_entropy(n) for n in run.n_S]) \
+        - binary_entropy(run.n_S[0]) + run.minus_Q
     check("master_eq_entropy_production_violation", -sigma.min(), 1e-6)
 
     all_passed = all(r[3] for r in rows)

@@ -18,20 +18,20 @@ from __future__ import annotations
 import math
 import numbers
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
-from .gaussian import thermal_correlation
+from .gaussian import fermi_occupation, thermal_correlation
 from .master_eq import (
     GAMMA_DT,
     NoCrossingError,
+    Relaxation,
     SweepSchedule,
     _first_crossing,
     _require_finite,
     _require_positive,
-    _switch_off,
-    cumulative_heat,
     integrate_population,
 )
 
@@ -224,27 +224,6 @@ def initial_state(spec: ReservoirSpec, n_S0: float = 1.0) -> np.ndarray:
     return C
 
 
-@dataclass
-class BathRun:
-    """Time series of one exact sweep run, terminated at the threshold crossing."""
-
-    times: np.ndarray
-    n_S: np.ndarray
-    minus_Q: np.ndarray
-    dt: float
-    schedule: SweepSchedule
-    spec: ReservoirSpec
-    C_final: np.ndarray
-    t_f: float | None = None
-    minus_Q_tf: float | None = None
-
-    @property
-    def gamma_t_f(self) -> float | None:
-        if self.t_f is None:
-            return None
-        return self.spec.gamma * self.t_f
-
-
 def _check_budget(spec: ReservoirSpec, dt: float, max_time: float) -> None:
     """Reject a run that would exceed the step or memory budget, before allocating."""
     n = spec.K + 1
@@ -268,7 +247,7 @@ def simulate(
     dt: float | None = None,
     threshold: float | None = 0.5,
     max_time: float | None = None,
-) -> BathRun:
+) -> Relaxation:
     """Stepwise-quenched exact evolution of the system-reservoir correlation matrix.
 
     eps_S is held constant over each [t, t+dt) interval, whose exact
@@ -305,7 +284,9 @@ def simulate(
     _check_budget(spec, dt, max_time)
 
     levels, t_amp = build_reservoir(spec)
-    c0 = initial_state(spec, n_S0).diagonal().real.copy()
+    if not 0.0 <= n_S0 <= 1.0:
+        raise ValueError(f"initial population {n_S0} outside [0, 1]")
+    c0 = np.concatenate(([n_S0], fermi_occupation(levels)))
     c0_pairs = np.repeat(c0, 2)  # weights for the interleaved (re, im) view of W
     E_R0 = float(c0[1:] @ levels)
     solve = _SecularSolver(levels, t_amp)
@@ -358,39 +339,35 @@ def simulate(
         )
 
     C = (W * c0) @ W.conj().T
-    run = BathRun(
-        times=np.array(times),
-        n_S=np.array(ns),
-        minus_Q=np.array(minus_Q),
-        dt=dt,
-        schedule=schedule,
-        spec=spec,
-        C_final=0.5 * (C + C.conj().T),
+    run = Relaxation(
+        times=np.array(times), n_S=np.array(ns), minus_Q=np.array(minus_Q), dt=dt,
+        gamma=spec.gamma, schedule=schedule, spec=spec, C_final=0.5 * (C + C.conj().T),
     )
     if crossed:
         _, (run.t_f, run.minus_Q_tf) = _first_crossing(run.n_S, threshold, run.times, run.minus_Q)
     return run
 
 
-def interaction_energy(run: BathRun) -> float:
+def interaction_energy(run: Relaxation) -> float:
     """Residual system-reservoir coupling energy in the final state."""
     return float(2.0 * run.spec.t_amp * np.sum(np.real(run.C_final[0, 1:])))
 
 
 @dataclass
 class DeviationReport:
-    """Pointwise disagreement between an exact run and the rate equation."""
+    """Pointwise disagreement between an exact run and the rate equation.
+
+    `master` is the rate equation's run resampled onto the exact run's
+    times, with its own switch-off time and heat.
+    """
 
     max_population_deviation: float
     heat_deviation_at_tf: float
-    master_t_f: float
-    master_minus_Q_tf: float
-    n_master: np.ndarray = field(repr=False)
-    minus_Q_master: np.ndarray = field(repr=False)
+    master: Relaxation = field(repr=False)
 
 
 def compare_with_master_equation(
-    run: BathRun, dt: float | None = None, threshold: float = 0.5
+    run: Relaxation, dt: float | None = None, threshold: float = 0.5
 ) -> DeviationReport:
     """Integrate the rate equation on the run's schedule and report deviations.
 
@@ -398,23 +375,25 @@ def compare_with_master_equation(
     t_f; the heat deviation compares each description's -Q at its own
     switch-off time.
     """
-    gamma = run.spec.gamma
-    horizon = run.times[-1] + 5.0 / gamma
-    traj = integrate_population(
-        run.schedule, gamma, n0=float(run.n_S[0]), dt=dt,
-        threshold=None, max_time=horizon,
+    rate_equation = partial(
+        integrate_population, run.schedule, run.gamma, n0=float(run.n_S[0]), dt=dt,
+        max_time=run.times[-1] + 5.0 / run.gamma,
     )
-    n_me = np.interp(run.times, traj.times, traj.populations)
-    mq_me = np.interp(run.times, traj.times, cumulative_heat(traj))
+    # the free run spans the exact run's times; the stopped one switches off
+    # exactly as a rate-equation run of its own does
+    free, stopped = rate_equation(threshold=None), rate_equation(threshold=threshold)
+    master = replace(
+        stopped,
+        times=run.times,
+        n_S=np.interp(run.times, free.times, free.n_S),
+        minus_Q=np.interp(run.times, free.times, free.minus_Q),
+    )
     mask = run.times <= (run.t_f if run.t_f is not None else run.times[-1])
-    dev = np.abs(run.n_S[mask] - n_me[mask])
-    t_f_me, mq_tf_me = _switch_off(traj, threshold)
-    heat_dev = abs((run.minus_Q_tf if run.minus_Q_tf is not None else run.minus_Q[-1]) - mq_tf_me)
+    dev = np.abs(run.n_S[mask] - master.n_S[mask])
+    heat_dev = abs((run.minus_Q_tf if run.minus_Q_tf is not None else run.minus_Q[-1])
+                   - master.minus_Q_tf)
     return DeviationReport(
         max_population_deviation=float(dev.max()),
         heat_deviation_at_tf=float(heat_dev),
-        master_t_f=t_f_me,
-        master_minus_Q_tf=mq_tf_me,
-        n_master=n_me,
-        minus_Q_master=mq_me,
+        master=master,
     )

@@ -62,6 +62,8 @@ def evolve_step(C, H, dt: float) -> np.ndarray:
     H = require_hermitian(H, name="Hamiltonian")
     if C.shape != H.shape:
         raise ValueError(f"dimension mismatch: C is {C.shape}, H is {H.shape}")
+    if not math.isfinite(dt):
+        raise ValueError(f"dt must be finite, got {dt}")
     if dt < 0:
         raise ValueError(f"dt must be nonnegative, got {dt}")
     if dt == 0:
@@ -74,7 +76,7 @@ def evolve_step(C, H, dt: float) -> np.ndarray:
 def binary_entropy(x: float) -> float:
     """h(x) = -x ln x - (1-x) ln(1-x), with h(0) = h(1) = 0."""
     x = float(x)
-    if x < -PROB_TOL or x > 1.0 + PROB_TOL:
+    if not -PROB_TOL <= x <= 1.0 + PROB_TOL:
         raise ValueError(f"probability {x} outside [0, 1]")
     x = min(max(x, 0.0), 1.0)
     return -_xlogx(x) - _xlogx(1.0 - x)

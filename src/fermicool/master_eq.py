@@ -74,17 +74,27 @@ class SweepSchedule:
 
 
 @dataclass
-class PopulationTrajectory:
+class Relaxation:
+    """n_S(t) and -Q(t) of one finite-time relaxation, from either engine.
+
+    t_f and minus_Q_tf are set when the run stopped at its threshold; spec
+    (an exact_bath.ReservoirSpec) and C_final only by the exact bath.
+    """
+
     times: np.ndarray
-    populations: np.ndarray
-    energies: np.ndarray
+    n_S: np.ndarray
+    minus_Q: np.ndarray
     dt: float
     gamma: float
     schedule: SweepSchedule
+    t_f: float | None = None
+    minus_Q_tf: float | None = None
+    spec: object | None = None
+    C_final: np.ndarray | None = None
 
-    def rhs(self) -> np.ndarray:
-        """ODE right-hand side at the sample points (exact, no differencing)."""
-        return -self.gamma * (self.populations - fermi_occupation(self.energies))
+    @property
+    def gamma_t_f(self) -> float | None:
+        return None if self.t_f is None else self.gamma * self.t_f
 
 
 def _check_rate_inputs(gamma: float, n0: float, dt: float | None) -> None:
@@ -105,8 +115,8 @@ def integrate_population(
     dt: float | None = None,
     threshold: float | None = 0.5,
     max_time: float | None = None,
-) -> PopulationTrajectory:
-    """Fixed-step RK4 integration of the linear relaxation ODE.
+) -> Relaxation:
+    """Fixed-step RK4 integration of the linear relaxation ODE, with its heat.
 
     Stops at the first sample with n_S <= threshold (that sample is kept so
     the crossing is bracketed), or raises NoCrossingError at max_time.
@@ -117,6 +127,11 @@ def integrate_population(
     evaluated block by block as n_j = A^j (n_start + sum_{i<j} b_i / A^{i+1}),
     with the Fermi factors built for one block at a time, so memory is bounded
     by the samples kept up to the crossing.
+
+    -Q(t) = -int eps_S n_S' dt is the cumulative trapezoid of the integrand
+    eps_S n_S', with n_S' taken from the ODE right-hand side at each sample.
+    At switch-off, -Q(t_f) adds to the whole steps before the crossing a
+    partial step with the integrand linearly interpolated to t_f.
     """
     _check_rate_inputs(gamma, n0, dt)
     if gamma > 0.1:
@@ -146,12 +161,14 @@ def integrate_population(
 
     n = float(n0)
     chunks = [np.array([n])]
+    areas = [np.zeros(0)]  # trapezoid areas of the heat integrand, step by step
     crossed = threshold is not None and n <= threshold
     k = 0
     while not crossed and k < nsteps:
         m = min(_BLOCK_STEPS, nsteps - k)
         t = dt * np.arange(k, k + m + 1)
-        f = fermi_occupation(schedule.energy(t))
+        e = schedule.energy(t)
+        f = fermi_occupation(e)
         f_half = fermi_occupation(schedule.energy(t[:-1] + 0.5 * dt))
         drive = b0 * f[:-1] + bm * f_half + b1 * f[1:]
         pw = powers[:m]
@@ -161,7 +178,14 @@ def integrate_population(
             if below.size:
                 ns = ns[: below[0] + 1]
                 crossed = True
-        chunks.append(ns)
+        # the integrand g = eps_S n_S' = eps_S * (-Gamma (n_S - f)) at the
+        # block's samples from its start, with n_S clipped as it is kept, and
+        # the trapezoid areas diff(t) * (g[1:] + g[:-1]) / 2 of its steps
+        j = ns.size + 1
+        nb = np.clip(np.concatenate(([n], ns)), 0.0, 1.0)
+        g = e[:j] * (-gamma * (nb - f[:j]))
+        areas.append(np.subtract(t[1:j], t[: j - 1]) * (g[1:] + g[:-1]) / 2.0)
+        chunks.append(nb[1:])
         n = float(ns[-1])
         k += m
 
@@ -171,16 +195,28 @@ def integrate_population(
             f"(final n_S={n:.6f})"
         )
 
-    populations = np.clip(np.concatenate(chunks), 0.0, 1.0)
-    times = dt * np.arange(populations.size)
-    return PopulationTrajectory(
-        times=times,
-        populations=populations,
-        energies=np.asarray(schedule.energy(times)),
-        dt=dt,
-        gamma=gamma,
-        schedule=schedule,
-    )
+    # in place where it can be, as on a long run every fresh array costs its
+    # page faults: the areas are laid out in the buffer of -Q, summed for the
+    # switch-off, then accumulated there
+    n_S = np.concatenate(chunks)
+    times = np.arange(n_S.size, dtype=float)
+    times *= dt
+    minus_Q = np.zeros(n_S.size)
+    areas = np.concatenate(areas, out=minus_Q[1:])
+    t_f = minus_Q_tf = None
+    if crossed:
+        i, (t_f,) = _first_crossing(n_S, threshold, times)
+        minus_Q_tf = 0.0
+        if i > 0:
+            # i is the last sample, so g ends at it; the partial-step fraction
+            # is recomputed from t_f: the crossing's own can differ in the last bit
+            frac = (t_f - times[i - 1]) / (times[i] - times[i - 1])
+            g_tf = g[-2] + (g[-1] - g[-2]) * frac
+            partial = (t_f - times[i - 1]) * 0.5 * (g[-2] + g_tf)
+            minus_Q_tf = float(-(areas[: i - 1].sum() + partial))
+    np.cumsum(areas, out=areas)
+    np.negative(minus_Q, out=minus_Q)
+    return Relaxation(times, n_S, minus_Q, dt, gamma, schedule, t_f, minus_Q_tf)
 
 
 def _first_crossing(values, threshold: float, *series) -> tuple[int, list[float]]:
@@ -200,47 +236,6 @@ def _first_crossing(values, threshold: float, *series) -> tuple[int, list[float]
     return i, [float(s[i - 1] + frac * (s[i] - s[i - 1])) for s in series]
 
 
-def find_half_population_time(traj: PopulationTrajectory, threshold: float = 0.5) -> float:
-    """Linear-interpolated time at which the population first reaches threshold."""
-    _, (t_f,) = _first_crossing(traj.populations, threshold, traj.times)
-    return t_f
-
-
-def _trapezoid_areas(g: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Per-interval trapezoid areas of g over the grid t."""
-    return np.diff(t) * (g[1:] + g[:-1]) / 2.0
-
-
-def _switch_off(traj: PopulationTrajectory, threshold: float) -> tuple[float, float]:
-    """The switch-off time t_f and -Q(t_f), from one search for the crossing."""
-    i, (t_f,) = _first_crossing(traj.populations, threshold, traj.times)
-    if i == 0:
-        return t_f, 0.0
-    g = traj.energies * traj.rhs()
-    full = _trapezoid_areas(g[:i], traj.times[:i]).sum()
-    # the partial-step fraction is recomputed from t_f: the crossing's own
-    # fraction can differ from it in the last bit
-    frac = (t_f - traj.times[i - 1]) / (traj.times[i] - traj.times[i - 1])
-    g_tf = g[i - 1] + (g[i] - g[i - 1]) * frac
-    partial = (t_f - traj.times[i - 1]) * 0.5 * (g[i - 1] + g_tf)
-    return t_f, float(-(full + partial))
-
-
-def heat_dissipated(traj: PopulationTrajectory, threshold: float = 0.5) -> float:
-    """-Q = -int_0^{t_f} eps_S(t) n_S'(t) dt, trapezoidal in time.
-
-    n_S' is evaluated from the ODE right-hand side; the final partial step
-    is handled by linear interpolation of the integrand to t_f.
-    """
-    return _switch_off(traj, threshold)[1]
-
-
-def cumulative_heat(traj: PopulationTrajectory) -> np.ndarray:
-    """-Q(t) at every sample time (cumulative trapezoid of -eps * n')."""
-    g = traj.energies * traj.rhs()
-    return -np.concatenate(([0.0], np.cumsum(_trapezoid_areas(g, traj.times))))
-
-
 def sweep_heat_curve(
     eps1: float,
     eps2: float,
@@ -256,8 +251,8 @@ def sweep_heat_curve(
     rows = []
     for gtau in gt:
         schedule = SweepSchedule(eps1, eps2, float(gtau) / gamma)
-        traj = integrate_population(schedule, gamma, n0=n0, dt=dt)
-        rows.append((float(gtau), heat_dissipated(traj)))
+        run = integrate_population(schedule, gamma, n0=n0, dt=dt)
+        rows.append((float(gtau), run.minus_Q_tf))
     return rows
 
 

@@ -244,19 +244,16 @@ def _run_engine(config: ProtocolConfig, n0: float, target: float):
         )
     try:
         if config.engine == "master-equation":
-            traj = master_eq.integrate_population(
+            run = master_eq.integrate_population(
                 schedule, config.gamma, n0=n0, dt=config.dt, threshold=target
             )
-            t_f, minus_q = master_eq._switch_off(traj, target)
-            return -minus_q, schedule.energy(t_f), 0.0
-        spec = exact_bath.ReservoirSpec(K=config.K, gamma=config.gamma)
-        run = exact_bath.simulate(
-            spec, schedule, n_S0=n0, dt=config.dt, threshold=target
-        )
-        residual = exact_bath.interaction_energy(run)
-        return -run.minus_Q_tf, schedule.energy(run.t_f), residual
+        else:
+            spec = exact_bath.ReservoirSpec(K=config.K, gamma=config.gamma)
+            run = exact_bath.simulate(spec, schedule, n_S0=n0, dt=config.dt, threshold=target)
     except master_eq.NoCrossingError as exc:
         raise EngineError(str(exc)) from exc
+    residual = 0.0 if run.C_final is None else exact_bath.interaction_energy(run)
+    return -run.minus_Q_tf, schedule.energy(run.t_f), residual
 
 
 def _run_operations(C, operations, config: ProtocolConfig, ledger: ThermoLedger | None = None):

@@ -102,8 +102,8 @@ def test_criterion_5_second_law_suite(fig2_run):
     schedule = fig2_run.schedule
     traj = fc.integrate_population(schedule, fig2_run.spec.gamma, threshold=None,
                                    max_time=fig2_run.times[-1])
-    hm = np.array([fc.binary_entropy(n) for n in traj.populations])
-    sigma_me = hm - hm[0] + fc.cumulative_heat(traj)
+    hm = np.array([fc.binary_entropy(n) for n in traj.n_S])
+    sigma_me = hm - hm[0] + traj.minus_Q
     me_ok = sigma_me.min() >= -1e-6
 
     # quasistatic runs: ledger entropy production

@@ -113,6 +113,10 @@ class TestProtocolCommand:
                      id="config-omega-nan"),
         pytest.param(["witness", "--phi", "inf"], None, "phi must be finite",
                      id="witness-phi-inf"),
+        pytest.param(["witness"], {"sequence": [{"op": "relax", "target": math.nan}]},
+                     "probability nan outside", id="witness-relax-target-nan"),
+        pytest.param(["witness"], {"sequence": [{"op": "rotate", "duration": math.inf}]},
+                     "dt must be finite, got inf", id="witness-rotate-duration-inf"),
         pytest.param(["fig2", "--K", "50", "--gamma", "nan"], None, "gamma must be finite",
                      id="fig2-gamma-nan"),
         # config values of the wrong type

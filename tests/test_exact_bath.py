@@ -5,7 +5,6 @@ import pytest
 
 from fermicool import exact_bath
 from fermicool.exact_bath import (
-    BathRun,
     ReservoirSpec,
     build_full_hamiltonian,
     build_reservoir,
@@ -15,7 +14,7 @@ from fermicool.exact_bath import (
     simulate,
 )
 from fermicool.gaussian import fermi_occupation, propagator
-from fermicool.master_eq import NoCrossingError, SweepSchedule
+from fermicool.master_eq import NoCrossingError, SweepSchedule, integrate_population
 
 
 def conjugation_loop(spec, schedule, n_S0, dt, threshold, max_time):
@@ -104,6 +103,19 @@ class TestInitialState:
     def test_population_validated(self):
         with pytest.raises(ValueError, match="population"):
             initial_state(ReservoirSpec(K=2, gamma=0.02), n_S0=-0.2)
+        with pytest.raises(ValueError, match="population"):
+            simulate(ReservoirSpec(K=2, gamma=0.02), SweepSchedule(-5.0, 1.0, 500.0),
+                     n_S0=-0.2, dt=3.0)
+
+    @pytest.mark.parametrize("K", [2, 30, 200, 400])
+    @pytest.mark.parametrize("n_S0", [0.0, 0.7, 1.0])
+    def test_simulate_starts_from_initial_state(self, K, n_S0):
+        # simulate builds only the diagonal c0; a run of no steps returns it as C_final
+        spec = ReservoirSpec(K=K, gamma=0.02)
+        run = simulate(spec, SweepSchedule(-5.0, 1.0, 500.0), n_S0=n_S0, dt=3.0,
+                       threshold=None, max_time=0.0)
+        assert run.times.tolist() == [0.0]
+        assert np.array_equal(run.C_final, np.diag(initial_state(spec, n_S0).diagonal()))
 
 
 class TestSecularSolver:
@@ -298,11 +310,25 @@ class TestCompareWithMasterEquation:
         assert fig2_report.heat_deviation_at_tf < 0.02
         # both descriptions switch off near Gamma*t = 9.3
         assert fig2_run.gamma_t_f == pytest.approx(9.3, abs=0.15)
-        assert fig2_run.spec.gamma * fig2_report.master_t_f == pytest.approx(9.3, abs=0.15)
+        assert fig2_report.master.gamma_t_f == pytest.approx(9.3, abs=0.15)
 
     def test_published_sweep_heat_values(self, fig2_run, fig2_report):
         assert fig2_run.minus_Q_tf == pytest.approx(-0.42, abs=0.01)
-        assert fig2_report.master_minus_Q_tf == pytest.approx(-0.42, abs=0.01)
+        assert fig2_report.master.minus_Q_tf == pytest.approx(-0.42, abs=0.01)
+
+    @pytest.mark.parametrize("K", [50, 200])
+    def test_master_switch_off_is_the_rate_equations(self, K, fig2_run, fig2_report):
+        # one switch-off rule: the resampled master run keeps the t_f and
+        # -Q(t_f) of the rate equation run on its own, bit for bit
+        run, report = fig2_run, fig2_report
+        if K != fig2_run.spec.K:
+            run = simulate(ReservoirSpec(K=K, gamma=fig2_run.gamma), fig2_run.schedule,
+                           dt=fig2_run.dt)
+            report = compare_with_master_equation(run)
+        own = integrate_population(run.schedule, run.gamma)
+        assert report.master.t_f == own.t_f
+        assert report.master.minus_Q_tf == own.minus_Q_tf
+        assert np.array_equal(report.master.times, run.times)
 
     def test_reservoir_size_convergence(self, fig2_run):
         spec = ReservoirSpec(K=400, gamma=fig2_run.spec.gamma)

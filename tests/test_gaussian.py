@@ -56,6 +56,11 @@ class TestEvolveStep:
         with pytest.raises(ValueError, match="nonnegative"):
             evolve_step(ONE_BODY, TUNNEL, -0.1)
 
+    @pytest.mark.parametrize("dt", [math.inf, math.nan])
+    def test_non_finite_time_rejected(self, dt):
+        with pytest.raises(ValueError, match="dt must be finite"):
+            evolve_step(ONE_BODY, TUNNEL, dt)
+
 
 class TestBinaryEntropy:
     def test_half_is_ln2(self):
@@ -74,6 +79,11 @@ class TestBinaryEntropy:
             binary_entropy(1.1)
         with pytest.raises(ValueError):
             binary_entropy(-0.1)
+
+    def test_nan_rejected(self):
+        # NaN fails every comparison, so it must not slip past the range check
+        with pytest.raises(ValueError, match="nan outside"):
+            binary_entropy(math.nan)
 
     def test_tolerance_band_clamped(self):
         assert binary_entropy(1.0 + 5e-13) == 0.0

@@ -12,10 +12,7 @@ from fermicool.gaussian import binary_entropy, fermi_occupation
 from fermicool.master_eq import (
     NoCrossingError,
     SweepSchedule,
-    cumulative_heat,
-    find_half_population_time,
     find_zero_crossing,
-    heat_dissipated,
     integrate_population,
     sweep_heat_curve,
 )
@@ -93,11 +90,11 @@ class TestIntegratePopulation:
                                     threshold=None, max_time=100.0)
         f = fermi_occupation(1.0)
         exact = f + (1.0 - f) * np.exp(-0.05 * traj.times)
-        assert np.abs(traj.populations - exact).max() < 1e-8
+        assert np.abs(traj.n_S - exact).max() < 1e-8
 
     def test_half_population_time_constant_energy(self):
         traj = integrate_population(constant_schedule(1.0), 0.05, dt=0.1)
-        assert find_half_population_time(traj) == pytest.approx(
+        assert traj.t_f == pytest.approx(
             CONST_EPS_TF / 0.05, rel=1e-5
         )
 
@@ -106,7 +103,7 @@ class TestIntegratePopulation:
         traj = integrate_population(schedule, 0.05, threshold=None, max_time=schedule.tau)
         # the population lags the instantaneous equilibrium by ~ d(eps)/dt / Gamma
         assert np.abs(
-            traj.populations - fermi_occupation(traj.energies)
+            traj.n_S - fermi_occupation(schedule.energy(traj.times))
         ).max() < 0.02
 
     def test_dimensionless_scaling(self):
@@ -114,19 +111,19 @@ class TestIntegratePopulation:
         q = []
         for gamma in (0.01, 0.05):
             schedule = SweepSchedule(-5.0, 1.0, 10.0 / gamma)
-            q.append(heat_dissipated(integrate_population(schedule, gamma)))
+            q.append(integrate_population(schedule, gamma).minus_Q_tf)
         assert q[0] == pytest.approx(q[1], abs=1e-9)
 
     def test_step_halving_converges(self):
         schedule = SweepSchedule(-5.0, 1.0, 10.0 / 0.02)
-        coarse = heat_dissipated(integrate_population(schedule, 0.02, dt=0.5))
-        fine = heat_dissipated(integrate_population(schedule, 0.02, dt=0.25))
+        coarse = integrate_population(schedule, 0.02, dt=0.5).minus_Q_tf
+        fine = integrate_population(schedule, 0.02, dt=0.25).minus_Q_tf
         assert abs(coarse - fine) < 1e-6
 
     def test_threshold_crossing_bracketed(self):
         traj = integrate_population(constant_schedule(1.0), 0.05, dt=0.1)
-        assert traj.populations[-1] <= 0.5
-        assert traj.populations[-2] > 0.5
+        assert traj.n_S[-1] <= 0.5
+        assert traj.n_S[-2] > 0.5
 
     def test_no_crossing_raises(self):
         # holding at eps = -5 keeps the population near 1
@@ -181,18 +178,18 @@ class TestBlockwiseScan:
             schedule = SweepSchedule(eps1, eps2, gtau / gamma)
             traj = integrate_population(schedule, gamma)
             ref = rk4_loop(schedule, gamma, traj.dt, schedule.tau + 20.0 / gamma)
-            assert traj.populations.size == ref.size
+            assert traj.n_S.size == ref.size
             assert np.array_equal(traj.times, traj.dt * np.arange(ref.size))
-            assert np.abs(traj.populations - ref).max() <= 1e-12
+            assert np.abs(traj.n_S - ref).max() <= 1e-12
 
     def test_threshold_none_keeps_every_sample(self):
         schedule = constant_schedule(1.0)
         for max_time in (100.0, 1000.05, 2000.0):
             traj = integrate_population(schedule, 0.05, dt=0.1, threshold=None,
                                         max_time=max_time)
-            assert traj.populations.size == math.ceil(max_time / 0.1) + 1
+            assert traj.n_S.size == math.ceil(max_time / 0.1) + 1
             ref = rk4_loop(schedule, 0.05, 0.1, max_time, threshold=None)
-            assert np.abs(traj.populations - ref).max() <= 1e-12
+            assert np.abs(traj.n_S - ref).max() <= 1e-12
 
     def test_crossing_on_block_boundary(self):
         # the relaxation decreases strictly, so a threshold equal to one
@@ -201,22 +198,22 @@ class TestBlockwiseScan:
         full = integrate_population(schedule, 0.05, dt=0.01, threshold=None,
                                     max_time=200.0)
         block = master_eq._BLOCK_STEPS
-        assert full.populations.size > block + 2
+        assert full.n_S.size > block + 2
         for i in (block - 1, block, block + 1):
             traj = integrate_population(schedule, 0.05, dt=0.01,
-                                        threshold=full.populations[i], max_time=200.0)
-            assert traj.populations.size == i + 1
-            assert np.array_equal(traj.populations, full.populations[: i + 1])
+                                        threshold=full.n_S[i], max_time=200.0)
+            assert traj.n_S.size == i + 1
+            assert np.array_equal(traj.n_S, full.n_S[: i + 1])
 
     def test_crossing_on_first_step(self):
         schedule = constant_schedule(1.0)
         first = integrate_population(schedule, 0.05, dt=0.1, threshold=None,
-                                     max_time=0.1).populations
+                                     max_time=0.1).n_S
         traj = integrate_population(schedule, 0.05, dt=0.1, threshold=first[1])
-        assert np.array_equal(traj.populations, first)
+        assert np.array_equal(traj.n_S, first)
         # a population already at the threshold takes no step at all
         traj = integrate_population(schedule, 0.05, n0=0.4, dt=0.1)
-        assert traj.populations.tolist() == [0.4]
+        assert traj.n_S.tolist() == [0.4]
         assert traj.times.tolist() == [0.0]
 
     def test_fast_sweep_memory_bounded(self):
@@ -226,7 +223,7 @@ class TestBlockwiseScan:
             "import resource\n"
             "from fermicool.master_eq import SweepSchedule, integrate_population\n"
             "traj = integrate_population(SweepSchedule(-5.0, 1.0, 0.001 / 0.02), 0.02)\n"
-            "print(traj.populations.size, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+            "print(traj.n_S.size, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
         )
         src = str(Path(master_eq.__file__).resolve().parents[1])
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
@@ -242,33 +239,43 @@ class TestHeat:
         # when the energy reaches eps2 = 1, then -Q -> -eps2 * (1 - 1/2)
         schedule = SweepSchedule(-5.0, 1.0, 0.001 / 0.02)
         traj = integrate_population(schedule, 0.02)
-        assert heat_dissipated(traj) == pytest.approx(0.5, abs=2e-3)
+        assert traj.minus_Q_tf == pytest.approx(0.5, abs=2e-3)
 
     def test_quasistatic_limit_heat(self):
         # slow sweep approaches -Q = -[ln 2 - h(f(eps1))]
         schedule = SweepSchedule(-5.0, 1.0, 100.0 / 0.02)
         traj = integrate_population(schedule, 0.02)
         target = -(LN2 - binary_entropy(fermi_occupation(-5.0)))
-        assert heat_dissipated(traj) == pytest.approx(target, abs=0.01)
-        assert heat_dissipated(traj) == pytest.approx(-0.6569, abs=2e-3)
+        assert traj.minus_Q_tf == pytest.approx(target, abs=0.01)
+        assert traj.minus_Q_tf == pytest.approx(-0.6569, abs=2e-3)
 
     def test_second_law_along_trajectory(self):
         schedule = SweepSchedule(-5.0, 1.0, 10.0 / 0.02)
         traj = integrate_population(schedule, 0.02, threshold=None,
                                     max_time=schedule.tau)
         sigma = (
-            binary_entropy(traj.populations[-1])
-            - binary_entropy(traj.populations[0])
-            + cumulative_heat(traj)[-1]
+            binary_entropy(traj.n_S[-1])
+            - binary_entropy(traj.n_S[0])
+            + traj.minus_Q[-1]
         )
         assert sigma >= -1e-6
 
-    def test_cumulative_heat_consistent_with_total(self):
+    @pytest.mark.parametrize("gamma_tau", [0.01, 10.0])
+    def test_heat_integrand_from_the_scan(self, gamma_tau):
+        # the integrand reuses the scan's energies and Fermi factors, block by
+        # block (Gamma*tau = 0.01 spans 29 blocks); recomputing them on the
+        # whole grid gives the same bits
+        schedule = SweepSchedule(-5.0, 1.0, gamma_tau / 0.02)
+        run = integrate_population(schedule, 0.02)
+        e = schedule.energy(run.times)
+        g = e * (-0.02 * (run.n_S - fermi_occupation(e)))
+        areas = np.diff(run.times) * (g[1:] + g[:-1]) / 2.0
+        assert np.array_equal(run.minus_Q, -np.concatenate(([0.0], np.cumsum(areas))))
+
+    def test_minus_Q_series_consistent_with_total(self):
         traj = integrate_population(constant_schedule(1.0), 0.05, dt=0.1)
-        t_f = find_half_population_time(traj)
-        cum = cumulative_heat(traj)
-        interp = np.interp(t_f, traj.times, cum)
-        assert heat_dissipated(traj) == pytest.approx(interp, abs=1e-6)
+        interp = np.interp(traj.t_f, traj.times, traj.minus_Q)
+        assert traj.minus_Q_tf == pytest.approx(interp, abs=1e-6)
 
 
 class TestSweepHeatCurve:

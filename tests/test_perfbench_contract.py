@@ -1,0 +1,34 @@
+"""The benchmark harness in perfbench/ still runs against the package.
+
+perfbench/ reads the package's results by attribute (a run's times, n_S,
+schedule, spec, C_final, gamma_t_f and minus_Q_tf, a report's
+max_population_deviation) and calls `exact_bath.initial_state`,
+`sweep_heat_curve` and `find_zero_crossing`.  These tests run some of its
+operations with the harness's own checks, so a refactor that breaks the
+benchmark fails here.
+"""
+
+import importlib
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+@pytest.fixture
+def workloads(monkeypatch):
+    # imported here, not at collection: the harness's references load scipy
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    return importlib.import_module("workloads")
+
+
+def test_bath_operation_at_K50(workloads):
+    op = next(op for op in workloads.bath_ops() if op.call.args == (50,))
+    assert op.check(op.call()) == []
+
+
+def test_ledger_operations(workloads):
+    ops = workloads.ledger_ops(np.random.default_rng(0))
+    assert [problem for op in ops for problem in op.check(op.call())] == []
