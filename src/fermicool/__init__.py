@@ -7,7 +7,6 @@ from .gaussian import (
     evolve_step,
     fermi_occupation,
     subsystem_entropy,
-    thermal_correlation,
 )
 from .master_eq import (
     NoCrossingError,
@@ -71,7 +70,6 @@ __all__ = [
     "subsystem_entropy",
     "sweep_heat_curve",
     "theorem1_check",
-    "thermal_correlation",
     "witness_from_ledger",
     "witness_value",
 ]

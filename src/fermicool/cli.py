@@ -29,7 +29,7 @@ from .gaussian import (
     subsystem_entropy,
 )
 from .master_eq import NoCrossingError, SweepSchedule, find_zero_crossing
-from .protocol import EngineError, ProtocolConfig
+from .protocol import EngineError, ProtocolConfig, _is_number
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -85,10 +85,6 @@ def write_table(path: Path, fmt: str, meta: dict, columns: list[str], rows: list
 _NULLABLE_KINDS = {"dt": float, "step2_target": float, "diagonal": list}
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 def _check_type(key: str, value, default) -> None:
     """A config value must have its default's type; an int is also a float."""
     if default is None and value is None:
@@ -116,7 +112,7 @@ def _load_params(args, defaults: dict) -> dict:
             _check_type(key, value, defaults[key])
         params.update(loaded)
     for key in defaults:
-        flag = getattr(args, key.replace("-", "_"), None)
+        flag = getattr(args, key, None)
         if flag is not None:
             params[key] = flag
     return params
@@ -162,13 +158,8 @@ _LEDGER_COLUMNS = ["step", "n_M", "n_S", "S_M", "S_S", "S_MS", "E", "Q", "W", "s
 
 
 def cmd_protocol(args) -> int:
-    # every config field but final_swap, which the run decides from its shape
-    defaults = {
-        f.name: f.default for f in dataclasses.fields(ProtocolConfig) if f.name != "final_swap"
-    }
+    defaults = {f.name: f.default for f in dataclasses.fields(ProtocolConfig)}
     params = _load_params(args, defaults)
-    if params["diagonal"] is not None:
-        params["diagonal"] = tuple(params["diagonal"])
     config = ProtocolConfig(**params)
     # the finite-time parameters are checked whichever engine runs
     SweepSchedule(config.eps1, config.eps2, config.tau)
@@ -277,14 +268,6 @@ def cmd_witness(args) -> int:
     defaults = {k: getattr(ProtocolConfig, k) for k in ("p", "phi", "diagonal", "omega")}
     params = _load_params(args, dict(defaults, sequence=_DEFAULT_SEQUENCE))
     sequence = params.pop("sequence")
-    for i, op in enumerate(sequence):
-        if not (isinstance(op, dict) and isinstance(op.get("op"), str)):
-            raise ValueError(f"sequence[{i}] must be an object with a string \"op\", got {op!r}")
-        duration, target = op.get("duration"), op.get("target", 0.5)
-        if not (duration is None or _is_number(duration)):
-            raise ValueError(f"sequence[{i}] duration must be a number, got {duration!r}")
-        if not _is_number(target):
-            raise ValueError(f"sequence[{i}] target must be a number, got {target!r}")
     config = ProtocolConfig(**params)
     report = protocol.run_witness_sequence(
         protocol._initial_state(config), sequence, omega=config.omega

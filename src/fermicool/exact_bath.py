@@ -23,7 +23,7 @@ from functools import partial
 
 import numpy as np
 
-from .gaussian import fermi_occupation, thermal_correlation
+from .gaussian import fermi_occupation
 from .master_eq import (
     GAMMA_DT,
     NoCrossingError,
@@ -212,16 +212,17 @@ class _SecularSolver:
         return (o + mu).reshape(m, n), self._Vt[:m]
 
 
-def initial_state(spec: ReservoirSpec, n_S0: float = 1.0) -> np.ndarray:
-    """System at population n_S0, reservoir thermal, no coherences."""
+def _occupations(spec: ReservoirSpec, n_S0: float) -> np.ndarray:
+    """Initial occupations: the system at n_S0, then the thermal reservoir levels."""
     if not 0.0 <= n_S0 <= 1.0:
         raise ValueError(f"initial population {n_S0} outside [0, 1]")
     levels, _ = build_reservoir(spec)
-    n = spec.K + 1
-    C = np.zeros((n, n), dtype=complex)
-    C[0, 0] = n_S0
-    C[1:, 1:] = thermal_correlation(levels)
-    return C
+    return np.concatenate(([n_S0], fermi_occupation(levels)))
+
+
+def initial_state(spec: ReservoirSpec, n_S0: float = 1.0) -> np.ndarray:
+    """System at population n_S0, reservoir thermal, no coherences."""
+    return np.diag(_occupations(spec, n_S0)).astype(complex)
 
 
 def _check_budget(spec: ReservoirSpec, dt: float, max_time: float) -> None:
@@ -284,9 +285,7 @@ def simulate(
     _check_budget(spec, dt, max_time)
 
     levels, t_amp = build_reservoir(spec)
-    if not 0.0 <= n_S0 <= 1.0:
-        raise ValueError(f"initial population {n_S0} outside [0, 1]")
-    c0 = np.concatenate(([n_S0], fermi_occupation(levels)))
+    c0 = _occupations(spec, n_S0)
     c0_pairs = np.repeat(c0, 2)  # weights for the interleaved (re, im) view of W
     E_R0 = float(c0[1:] @ levels)
     solve = _SecularSolver(levels, t_amp)
@@ -366,9 +365,7 @@ class DeviationReport:
     master: Relaxation = field(repr=False)
 
 
-def compare_with_master_equation(
-    run: Relaxation, dt: float | None = None, threshold: float = 0.5
-) -> DeviationReport:
+def compare_with_master_equation(run: Relaxation) -> DeviationReport:
     """Integrate the rate equation on the run's schedule and report deviations.
 
     Population deviations are taken over the exact run's sample times up to
@@ -376,12 +373,12 @@ def compare_with_master_equation(
     switch-off time.
     """
     rate_equation = partial(
-        integrate_population, run.schedule, run.gamma, n0=float(run.n_S[0]), dt=dt,
+        integrate_population, run.schedule, run.gamma, n0=float(run.n_S[0]),
         max_time=run.times[-1] + 5.0 / run.gamma,
     )
     # the free run spans the exact run's times; the stopped one switches off
     # exactly as a rate-equation run of its own does
-    free, stopped = rate_equation(threshold=None), rate_equation(threshold=threshold)
+    free, stopped = rate_equation(threshold=None), rate_equation()
     master = replace(
         stopped,
         times=run.times,

@@ -15,20 +15,15 @@ HERMITIAN_TOL = 1e-12
 PROB_TOL = 1e-12
 
 
-def as_square_matrix(a, name: str = "matrix") -> np.ndarray:
+def require_hermitian(a, name: str) -> np.ndarray:
     m = np.asarray(a, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"{name} must be square, got shape {m.shape}")
-    return m
-
-
-def require_hermitian(a, tol: float = HERMITIAN_TOL, name: str = "matrix") -> np.ndarray:
-    m = as_square_matrix(a, name)
     if m.size:
         dev = np.abs(m - m.conj().T).max()
-        if dev > tol:
+        if dev > HERMITIAN_TOL:
             raise ValueError(
-                f"{name} is not Hermitian: max deviation {dev:.3e} exceeds {tol:.0e}"
+                f"{name} is not Hermitian: max deviation {dev:.3e} exceeds {HERMITIAN_TOL:.0e}"
             )
     return m
 
@@ -132,10 +127,3 @@ def energy_expectation(C, H) -> float:
         raise ValueError(f"energy expectation has imaginary residue {val.imag:.3e}")
     return float(val.real)
 
-
-def thermal_correlation(levels) -> np.ndarray:
-    """Diagonal correlation matrix of uncoupled modes at thermal equilibrium."""
-    levels = np.asarray(levels, dtype=float)
-    if levels.size == 0:
-        return np.zeros((0, 0), dtype=complex)
-    return np.diag(fermi_occupation(levels)).astype(complex)

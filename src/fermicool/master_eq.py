@@ -237,12 +237,7 @@ def _first_crossing(values, threshold: float, *series) -> tuple[int, list[float]
 
 
 def sweep_heat_curve(
-    eps1: float,
-    eps2: float,
-    gamma: float,
-    gamma_tau_values,
-    n0: float = 1.0,
-    dt: float | None = None,
+    eps1: float, eps2: float, gamma: float, gamma_tau_values
 ) -> list[tuple[float, float]]:
     """Table of (Gamma*tau, -Q) over a list of dimensionless sweep times."""
     gt = list(gamma_tau_values)
@@ -251,7 +246,7 @@ def sweep_heat_curve(
     rows = []
     for gtau in gt:
         schedule = SweepSchedule(eps1, eps2, float(gtau) / gamma)
-        run = integrate_population(schedule, gamma, n0=n0, dt=dt)
+        run = integrate_population(schedule, gamma)
         rows.append((float(gtau), run.minus_Q_tf))
     return rows
 

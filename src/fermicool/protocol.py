@@ -34,6 +34,10 @@ SYSTEM = 1
 _COHERENCE_TOL = 1e-12
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 class EngineError(RuntimeError):
     """A step-2 engine failed to complete (e.g. no threshold crossing)."""
 
@@ -140,12 +144,8 @@ class ThermoLedger:
     interaction_residual: float = 0.0
 
     @property
-    def total_heat(self) -> float:
-        return self.steps[-1].heat
-
-    @property
     def total_minus_q(self) -> float:
-        return -self.total_heat
+        return -self.steps[-1].heat
 
     def record(self, label: str, C, eps: tuple[float, float], heat: float):
         n_M = float(C[MEMORY, MEMORY].real)
@@ -190,7 +190,6 @@ class ProtocolConfig:
     omega: float = 1.0
     engine: str = "quasistatic"  # quasistatic | master-equation | exact-bath
     step2_target: float | None = None  # default: initial memory population
-    final_swap: bool | None = None  # default: decided from the run shape
     # finite-time engine parameters; the defaults are the published ones
     eps1: float = master_eq.EPS1
     eps2: float = master_eq.EPS2
@@ -205,13 +204,13 @@ class ProtocolConfig:
         if self.engine not in self.ENGINES:
             raise ValueError(f"unknown engine {self.engine!r}; choose from {self.ENGINES}")
         if self.diagonal is not None:
+            if len(self.diagonal) != 2:
+                raise ValueError(f"diagonal must hold two populations, got {self.diagonal!r}")
             n_M, n_S = self.diagonal
             if not (isinstance(n_M, numbers.Real) and isinstance(n_S, numbers.Real)):
                 raise ValueError(f"diagonal populations {self.diagonal} must be numbers")
             if not (0.0 <= n_M <= 1.0 and 0.0 <= n_S <= 1.0):
                 raise ValueError(f"diagonal populations {self.diagonal} outside [0, 1]")
-        elif not 0.0 <= self.p <= 1.0:
-            raise ValueError(f"probability p={self.p} outside [0, 1]")
         if not math.isfinite(self.phi):
             raise ValueError(f"phi must be finite, got {self.phi}")
         if not (math.isfinite(self.omega) and self.omega > 0):
@@ -312,11 +311,7 @@ def run_purification(config: ProtocolConfig) -> ThermoLedger:
     if coherent:
         duration = concentration_duration(C0, config.omega)
         operations.insert(0, {"op": "rotate", "duration": duration})
-    if config.final_swap is not None:
-        do_swap = config.final_swap
-    else:
-        do_swap = coherent or abs(target - n_M0) <= 1e-12
-    if do_swap:
+    if coherent or abs(target - n_M0) <= 1e-12:
         operations.append({"op": "swap"})
     _run_operations(C0, operations, config, ledger)
 
@@ -333,7 +328,6 @@ class Theorem1Result:
     passed: bool
     minus_q: float
     entropy_production: float
-    checks: list[str]
     failures: list[str]
 
 
@@ -347,19 +341,16 @@ def theorem1_check(ledger: ThermoLedger, initially_separable: bool) -> Theorem1R
     """
     minus_q = ledger.total_minus_q
     sigma = ledger.steps[-1].entropy_production
-    checks = ["entropy_production >= -1e-6"]
     failures = []
     if sigma < -1e-6:
         failures.append(f"entropy production {sigma:.3e} < -1e-6")
     if initially_separable and ledger.purified and ledger.memory_restored:
-        checks.append("minus_q >= -1e-9")
         if minus_q < -1e-9:
             failures.append(f"-Q = {minus_q:.3e} < -1e-9 for a separable initial state")
     return Theorem1Result(
         passed=not failures,
         minus_q=minus_q,
         entropy_production=sigma,
-        checks=checks,
         failures=failures,
     )
 
@@ -381,8 +372,18 @@ def run_witness_sequence(C0, operations, omega: float = 1.0) -> WitnessReport:
     `operations` is a list of dicts: {"op": "rotate", "duration": t},
     {"op": "relax", "target": x} (quasistatic, accumulates heat) or
     {"op": "swap"}.  They are applied by the same interpreter as the
-    protocol's steps, with no ledger kept.
+    protocol's steps, with no ledger kept.  An operation that is not an
+    object with a string "op", a numeric or null duration and a numeric
+    target raises ValueError before any is applied.
     """
+    for i, op in enumerate(operations):
+        if not (isinstance(op, dict) and isinstance(op.get("op"), str)):
+            raise ValueError(f"sequence[{i}] must be an object with a string \"op\", got {op!r}")
+        duration, target = op.get("duration"), op.get("target", 0.5)
+        if not (duration is None or _is_number(duration)):
+            raise ValueError(f"sequence[{i}] duration must be a number, got {duration!r}")
+        if not _is_number(target):
+            raise ValueError(f"sequence[{i}] target must be a number, got {target!r}")
     C = np.asarray(C0, dtype=complex)
     if C.shape != (2, 2):
         raise ValueError(f"expected a two-mode state, got shape {C.shape}")

@@ -10,7 +10,9 @@ from pathlib import Path
 import pytest
 
 import fermicool
+from fermicool import master_eq
 from fermicool.cli import main
+from fermicool.master_eq import NoCrossingError
 from fermicool.protocol import ProtocolConfig, run_purification
 
 LN2 = math.log(2.0)
@@ -125,6 +127,10 @@ class TestProtocolCommand:
         pytest.param(["witness"], {"sequence": [{"op": "rotate", "duration": "1"}]},
                      "duration must be a number", id="witness-duration-str"),
         pytest.param(["fig1"], {"points": 2.5}, "config key 'points'", id="fig1-points-float"),
+        pytest.param(["protocol"], {"diagonal": [0.5]}, "diagonal must hold two populations",
+                     id="protocol-diagonal-short"),
+        pytest.param(["witness"], {"diagonal": [0.5, 0.5, 0.5]},
+                     "diagonal must hold two populations", id="witness-diagonal-long"),
         pytest.param(["fig2"], {"K": 50.5}, "config key 'K'", id="fig2-K-float"),
         # exact-bath runs beyond the memory or work budget, rejected before they start
         pytest.param(["fig2", "--K", "20000"], None, "K=20000", id="fig2-K-memory"),
@@ -195,6 +201,30 @@ class TestFig1Command:
         doc = json.loads(out.read_text())
         assert len(doc["rows"]) == 3
         assert set(doc["rows"][0]) == {"gamma_tau", "minus_Q"}
+
+    def test_every_point_failed_exit_code(self, tmp_path, capsys):
+        # f(-0.5) > 1/2: no sweep ending at eps2 = -0.5 brings the population to 1/2
+        assert main(["fig1", "--eps2", "-0.5", "--points", "3",
+                     "--out", str(tmp_path / "x.csv")]) == 3
+        assert "every grid point failed" in capsys.readouterr().err
+
+    def test_failed_point_skipped(self, tmp_path, monkeypatch):
+        integrate = master_eq.integrate_population
+
+        def fail_at_gamma_tau_2(schedule, gamma, **kwargs):
+            if schedule.tau * gamma == pytest.approx(2.0):
+                raise NoCrossingError("no crossing")
+            return integrate(schedule, gamma, **kwargs)
+
+        monkeypatch.setattr(master_eq, "integrate_population", fail_at_gamma_tau_2)
+        out = tmp_path / "fig1.csv"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"points": 3, "gamma_tau_min": 1.0, "gamma_tau_max": 4.0}))
+        assert main(["fig1", "--config", str(cfg), "--out", str(out)]) == 0
+        meta, rows = read_csv(out)
+        assert [float(r["gamma_tau"]) for r in rows] == pytest.approx([1.0, 4.0])
+        assert meta["skipped_0"] == "gamma_tau=2: no crossing"
+        assert "skipped_1" not in meta
 
     @pytest.mark.parametrize("flag,value,message", [
         pytest.param("gamma", "nan", "gamma must be positive and finite", id="nan"),

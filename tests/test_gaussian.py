@@ -15,7 +15,6 @@ from fermicool.gaussian import (
     evolve_step,
     fermi_occupation,
     subsystem_entropy,
-    thermal_correlation,
 )
 
 from oracle import random_correlation, random_hermitian
@@ -221,19 +220,6 @@ class TestEnergyExpectation:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError, match="mismatch"):
             energy_expectation(ONE_BODY, np.eye(3))
-
-
-class TestThermalCorrelation:
-    def test_resonant_level(self):
-        assert np.allclose(thermal_correlation([0.0]), [[0.5]])
-
-    def test_two_levels(self):
-        C = thermal_correlation([-5.0, 1.0])
-        assert np.allclose(np.diag(C).real, [0.9933071490757153, 0.2689414213699951])
-        assert np.count_nonzero(C - np.diag(np.diag(C))) == 0
-
-    def test_empty_list(self):
-        assert thermal_correlation([]).shape == (0, 0)
 
 
 class TestUnitarityProperties:

@@ -219,11 +219,13 @@ class TestBlockwiseScan:
     def test_fast_sweep_memory_bounded(self):
         # Gamma*tau = 0.001 takes ~1.15 million steps to the crossing over a
         # 20-million-step horizon; only the samples up to the crossing are kept
+        # the child reads its own peak (VmHWM), which exec resets; its
+        # ru_maxrss would carry over the peak of the forking pytest process
         code = (
-            "import resource\n"
             "from fermicool.master_eq import SweepSchedule, integrate_population\n"
             "traj = integrate_population(SweepSchedule(-5.0, 1.0, 0.001 / 0.02), 0.02)\n"
-            "print(traj.n_S.size, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+            "hwm = next(line for line in open('/proc/self/status') if line.startswith('VmHWM:'))\n"
+            "print(traj.n_S.size, hwm.split()[1])\n"
         )
         src = str(Path(master_eq.__file__).resolve().parents[1])
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,

@@ -29,6 +29,12 @@ def test_bath_operation_at_K50(workloads):
     assert op.check(op.call()) == []
 
 
+def test_sweep_point(workloads):
+    pair = workloads.PAIRS[0]
+    want = workloads.ref.rate_equation_minus_q(*pair, workloads.GAMMA, 1.0)
+    assert workloads._check_fast_sweep(pair, want, workloads._point(pair, 1.0)) == []
+
+
 def test_ledger_operations(workloads):
     ops = workloads.ledger_ops(np.random.default_rng(0))
     assert [problem for op in ops for problem in op.check(op.call())] == []

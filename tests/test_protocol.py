@@ -202,6 +202,19 @@ class TestWitness:
         assert report.value == pytest.approx(LN2, abs=1e-12)
         assert not report.certified
 
+    @pytest.mark.parametrize("op,message", [
+        pytest.param({"op": "relax", "target": "0.5"}, "target must be a number",
+                     id="target-str"),
+        pytest.param({"op": "rotate", "duration": "1"}, "duration must be a number",
+                     id="duration-str"),
+        pytest.param({"duration": 1.0}, 'string "op"', id="op-missing"),
+        pytest.param("rotate", 'string "op"', id="not-an-object"),
+    ])
+    def test_sequence_runner_rejects_malformed_operation(self, op, message):
+        C0 = prepare_one_body_state(0.5, math.pi / 2)
+        with pytest.raises(ValueError, match=r"sequence\[1\] .*" + message):
+            run_witness_sequence(C0, [{"op": "swap"}, op])
+
     @settings(max_examples=150, deadline=None)
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     def test_soundness_on_random_diagonal_states_and_sequences(self, seed):
