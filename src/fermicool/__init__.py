@@ -1,5 +1,7 @@
 """Simulator for reservoir cooling powered by one-body fermionic entanglement."""
 
+from types import ModuleType as _ModuleType
+
 from .gaussian import (
     binary_entropy,
     coherent_information,
@@ -40,38 +42,10 @@ from .protocol import (
     witness_value,
 )
 
-__all__ = [
-    "EngineError",
-    "NoCrossingError",
-    "ProtocolConfig",
-    "Relaxation",
-    "ReservoirSpec",
-    "SweepSchedule",
-    "ThermoLedger",
-    "binary_entropy",
-    "build_full_hamiltonian",
-    "build_reservoir",
-    "coherent_information",
-    "compare_with_master_equation",
-    "energy_expectation",
-    "evolve_step",
-    "fermi_occupation",
-    "find_zero_crossing",
-    "initial_state",
-    "integrate_population",
-    "interaction_energy",
-    "prepare_one_body_state",
-    "run_purification",
-    "run_witness_sequence",
-    "simulate",
-    "step1_rotate",
-    "step2_quasistatic",
-    "step3_swap",
-    "subsystem_entropy",
-    "sweep_heat_curve",
-    "theorem1_check",
-    "witness_from_ledger",
-    "witness_value",
-]
+# every public name imported above; the submodules bound by those imports are left out
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not (name.startswith("_") or isinstance(value, _ModuleType))
+)
 
 __version__ = "0.1.0"

@@ -50,31 +50,24 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def write_csv(path: Path, meta: dict, columns: list[str], rows: list[tuple]):
-    lines = [f"# {k} = {_fmt(v)}" for k, v in sorted(meta.items())]
-    lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def write_json(path: Path, meta: dict, columns: list[str], rows: list[tuple]):
-    doc = {
-        "meta": {k: (float(v) if isinstance(v, np.floating) else v) for k, v in meta.items()},
-        "rows": [
-            {c: (float(v) if isinstance(v, (float, np.floating)) else v) for c, v in zip(columns, row)}
-            for row in rows
-        ],
-    }
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-
-
 def write_table(path: Path, fmt: str, meta: dict, columns: list[str], rows: list[tuple]):
-    path = Path(path)
     if fmt == "csv":
-        write_csv(path, meta, columns, rows)
+        lines = [f"# {k} = {_fmt(v)}" for k, v in sorted(meta.items())]
+        lines.append(",".join(columns))
+        for row in rows:
+            lines.append(",".join(_fmt(v) for v in row))
+        text = "\n".join(lines)
     else:
-        write_json(path, meta, columns, rows)
+        doc = {
+            "meta": {k: (float(v) if isinstance(v, np.floating) else v) for k, v in meta.items()},
+            "rows": [
+                {c: (float(v) if isinstance(v, (float, np.floating)) else v)
+                 for c, v in zip(columns, row)}
+                for row in rows
+            ],
+        }
+        text = json.dumps(doc, indent=2, sort_keys=True)
+    Path(path).write_text(text + "\n", encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------

@@ -20,13 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import exact_bath, master_eq
-from .gaussian import (
-    binary_entropy,
-    coherent_information,
-    evolve_step,
-    fermi_occupation,
-    subsystem_entropy,
-)
+from .gaussian import binary_entropy, evolve_step, fermi_occupation, subsystem_entropy
 
 MEMORY = 0
 SYSTEM = 1
@@ -40,11 +34,6 @@ def _is_number(value) -> bool:
 
 class EngineError(RuntimeError):
     """A step-2 engine failed to complete (e.g. no threshold crossing)."""
-
-
-def tunnel_hamiltonian(omega: float) -> np.ndarray:
-    """H = omega * (c_M^dag c_S + c_S^dag c_M) with both mode energies at 0."""
-    return np.array([[0.0, omega], [omega, 0.0]], dtype=complex)
 
 
 def prepare_one_body_state(p: float, phi: float) -> np.ndarray:
@@ -74,7 +63,11 @@ def concentration_duration(C, omega: float) -> float:
 
 
 def step1_rotate(C, omega: float, duration: float | None = None) -> np.ndarray:
-    """Quarter-period tunnel rotation (or an explicit duration)."""
+    """Quarter-period tunnel rotation (or an explicit duration).
+
+    The tunnel Hamiltonian is H = omega * (c_M^dag c_S + c_S^dag c_M) with
+    both mode energies at 0.
+    """
     C = np.asarray(C, dtype=complex)
     if C.shape != (2, 2):
         raise ValueError(f"expected a two-mode state, got shape {C.shape}")
@@ -82,7 +75,8 @@ def step1_rotate(C, omega: float, duration: float | None = None) -> np.ndarray:
         raise ValueError(f"omega must be positive, got {omega}")
     if duration is None:
         duration = math.pi / (4.0 * omega)
-    return evolve_step(C, tunnel_hamiltonian(omega), duration)
+    H = np.array([[0.0, omega], [omega, 0.0]], dtype=complex)
+    return evolve_step(C, H, duration)
 
 
 def step2_quasistatic(n0: float = 1.0, target: float = 0.5) -> tuple[float, float]:
@@ -137,11 +131,15 @@ class ThermoLedger:
     """
 
     engine: str
-    initial_coherent_information: float
     steps: list[StepRecord] = field(default_factory=list)
     purified: bool = False
     memory_restored: bool = False
     interaction_residual: float = 0.0
+
+    @property
+    def initial_coherent_information(self) -> float:
+        """I = S_M - S_MS of the initial state; an ideal run draws -Q = -I."""
+        return self.steps[0].S_M - self.steps[0].S_MS
 
     @property
     def total_minus_q(self) -> float:
@@ -207,7 +205,7 @@ class ProtocolConfig:
             if len(self.diagonal) != 2:
                 raise ValueError(f"diagonal must hold two populations, got {self.diagonal!r}")
             n_M, n_S = self.diagonal
-            if not (isinstance(n_M, numbers.Real) and isinstance(n_S, numbers.Real)):
+            if not (_is_number(n_M) and _is_number(n_S)):
                 raise ValueError(f"diagonal populations {self.diagonal} must be numbers")
             if not (0.0 <= n_M <= 1.0 and 0.0 <= n_S <= 1.0):
                 raise ValueError(f"diagonal populations {self.diagonal} outside [0, 1]")
@@ -298,10 +296,7 @@ def run_purification(config: ProtocolConfig) -> ThermoLedger:
     swap is skipped so the memory stays untouched.
     """
     C0 = _initial_state(config)
-    ledger = ThermoLedger(
-        engine=config.engine,
-        initial_coherent_information=coherent_information(C0, [MEMORY]),
-    )
+    ledger = ThermoLedger(engine=config.engine)
     ledger.record("initial", C0, (0.0, 0.0), 0.0)
 
     n_M0 = float(C0[MEMORY, MEMORY].real)

@@ -7,11 +7,12 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import fermicool
 from fermicool import master_eq
-from fermicool.cli import main
+from fermicool.cli import main, write_table
 from fermicool.master_eq import NoCrossingError
 from fermicool.protocol import ProtocolConfig, run_purification
 
@@ -31,6 +32,53 @@ def read_csv(path):
         else:
             rows.append(dict(zip(header, next(csv.reader([line])))))
     return meta, rows
+
+
+class TestWriteTable:
+    """The exact bytes of both table formats, for a numpy float, a bool, a str and an int."""
+
+    META = {"seed": 7, "experiment": "demo", "passed": True, "third": np.float64(1 / 3)}
+    COLUMNS = ["name", "x", "k", "ok"]
+    ROWS = [("a", np.float64(0.1), 2, True), ("b", 1e-17, -3, False)]
+
+    def test_csv_bytes(self, tmp_path):
+        write_table(tmp_path / "t.csv", "csv", self.META, self.COLUMNS, self.ROWS)
+        assert (tmp_path / "t.csv").read_text(encoding="utf-8") == (
+            "# experiment = demo\n"
+            "# passed = True\n"
+            "# seed = 7\n"
+            "# third = 0.3333333333333333\n"
+            "name,x,k,ok\n"
+            "a,0.1,2,True\n"
+            "b,1e-17,-3,False\n"
+        )
+
+    def test_json_bytes(self, tmp_path):
+        write_table(tmp_path / "t.json", "json", self.META, self.COLUMNS, self.ROWS)
+        assert (tmp_path / "t.json").read_text(encoding="utf-8") == """\
+{
+  "meta": {
+    "experiment": "demo",
+    "passed": true,
+    "seed": 7,
+    "third": 0.3333333333333333
+  },
+  "rows": [
+    {
+      "k": 2,
+      "name": "a",
+      "ok": true,
+      "x": 0.1
+    },
+    {
+      "k": -3,
+      "name": "b",
+      "ok": false,
+      "x": 1e-17
+    }
+  ]
+}
+"""
 
 
 class TestProtocolCommand:
@@ -131,6 +179,10 @@ class TestProtocolCommand:
                      id="protocol-diagonal-short"),
         pytest.param(["witness"], {"diagonal": [0.5, 0.5, 0.5]},
                      "diagonal must hold two populations", id="witness-diagonal-long"),
+        pytest.param(["protocol"], {"diagonal": [0.5, True]}, "must be numbers",
+                     id="protocol-diagonal-bool"),
+        pytest.param(["witness"], {"diagonal": [True, False]}, "must be numbers",
+                     id="witness-diagonal-bool"),
         pytest.param(["fig2"], {"K": 50.5}, "config key 'K'", id="fig2-K-float"),
         # exact-bath runs beyond the memory or work budget, rejected before they start
         pytest.param(["fig2", "--K", "20000"], None, "K=20000", id="fig2-K-memory"),

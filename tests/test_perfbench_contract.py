@@ -5,14 +5,18 @@ schedule, spec, C_final, gamma_t_f and minus_Q_tf, a report's
 max_population_deviation) and calls `exact_bath.initial_state`,
 `sweep_heat_curve` and `find_zero_crossing`.  These tests run some of its
 operations with the harness's own checks, so a refactor that breaks the
-benchmark fails here.
+benchmark fails here.  Its tracer wraps the functions that
+`fermicool.__all__` names, so that list is pinned here too.
 """
 
 import importlib
+import inspect
 from pathlib import Path
 
 import numpy as np
 import pytest
+
+import fermicool
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -38,3 +42,44 @@ def test_sweep_point(workloads):
 def test_ledger_operations(workloads):
     ops = workloads.ledger_ops(np.random.default_rng(0))
     assert [problem for op in ops for problem in op.check(op.call())] == []
+
+
+# the names perfbench/spans.py wraps (besides cli.main and cli.write_table)
+EXPORTS = [
+    "EngineError",
+    "NoCrossingError",
+    "ProtocolConfig",
+    "Relaxation",
+    "ReservoirSpec",
+    "SweepSchedule",
+    "ThermoLedger",
+    "binary_entropy",
+    "build_full_hamiltonian",
+    "build_reservoir",
+    "coherent_information",
+    "compare_with_master_equation",
+    "energy_expectation",
+    "evolve_step",
+    "fermi_occupation",
+    "find_zero_crossing",
+    "initial_state",
+    "integrate_population",
+    "interaction_energy",
+    "prepare_one_body_state",
+    "run_purification",
+    "run_witness_sequence",
+    "simulate",
+    "step1_rotate",
+    "step2_quasistatic",
+    "step3_swap",
+    "subsystem_entropy",
+    "sweep_heat_curve",
+    "theorem1_check",
+    "witness_from_ledger",
+    "witness_value",
+]
+
+
+def test_export_list():
+    assert fermicool.__all__ == EXPORTS
+    assert not any(inspect.ismodule(getattr(fermicool, name)) for name in fermicool.__all__)

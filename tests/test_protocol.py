@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,10 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fermicool import gaussian, protocol
 from fermicool.gaussian import binary_entropy, coherent_information
 from fermicool.protocol import (
+    MEMORY,
     EngineError,
     ProtocolConfig,
+    ThermoLedger,
     concentration_duration,
     prepare_one_body_state,
     run_purification,
@@ -87,6 +91,49 @@ class TestProtocolSteps:
             step1_rotate(np.eye(3), omega=1.0)
         with pytest.raises(ValueError):
             step3_swap(np.eye(3), omega=1.0)
+
+
+class TestInitialCoherentInformation:
+    """The ledger reads I = S_M - S_MS off its initial row, with coherent_information's bits."""
+
+    @staticmethod
+    def _check(config):
+        ledger = run_purification(config)
+        C0 = protocol._initial_state(config)
+        assert ledger.initial_coherent_information == coherent_information(C0, [MEMORY])
+
+    def test_default_state(self):
+        self._check(ProtocolConfig())
+
+    def test_seeded_one_body_states(self):
+        rng = np.random.default_rng(11)
+        for p, phi in zip(rng.uniform(0.0, 1.0, 50), rng.uniform(-math.pi, math.pi, 50)):
+            self._check(ProtocolConfig(p=float(p), phi=float(phi)))
+
+    def test_seeded_diagonal_states(self):
+        rng = np.random.default_rng(12)
+        for n_M, n_S in rng.uniform(0.0, 1.0, (50, 2)):
+            self._check(ProtocolConfig(diagonal=(n_M, n_S), step2_target=0.0))
+
+    def test_not_a_constructor_field(self):
+        assert "initial_coherent_information" not in {
+            f.name for f in dataclasses.fields(ThermoLedger)
+        }
+
+    def test_default_ledger_entropy_evaluations(self, monkeypatch):
+        # three per recorded step (S_M, S_S, S_MS) over initial, rotate, relax and
+        # swap; gaussian is patched too, so a call through coherent_information counts
+        calls = []
+        inner = protocol.subsystem_entropy
+
+        def counting(C, modes):
+            calls.append(tuple(modes))
+            return inner(C, modes)
+
+        monkeypatch.setattr(protocol, "subsystem_entropy", counting)
+        monkeypatch.setattr(gaussian, "subsystem_entropy", counting)
+        run_purification(ProtocolConfig())
+        assert len(calls) == 12
 
 
 class TestRunPurificationQuasistatic:

@@ -1,0 +1,40 @@
+"""The line counter in tools/ classifies every line of src/ exactly once."""
+
+import importlib.util
+from pathlib import Path
+
+TOOLS = Path(__file__).resolve().parents[1] / "tools"
+
+
+def _src_lines():
+    spec = importlib.util.spec_from_file_location("src_lines", TOOLS / "src_lines.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_kinds_sum_to_each_file_line_count(capsys):
+    src_lines = _src_lines()
+    paths = sorted(src_lines.SRC.glob("*.py"))
+    assert paths
+    for path in paths:
+        text = path.read_text(encoding="utf-8")
+        assert sum(src_lines.count_lines(text).values()) == text.count("\n"), path.name
+    assert src_lines.main() == 0
+    assert capsys.readouterr().out.splitlines()[-1].startswith("total")
+
+
+def test_classification_rule():
+    text = (
+        '"""Module docstring,\n'
+        "\n"
+        'two lines."""\n'
+        "\n"
+        "# a comment\n"
+        "def f():  # code with a trailing comment\n"
+        '    """One line."""\n'
+        "    return 1\n"
+    )
+    assert _src_lines().count_lines(text) == {
+        "code": 2, "docstring": 4, "comment": 1, "blank": 1,
+    }
