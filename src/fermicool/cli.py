@@ -183,13 +183,11 @@ def cmd_fig1(args) -> int:
     )
     params = _load_params(args, defaults)
     _check_count("points", params["points"])
-    gamma = params["gamma"]
-    if not (math.isfinite(gamma) and gamma > 0):
-        raise ValueError(f"gamma must be positive and finite, got {gamma}")
-    master_eq._check_rate_inputs(gamma, params["n0"], params["dt"])
-    for key in ("gamma_tau_min", "gamma_tau_max"):
+    for key in ("gamma", "gamma_tau_min", "gamma_tau_max"):
         if not (math.isfinite(params[key]) and params[key] > 0):
             raise ValueError(f"{key} must be positive and finite, got {params[key]}")
+    gamma = params["gamma"]
+    master_eq._check_rate_inputs(gamma, params["n0"], params["dt"])
     grid = np.geomspace(params["gamma_tau_min"], params["gamma_tau_max"], params["points"])
     schedules = [SweepSchedule(params["eps1"], params["eps2"], float(g) / gamma) for g in grid]
     rows = []

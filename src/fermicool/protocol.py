@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import exact_bath, master_eq
-from .gaussian import binary_entropy, evolve_step, fermi_occupation, subsystem_entropy
+from .gaussian import HERMITIAN_TOL, binary_entropy, evolve_step, fermi_occupation
 
 MEMORY = 0
 SYSTEM = 1
@@ -71,8 +71,8 @@ def step1_rotate(C, omega: float, duration: float | None = None) -> np.ndarray:
     C = np.asarray(C, dtype=complex)
     if C.shape != (2, 2):
         raise ValueError(f"expected a two-mode state, got shape {C.shape}")
-    if omega <= 0:
-        raise ValueError(f"omega must be positive, got {omega}")
+    if not (math.isfinite(omega) and omega > 0):
+        raise ValueError(f"omega must be positive and finite, got {omega}")
     if duration is None:
         duration = math.pi / (4.0 * omega)
     H = np.array([[0.0, omega], [omega, 0.0]], dtype=complex)
@@ -106,6 +106,11 @@ def witness_value(n_S0, n_M0, n_S1, n_M1, beta_q: float) -> float:
         - max(binary_entropy(n_S0), binary_entropy(n_M0))
         - float(beta_q)
     )
+
+
+def _entropy(nu) -> float:
+    """Sum of binary entropies of correlation-matrix eigenvalues clamped to [0, 1]."""
+    return sum(binary_entropy(min(max(v, 0.0), 1.0)) for v in nu)
 
 
 @dataclass
@@ -146,11 +151,27 @@ class ThermoLedger:
         return -self.steps[-1].heat
 
     def record(self, label: str, C, eps: tuple[float, float], heat: float):
-        n_M = float(C[MEMORY, MEMORY].real)
-        n_S = float(C[SYSTEM, SYSTEM].real)
-        S_M = subsystem_entropy(C, [MEMORY])
-        S_S = subsystem_entropy(C, [SYSTEM])
-        S_MS = subsystem_entropy(C, [MEMORY, SYSTEM])
+        """Append the step that leaves the two-mode state C.
+
+        The entropies are those of `gaussian.subsystem_entropy`, bit for bit,
+        read from one 2x2 eigensolve: S_M and S_S are the binary entropies of
+        the diagonal entries (the eigenvalue of a 1x1 block is its entry) and
+        S_MS sums them over the eigenvalues of C.  Each value is clamped to
+        [0, 1] first, and each sum starts from 0.0, because h(0) is -0.0 and
+        a sum of pure-state entropies must read +0.0.  A C whose Hermiticity
+        deviation exceeds HERMITIAN_TOL raises ValueError.
+        """
+        (c_MM, c_MS), (c_SM, c_SS) = C.tolist()
+        dev = max(abs(c_MS - c_SM.conjugate()), 2.0 * abs(c_MM.imag), 2.0 * abs(c_SS.imag))
+        if dev > HERMITIAN_TOL:
+            raise ValueError(
+                f"correlation matrix is not Hermitian: max deviation {dev:.3e} "
+                f"exceeds {HERMITIAN_TOL:.0e}"
+            )
+        n_M, n_S = c_MM.real, c_SS.real
+        S_M = _entropy((n_M,))
+        S_S = _entropy((n_S,))
+        S_MS = _entropy(np.linalg.eigvalsh(C).tolist())
         energy = eps[0] * n_M + eps[1] * n_S
         if self.steps:
             e0 = self.steps[0].energy

@@ -108,6 +108,34 @@ class TestProtocolCommand:
         expected = run_purification(ProtocolConfig()).total_minus_q
         assert float(meta["total_minus_Q"]) == expected
 
+    def test_quasistatic_csv_bytes(self, tmp_path):
+        # the rotate and swap rows carry rounding residues (4.57e-31, 8.2e-15)
+        # that change if the entropies are evaluated differently
+        out = tmp_path / "ledger.csv"
+        assert main(["protocol", "--engine", "quasistatic", "--out", str(out)]) == 0
+        assert out.read_text(encoding="utf-8") == (
+            "# coherent_information = 0.6931471805599453\n"
+            "# engine = quasistatic\n"
+            "# experiment = protocol\n"
+            "# interaction_residual = 0.0\n"
+            "# memory_restored = True\n"
+            "# purified = True\n"
+            "# total_minus_Q = -0.6931471805599371\n"
+            "step,n_M,n_S,S_M,S_S,S_MS,E,Q,W,sigma\n"
+            "initial,0.5,0.5,0.6931471805599453,0.6931471805599453,0.0,0.0,0.0,0.0,0.0\n"
+            "rotate,6.162975822039155e-33,0.9999999999999998,4.57087876694894e-31,"
+            "8.225343381766315e-15,8.225343381766315e-15,0.0,0.0,0.0,8.225343381766315e-15\n"
+            "relax,6.162975822039155e-33,0.5,4.57087876694894e-31,0.6931471805599453,"
+            "0.6931471805599453,0.0,0.6931471805599371,-0.6931471805599371,"
+            "8.215650382226158e-15\n"
+            "swap,0.4999999999999998,8.287909573749737e-33,0.6931471805599453,"
+            "6.122321094821702e-31,0.6931471805599453,0.0,0.6931471805599371,"
+            "-0.6931471805599371,8.215650382226158e-15\n"
+            "total,0.4999999999999998,8.287909573749737e-33,0.6931471805599453,"
+            "6.122321094821702e-31,0.6931471805599453,0.0,0.6931471805599371,"
+            "-0.6931471805599371,8.215650382226158e-15\n"
+        )
+
     def test_determinism_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         main(["protocol", "--out", str(a)])
@@ -314,6 +342,16 @@ class TestWitnessCommand:
         meta, rows = read_csv(out)
         assert meta["verdict"] == "entanglement certified"
         assert float(rows[0]["witness"]) == pytest.approx(-LN2, abs=1e-12)
+
+    def test_default_csv_bytes(self, tmp_path):
+        out = tmp_path / "witness.csv"
+        assert main(["witness", "--out", str(out)]) == 0
+        assert out.read_text(encoding="utf-8") == (
+            "# experiment = witness\n"
+            "# verdict = entanglement certified\n"
+            "n_S0,n_M0,n_S1,n_M1,beta_Q,witness\n"
+            "0.5,0.5,0.9999999999999998,6.162975822039155e-33,0.0,-0.6931471805599371\n"
+        )
 
     def test_separable_state_not_certified(self, tmp_path):
         out = tmp_path / "witness.csv"

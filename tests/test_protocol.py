@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -7,9 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fermicool import gaussian, protocol
-from fermicool.gaussian import binary_entropy, coherent_information
+from fermicool.gaussian import binary_entropy, coherent_information, subsystem_entropy
 from fermicool.protocol import (
     MEMORY,
+    SYSTEM,
     EngineError,
     ProtocolConfig,
     ThermoLedger,
@@ -92,6 +94,13 @@ class TestProtocolSteps:
         with pytest.raises(ValueError):
             step3_swap(np.eye(3), omega=1.0)
 
+    @pytest.mark.parametrize("omega", [math.inf, math.nan])
+    def test_non_finite_omega_rejected(self, omega):
+        # inf made the rotation silently the identity; nan reported "dt must be finite"
+        C0 = prepare_one_body_state(0.5, math.pi / 2)
+        with pytest.raises(ValueError, match="omega must be positive and finite"):
+            run_witness_sequence(C0, [{"op": "rotate"}], omega=omega)
+
 
 class TestInitialCoherentInformation:
     """The ledger reads I = S_M - S_MS off its initial row, with coherent_information's bits."""
@@ -121,19 +130,102 @@ class TestInitialCoherentInformation:
         }
 
     def test_default_ledger_entropy_evaluations(self, monkeypatch):
-        # three per recorded step (S_M, S_S, S_MS) over initial, rotate, relax and
-        # swap; gaussian is patched too, so a call through coherent_information counts
-        calls = []
-        inner = protocol.subsystem_entropy
+        # one 2x2 eigensolve per recorded step (initial, rotate, relax, swap) and no
+        # subsystem_entropy call, through protocol or gaussian (coherent_information)
+        entropy_calls, eigensolves = [], []
+        inner_entropy, inner_eigvalsh = gaussian.subsystem_entropy, np.linalg.eigvalsh
 
-        def counting(C, modes):
-            calls.append(tuple(modes))
-            return inner(C, modes)
+        def counting_entropy(C, modes):
+            entropy_calls.append(tuple(modes))
+            return inner_entropy(C, modes)
 
-        monkeypatch.setattr(protocol, "subsystem_entropy", counting)
-        monkeypatch.setattr(gaussian, "subsystem_entropy", counting)
+        def counting_eigvalsh(a, *args, **kwargs):
+            eigensolves.append(np.shape(a))
+            return inner_eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(protocol, "subsystem_entropy", counting_entropy, raising=False)
+        monkeypatch.setattr(gaussian, "subsystem_entropy", counting_entropy)
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
         run_purification(ProtocolConfig())
-        assert len(calls) == 12
+        assert entropy_calls == []
+        assert eigensolves == [(2, 2)] * 4
+
+
+def _bits(x: float) -> bytes:
+    return struct.pack("d", x)
+
+
+class TestRecordEntropies:
+    """record's S_M, S_S and S_MS carry subsystem_entropy's bits, sign of zero included."""
+
+    @pytest.fixture
+    def checked_labels(self, monkeypatch):
+        # wraps record so that every step any run records is compared
+        labels = []
+        inner = ThermoLedger.record
+
+        def checking(ledger, label, C, eps, heat):
+            inner(ledger, label, C, eps, heat)
+            step = ledger.steps[-1]
+            for got, modes in ((step.S_M, [MEMORY]), (step.S_S, [SYSTEM]),
+                               (step.S_MS, [MEMORY, SYSTEM])):
+                assert _bits(got) == _bits(subsystem_entropy(C, modes)), (label, modes, got)
+            labels.append(label)
+
+        monkeypatch.setattr(ThermoLedger, "record", checking)
+        return labels
+
+    def test_seeded_one_body_states(self, checked_labels):
+        rng = np.random.default_rng(21)
+        for p, phi in zip(rng.uniform(0.0, 1.0, 200), rng.uniform(-math.pi, math.pi, 200)):
+            run_purification(ProtocolConfig(p=float(p), phi=float(phi)))
+        assert checked_labels.count("rotate") == 200
+
+    @pytest.mark.parametrize("p", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("phi", [0.0, math.pi / 2, -math.pi / 2, math.pi])
+    @pytest.mark.parametrize("target", [None, 0.0, 1.0])
+    def test_edge_one_body_states(self, checked_labels, p, phi, target):
+        run_purification(ProtocolConfig(p=p, phi=phi, step2_target=target))
+        assert checked_labels[0] == "initial"
+
+    def test_seeded_diagonal_states(self, checked_labels):
+        rng = np.random.default_rng(22)
+        for n_M, n_S in rng.uniform(0.0, 1.0, (100, 2)):
+            for target in (None, 0.0, 1.0):
+                run_purification(ProtocolConfig(diagonal=(n_M, n_S), step2_target=target))
+        assert len(checked_labels) >= 300
+
+    @pytest.mark.parametrize("diagonal", [(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0),
+                                          (0.0, 0.3), (1.0, 0.7), (0.3, 0.0), (0.7, 1.0)])
+    @pytest.mark.parametrize("target", [None, 0.0, 1.0])
+    def test_pure_diagonal_entries(self, checked_labels, diagonal, target):
+        run_purification(ProtocolConfig(diagonal=diagonal, step2_target=target))
+        assert checked_labels[0] == "initial"
+
+    def test_pure_state_entropy_is_positive_zero(self):
+        # h(0) is -0.0; a sum from zero reads +0.0, as subsystem_entropy does
+        ledger = run_purification(ProtocolConfig(diagonal=(0.0, 0.0)))
+        assert all(_bits(s) == _bits(0.0) for step in ledger.steps
+                   for s in (step.S_M, step.S_S, step.S_MS))
+
+    @pytest.mark.parametrize("C", [
+        pytest.param(np.diag([-1e-11, 1.0 + 1e-11]), id="diagonal"),
+        pytest.param(np.array([[0.5, 0.5 + 1e-11], [0.5 + 1e-11, 0.5]]), id="eigenvalues"),
+    ])
+    def test_eigenvalues_outside_unit_interval_are_clamped(self, checked_labels, C):
+        # beyond binary_entropy's 1e-12 range tolerance: only the clamp keeps these finite
+        ThermoLedger(engine="quasistatic").record("x", C.astype(complex), (0.0, 0.0), 0.0)
+        assert checked_labels == ["x"]
+
+    @pytest.mark.parametrize("C", [
+        pytest.param([[0.5, 0.5], [0.5 + 1e-9, 0.5]], id="coherence"),
+        pytest.param([[0.5 + 1e-9j, 0.0], [0.0, 0.5]], id="diagonal-imaginary"),
+    ])
+    def test_non_hermitian_rejected(self, C):
+        with pytest.raises(ValueError, match="correlation matrix is not Hermitian"):
+            ThermoLedger(engine="quasistatic").record(
+                "x", np.array(C, dtype=complex), (0.0, 0.0), 0.0
+            )
 
 
 class TestRunPurificationQuasistatic:
