@@ -42,8 +42,23 @@ def _mode_indices(modes, dim: int) -> np.ndarray:
 
 def propagator(H, dt: float) -> np.ndarray:
     """exp(+i*dt*H) of a Hermitian H, built from its eigendecomposition."""
-    w, V = np.linalg.eigh(H)
+    return _eigen_propagator(*np.linalg.eigh(H), dt)
+
+
+def _eigen_propagator(w, V, dt: float) -> np.ndarray:
+    """exp(+i*dt*H) = V e^{i dt w} V^dag from the eigendecomposition (w, V) of H."""
     return (V * np.exp(1j * dt * w)) @ V.conj().T
+
+
+def _evolve_in_eigenbasis(C, w, V, dt: float) -> np.ndarray:
+    """U C U^dag, symmetrised, with U the propagator of H = V diag(w) V^dag.
+
+    No check: callers pass a validated C and the eigendecomposition of a
+    validated H.
+    """
+    U = _eigen_propagator(w, V, dt)
+    out = U @ C @ U.conj().T
+    return 0.5 * (out + out.conj().T)
 
 
 def evolve_step(C, H, dt: float) -> np.ndarray:
@@ -57,15 +72,17 @@ def evolve_step(C, H, dt: float) -> np.ndarray:
     H = require_hermitian(H, name="Hamiltonian")
     if C.shape != H.shape:
         raise ValueError(f"dimension mismatch: C is {C.shape}, H is {H.shape}")
+    _require_duration(dt)
+    if dt == 0:
+        return C.copy()
+    return _evolve_in_eigenbasis(C, *np.linalg.eigh(H), dt)
+
+
+def _require_duration(dt: float):
     if not math.isfinite(dt):
         raise ValueError(f"dt must be finite, got {dt}")
     if dt < 0:
         raise ValueError(f"dt must be nonnegative, got {dt}")
-    if dt == 0:
-        return C.copy()
-    U = propagator(H, dt)
-    out = U @ C @ U.conj().T
-    return 0.5 * (out + out.conj().T)
 
 
 def binary_entropy(x: float) -> float:
@@ -81,6 +98,22 @@ def _xlogx(x: float) -> float:
     return x * math.log(x) if x > 0.0 else 0.0
 
 
+def _entropy_sum(values) -> float:
+    """Sum of binary entropies of values clamped to [0, 1], with binary_entropy's bits.
+
+    The sum starts from 0.0 because h(0) is -0.0 and a pure state must read
+    +0.0.  Clamping leaves only NaN outside [0, 1]; it raises
+    binary_entropy's ValueError.
+    """
+    total = 0.0
+    for x in values:
+        x = min(max(x, 0.0), 1.0)
+        if x != x:
+            raise ValueError(f"probability {x} outside [0, 1]")
+        total += -_xlogx(x) - _xlogx(1.0 - x)
+    return total
+
+
 def subsystem_entropy(C, modes) -> float:
     """Von Neumann entropy of the reduced Gaussian state on a mode subset.
 
@@ -90,8 +123,7 @@ def subsystem_entropy(C, modes) -> float:
     C = require_hermitian(C, name="correlation matrix")
     idx = _mode_indices(modes, C.shape[0])
     block = C[np.ix_(idx, idx)]
-    nu = np.clip(np.linalg.eigvalsh(block), 0.0, 1.0)
-    return float(sum(binary_entropy(v) for v in nu))
+    return _entropy_sum(np.linalg.eigvalsh(block).tolist())
 
 
 def coherent_information(C, memory_modes) -> float:

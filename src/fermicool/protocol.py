@@ -13,6 +13,7 @@ separable initial states.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -20,7 +21,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import exact_bath, master_eq
-from .gaussian import HERMITIAN_TOL, binary_entropy, evolve_step, fermi_occupation
+from .gaussian import (
+    HERMITIAN_TOL,
+    _entropy_sum,
+    _evolve_in_eigenbasis,
+    _require_duration,
+    binary_entropy,
+    fermi_occupation,
+    require_hermitian,
+)
 
 MEMORY = 0
 SYSTEM = 1
@@ -66,17 +75,33 @@ def step1_rotate(C, omega: float, duration: float | None = None) -> np.ndarray:
     """Quarter-period tunnel rotation (or an explicit duration).
 
     The tunnel Hamiltonian is H = omega * (c_M^dag c_S + c_S^dag c_M) with
-    both mode energies at 0.
+    both mode energies at 0.  Equals `evolve_step(C, H, duration)` bit for bit.
     """
     C = np.asarray(C, dtype=complex)
     if C.shape != (2, 2):
         raise ValueError(f"expected a two-mode state, got shape {C.shape}")
+    return _rotate(require_hermitian(C, name="correlation matrix"), omega, duration)
+
+
+@functools.lru_cache(maxsize=16)
+def _tunnel_eigenbasis(omega: float) -> tuple[np.ndarray, np.ndarray]:
+    """np.linalg.eigh of the tunnel Hamiltonian, as read-only arrays shared by every call."""
+    w, V = np.linalg.eigh(np.array([[0.0, omega], [omega, 0.0]], dtype=complex))
+    w.flags.writeable = False
+    V.flags.writeable = False
+    return w, V
+
+
+def _rotate(C: np.ndarray, omega: float, duration: float | None) -> np.ndarray:
+    """step1_rotate on a two-mode C already known to be Hermitian: only the scalars are checked."""
     if not (math.isfinite(omega) and omega > 0):
         raise ValueError(f"omega must be positive and finite, got {omega}")
     if duration is None:
         duration = math.pi / (4.0 * omega)
-    H = np.array([[0.0, omega], [omega, 0.0]], dtype=complex)
-    return evolve_step(C, H, duration)
+    _require_duration(duration)
+    if duration == 0:
+        return C.copy()
+    return _evolve_in_eigenbasis(C, *_tunnel_eigenbasis(float(omega)), duration)
 
 
 def step2_quasistatic(n0: float = 1.0, target: float = 0.5) -> tuple[float, float]:
@@ -90,7 +115,11 @@ def step2_quasistatic(n0: float = 1.0, target: float = 0.5) -> tuple[float, floa
 
 def step3_swap(C, omega: float) -> np.ndarray:
     """Half-period tunnel rotation: exchanges system and memory populations."""
-    return step1_rotate(C, omega, math.pi / (2.0 * omega))
+    return step1_rotate(C, omega, _swap_duration(omega))
+
+
+def _swap_duration(omega: float) -> float:
+    return math.pi / (2.0 * omega)
 
 
 def witness_value(n_S0, n_M0, n_S1, n_M1, beta_q: float) -> float:
@@ -106,11 +135,6 @@ def witness_value(n_S0, n_M0, n_S1, n_M1, beta_q: float) -> float:
         - max(binary_entropy(n_S0), binary_entropy(n_M0))
         - float(beta_q)
     )
-
-
-def _entropy(nu) -> float:
-    """Sum of binary entropies of correlation-matrix eigenvalues clamped to [0, 1]."""
-    return sum(binary_entropy(min(max(v, 0.0), 1.0)) for v in nu)
 
 
 @dataclass
@@ -154,12 +178,13 @@ class ThermoLedger:
         """Append the step that leaves the two-mode state C.
 
         The entropies are those of `gaussian.subsystem_entropy`, bit for bit,
-        read from one 2x2 eigensolve: S_M and S_S are the binary entropies of
-        the diagonal entries (the eigenvalue of a 1x1 block is its entry) and
-        S_MS sums them over the eigenvalues of C.  Each value is clamped to
-        [0, 1] first, and each sum starts from 0.0, because h(0) is -0.0 and
-        a sum of pure-state entropies must read +0.0.  A C whose Hermiticity
-        deviation exceeds HERMITIAN_TOL raises ValueError.
+        read from at most one 2x2 eigensolve: S_M and S_S are the binary
+        entropies of the diagonal entries (the eigenvalue of a 1x1 block is
+        its entry) and S_MS sums them over the eigenvalues of C.  A C with
+        zero coherences and a real diagonal has its diagonal entries as
+        eigenvalues (LAPACK returns them bit for bit), so its S_MS is
+        S_M + S_S with no eigensolve.  A C whose Hermiticity deviation
+        exceeds HERMITIAN_TOL raises ValueError.
         """
         (c_MM, c_MS), (c_SM, c_SS) = C.tolist()
         dev = max(abs(c_MS - c_SM.conjugate()), 2.0 * abs(c_MM.imag), 2.0 * abs(c_SS.imag))
@@ -169,9 +194,12 @@ class ThermoLedger:
                 f"exceeds {HERMITIAN_TOL:.0e}"
             )
         n_M, n_S = c_MM.real, c_SS.real
-        S_M = _entropy((n_M,))
-        S_S = _entropy((n_S,))
-        S_MS = _entropy(np.linalg.eigvalsh(C).tolist())
+        S_M = _entropy_sum((n_M,))
+        S_S = _entropy_sum((n_S,))
+        if c_MS == 0 and c_SM == 0 and c_MM.imag == 0 and c_SS.imag == 0:
+            S_MS = S_M + S_S
+        else:
+            S_MS = _entropy_sum(np.linalg.eigvalsh(C).tolist())
         energy = eps[0] * n_M + eps[1] * n_S
         if self.steps:
             e0 = self.steps[0].energy
@@ -284,10 +312,12 @@ def _run_operations(C, operations, config: ProtocolConfig, ledger: ThermoLedger 
     for op in operations:
         kind = op["op"]
         eps_end = 0.0
+        # C is Hermitian here: the callers validate the initial state, and
+        # every operation returns a Hermitian matrix
         if kind == "rotate":
-            C = step1_rotate(C, config.omega, op.get("duration"))
+            C = _rotate(C, config.omega, op.get("duration"))
         elif kind == "swap":
-            C = step3_swap(C, config.omega)
+            C = _rotate(C, config.omega, _swap_duration(config.omega))
         elif kind == "relax":
             target = float(op.get("target", 0.5))
             q, eps_end, residual = _run_engine(config, float(C[SYSTEM, SYSTEM].real), target)
@@ -390,7 +420,8 @@ def run_witness_sequence(C0, operations, omega: float = 1.0) -> WitnessReport:
     {"op": "swap"}.  They are applied by the same interpreter as the
     protocol's steps, with no ledger kept.  An operation that is not an
     object with a string "op", a numeric or null duration and a numeric
-    target raises ValueError before any is applied.
+    target raises ValueError before any is applied, as does a C0 that is not
+    a Hermitian 2x2 matrix.
     """
     for i, op in enumerate(operations):
         if not (isinstance(op, dict) and isinstance(op.get("op"), str)):
@@ -403,6 +434,7 @@ def run_witness_sequence(C0, operations, omega: float = 1.0) -> WitnessReport:
     C = np.asarray(C0, dtype=complex)
     if C.shape != (2, 2):
         raise ValueError(f"expected a two-mode state, got shape {C.shape}")
+    C = require_hermitian(C, name="correlation matrix")
     n_M0 = float(C[MEMORY, MEMORY].real)
     n_S0 = float(C[SYSTEM, SYSTEM].real)
     C, heat = _run_operations(C, operations, ProtocolConfig(omega=omega))

@@ -130,8 +130,9 @@ class TestInitialCoherentInformation:
         }
 
     def test_default_ledger_entropy_evaluations(self, monkeypatch):
-        # one 2x2 eigensolve per recorded step (initial, rotate, relax, swap) and no
-        # subsystem_entropy call, through protocol or gaussian (coherent_information)
+        # one 2x2 eigensolve per recorded step with coherences (initial, rotate, swap;
+        # the relax row is diagonal) and no subsystem_entropy call, through protocol
+        # or gaussian (coherent_information)
         entropy_calls, eigensolves = [], []
         inner_entropy, inner_eigvalsh = gaussian.subsystem_entropy, np.linalg.eigvalsh
 
@@ -148,7 +149,22 @@ class TestInitialCoherentInformation:
         monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
         run_purification(ProtocolConfig())
         assert entropy_calls == []
-        assert eigensolves == [(2, 2)] * 4
+        assert eigensolves == [(2, 2)] * 3
+
+    def test_tunnel_hamiltonian_diagonalized_once(self, monkeypatch):
+        # the rotate and swap of both ledgers share one cached eigh of the tunnel H
+        eighs = []
+        inner_eigh = np.linalg.eigh
+
+        def counting_eigh(a, *args, **kwargs):
+            eighs.append(np.shape(a))
+            return inner_eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        protocol._tunnel_eigenbasis.cache_clear()
+        run_purification(ProtocolConfig())
+        run_purification(ProtocolConfig())
+        assert eighs == [(2, 2)]
 
 
 def _bits(x: float) -> bytes:
@@ -226,6 +242,50 @@ class TestRecordEntropies:
             ThermoLedger(engine="quasistatic").record(
                 "x", np.array(C, dtype=complex), (0.0, 0.0), 0.0
             )
+
+    def test_nan_population_rejected(self):
+        # the clamp keeps a NaN; the entropy sum raises binary_entropy's error for it
+        with pytest.raises(ValueError, match=r"probability nan outside \[0, 1\]"):
+            ThermoLedger(engine="quasistatic").record(
+                "x", np.diag([math.nan, 0.5]).astype(complex), (0.0, 0.0), 0.0
+            )
+
+
+class TestTunnelRotation:
+    """The checked and unchecked rotations carry evolve_step's bits."""
+
+    @pytest.mark.parametrize("omega", [0.3, 1.0, 7.5])
+    def test_private_rotation_matches_evolve_step(self, omega):
+        H = np.array([[0.0, omega], [omega, 0.0]], dtype=complex)
+        rng = np.random.default_rng(31)
+        for p, phi in zip(rng.uniform(0.0, 1.0, 40), rng.uniform(-math.pi, math.pi, 40)):
+            C = prepare_one_body_state(float(p), float(phi))
+            for duration in (0.0, math.pi / (4.0 * omega), math.pi / (2.0 * omega),
+                             concentration_duration(C, omega)):
+                want = gaussian.evolve_step(C, H, duration)
+                for got in (protocol._rotate(C, omega, duration),
+                            step1_rotate(C, omega, duration)):
+                    assert got.tobytes() == want.tobytes(), (p, phi, omega, duration)
+
+    def test_cached_eigenbasis_is_read_only(self):
+        w, V = protocol._tunnel_eigenbasis(1.0)
+        assert w is protocol._tunnel_eigenbasis(1.0)[0]
+        for a in (w, V):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0.0
+
+    def test_step1_rejects_non_hermitian_state(self):
+        with pytest.raises(ValueError, match="correlation matrix is not Hermitian"):
+            step1_rotate(np.array([[0.5, 0.5], [0.0, 0.5]]), omega=1.0)
+
+    @pytest.mark.parametrize("duration,message", [
+        pytest.param(-0.1, "dt must be nonnegative, got -0.1", id="negative"),
+        pytest.param(math.inf, "dt must be finite, got inf", id="inf"),
+        pytest.param(math.nan, "dt must be finite, got nan", id="nan"),
+    ])
+    def test_step1_rejects_bad_duration(self, duration, message):
+        with pytest.raises(ValueError, match=message):
+            step1_rotate(prepare_one_body_state(0.5, math.pi / 2), 1.0, duration)
 
 
 class TestRunPurificationQuasistatic:
@@ -340,6 +400,13 @@ class TestWitness:
         report = run_witness_sequence(np.diag([0.5, 0.5]).astype(complex), [])
         assert report.value == pytest.approx(LN2, abs=1e-12)
         assert not report.certified
+
+    @pytest.mark.parametrize("op", ["rotate", "relax"])
+    def test_sequence_runner_rejects_non_hermitian_state(self, op):
+        # checked once at entry; a relax-only sequence used to accept it
+        C0 = np.array([[0.5, 0.5], [0.0, 0.5]], dtype=complex)
+        with pytest.raises(ValueError, match="correlation matrix is not Hermitian"):
+            run_witness_sequence(C0, [{"op": op}])
 
     @pytest.mark.parametrize("op,message", [
         pytest.param({"op": "relax", "target": "0.5"}, "target must be a number",

@@ -1,4 +1,5 @@
-"""The line counter in tools/ classifies every line of src/ exactly once."""
+"""The tools/ scripts: the line counter classifies every line of src/ exactly once,
+and the ledger digest repeats."""
 
 import importlib.util
 from pathlib import Path
@@ -38,3 +39,12 @@ def test_classification_rule():
     assert _src_lines().count_lines(text) == {
         "code": 2, "docstring": 4, "comment": 1, "blank": 1,
     }
+
+
+def test_ledger_digest_repeats():
+    spec = importlib.util.spec_from_file_location("ledger_digest", TOOLS / "ledger_digest.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    first = module.digest()
+    assert len(first) == 64
+    assert module.digest() == first
