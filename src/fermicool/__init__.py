@@ -35,7 +35,6 @@ from .protocol import (
     run_purification,
     run_witness_sequence,
     step1_rotate,
-    step2_quasistatic,
     step3_swap,
     theorem1_check,
     witness_from_ledger,

@@ -20,12 +20,16 @@ def require_hermitian(a, name: str) -> np.ndarray:
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"{name} must be square, got shape {m.shape}")
     if m.size:
-        dev = np.abs(m - m.conj().T).max()
-        if dev > HERMITIAN_TOL:
-            raise ValueError(
-                f"{name} is not Hermitian: max deviation {dev:.3e} exceeds {HERMITIAN_TOL:.0e}"
-            )
+        _require_deviation(np.abs(m - m.conj().T).max(), name)
     return m
+
+
+def _require_deviation(dev: float, name: str):
+    """Raise unless the Hermiticity deviation dev is within HERMITIAN_TOL; NaN raises."""
+    if not dev <= HERMITIAN_TOL:
+        raise ValueError(
+            f"{name} is not Hermitian: max deviation {dev:.3e} exceeds {HERMITIAN_TOL:.0e}"
+        )
 
 
 def _mode_indices(modes, dim: int) -> np.ndarray:
@@ -40,27 +44,6 @@ def _mode_indices(modes, dim: int) -> np.ndarray:
     return np.array(sorted(idx), dtype=int)
 
 
-def propagator(H, dt: float) -> np.ndarray:
-    """exp(+i*dt*H) of a Hermitian H, built from its eigendecomposition."""
-    return _eigen_propagator(*np.linalg.eigh(H), dt)
-
-
-def _eigen_propagator(w, V, dt: float) -> np.ndarray:
-    """exp(+i*dt*H) = V e^{i dt w} V^dag from the eigendecomposition (w, V) of H."""
-    return (V * np.exp(1j * dt * w)) @ V.conj().T
-
-
-def _evolve_in_eigenbasis(C, w, V, dt: float) -> np.ndarray:
-    """U C U^dag, symmetrised, with U the propagator of H = V diag(w) V^dag.
-
-    No check: callers pass a validated C and the eigendecomposition of a
-    validated H.
-    """
-    U = _eigen_propagator(w, V, dt)
-    out = U @ C @ U.conj().T
-    return 0.5 * (out + out.conj().T)
-
-
 def evolve_step(C, H, dt: float) -> np.ndarray:
     """Conjugate C by exp(+i*dt*H): one exact step of stepwise-constant evolution.
 
@@ -72,17 +55,26 @@ def evolve_step(C, H, dt: float) -> np.ndarray:
     H = require_hermitian(H, name="Hamiltonian")
     if C.shape != H.shape:
         raise ValueError(f"dimension mismatch: C is {C.shape}, H is {H.shape}")
-    _require_duration(dt)
-    if dt == 0:
-        return C.copy()
-    return _evolve_in_eigenbasis(C, *np.linalg.eigh(H), dt)
+    return _propagate(C, dt, np.linalg.eigh, H)
 
 
-def _require_duration(dt: float):
+def _propagate(C: np.ndarray, dt: float, eigh, H) -> np.ndarray:
+    """U C U^dag, symmetrised, with U = exp(+i*dt*H) = (V e^{i dt w}) V^dag.
+
+    (w, V) = eigh(H) is the eigendecomposition of H, asked for only when
+    dt > 0; dt = 0 returns a copy of C.  Only dt is checked: callers pass a
+    validated C and H.
+    """
     if not math.isfinite(dt):
         raise ValueError(f"dt must be finite, got {dt}")
     if dt < 0:
         raise ValueError(f"dt must be nonnegative, got {dt}")
+    if dt == 0:
+        return C.copy()
+    w, V = eigh(H)
+    U = (V * np.exp(1j * dt * w)) @ V.conj().T
+    out = U @ C @ U.conj().T
+    return 0.5 * (out + out.conj().T)
 
 
 def binary_entropy(x: float) -> float:

@@ -22,10 +22,9 @@ import numpy as np
 
 from . import exact_bath, master_eq
 from .gaussian import (
-    HERMITIAN_TOL,
     _entropy_sum,
-    _evolve_in_eigenbasis,
-    _require_duration,
+    _propagate,
+    _require_deviation,
     binary_entropy,
     fermi_occupation,
     require_hermitian,
@@ -77,10 +76,28 @@ def step1_rotate(C, omega: float, duration: float | None = None) -> np.ndarray:
     The tunnel Hamiltonian is H = omega * (c_M^dag c_S + c_S^dag c_M) with
     both mode energies at 0.  Equals `evolve_step(C, H, duration)` bit for bit.
     """
+    C = _two_mode_state(C)
+    _require_omega(omega)
+    return _rotate(C, omega, duration)
+
+
+def step3_swap(C, omega: float) -> np.ndarray:
+    """Half-period tunnel rotation: exchanges system and memory populations."""
+    C = _two_mode_state(C)
+    _require_omega(omega)
+    return _rotate(C, omega, math.pi / (2.0 * omega))
+
+
+def _two_mode_state(C) -> np.ndarray:
     C = np.asarray(C, dtype=complex)
     if C.shape != (2, 2):
         raise ValueError(f"expected a two-mode state, got shape {C.shape}")
-    return _rotate(require_hermitian(C, name="correlation matrix"), omega, duration)
+    return require_hermitian(C, name="correlation matrix")
+
+
+def _require_omega(omega: float):
+    if not (math.isfinite(omega) and omega > 0):
+        raise ValueError(f"omega must be positive and finite, got {omega}")
 
 
 @functools.lru_cache(maxsize=16)
@@ -93,33 +110,10 @@ def _tunnel_eigenbasis(omega: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _rotate(C: np.ndarray, omega: float, duration: float | None) -> np.ndarray:
-    """step1_rotate on a two-mode C already known to be Hermitian: only the scalars are checked."""
-    if not (math.isfinite(omega) and omega > 0):
-        raise ValueError(f"omega must be positive and finite, got {omega}")
+    """step1_rotate on a checked two-mode C and omega; the duration is checked by the kernel."""
     if duration is None:
         duration = math.pi / (4.0 * omega)
-    _require_duration(duration)
-    if duration == 0:
-        return C.copy()
-    return _evolve_in_eigenbasis(C, *_tunnel_eigenbasis(float(omega)), duration)
-
-
-def step2_quasistatic(n0: float = 1.0, target: float = 0.5) -> tuple[float, float]:
-    """Reversible relaxation of the system population from n0 to target.
-
-    Returns (Q, n_final) with Q = h(target) - h(n0): the heat absorbed from
-    the reservoir equals the temperature times the system entropy change.
-    """
-    return binary_entropy(target) - binary_entropy(n0), float(target)
-
-
-def step3_swap(C, omega: float) -> np.ndarray:
-    """Half-period tunnel rotation: exchanges system and memory populations."""
-    return step1_rotate(C, omega, _swap_duration(omega))
-
-
-def _swap_duration(omega: float) -> float:
-    return math.pi / (2.0 * omega)
+    return _propagate(C, duration, _tunnel_eigenbasis, float(omega))
 
 
 def witness_value(n_S0, n_M0, n_S1, n_M1, beta_q: float) -> float:
@@ -184,15 +178,11 @@ class ThermoLedger:
         zero coherences and a real diagonal has its diagonal entries as
         eigenvalues (LAPACK returns them bit for bit), so its S_MS is
         S_M + S_S with no eigensolve.  A C whose Hermiticity deviation
-        exceeds HERMITIAN_TOL raises ValueError.
+        exceeds HERMITIAN_TOL, or is NaN, raises ValueError.
         """
         (c_MM, c_MS), (c_SM, c_SS) = C.tolist()
         dev = max(abs(c_MS - c_SM.conjugate()), 2.0 * abs(c_MM.imag), 2.0 * abs(c_SS.imag))
-        if dev > HERMITIAN_TOL:
-            raise ValueError(
-                f"correlation matrix is not Hermitian: max deviation {dev:.3e} "
-                f"exceeds {HERMITIAN_TOL:.0e}"
-            )
+        _require_deviation(dev, "correlation matrix")
         n_M, n_S = c_MM.real, c_SS.real
         S_M = _entropy_sum((n_M,))
         S_S = _entropy_sum((n_S,))
@@ -260,8 +250,7 @@ class ProtocolConfig:
                 raise ValueError(f"diagonal populations {self.diagonal} outside [0, 1]")
         if not math.isfinite(self.phi):
             raise ValueError(f"phi must be finite, got {self.phi}")
-        if not (math.isfinite(self.omega) and self.omega > 0):
-            raise ValueError(f"omega must be positive and finite, got {self.omega}")
+        _require_omega(self.omega)
         if self.step2_target is not None and not 0.0 <= self.step2_target <= 1.0:
             raise ValueError(f"step2 target {self.step2_target} outside [0, 1]")
 
@@ -277,7 +266,8 @@ def _initial_state(config: ProtocolConfig) -> np.ndarray:
 def _run_engine(config: ProtocolConfig, n0: float, target: float):
     """Dispatch a relaxation; returns (Q, eps_end, interaction_residual)."""
     if config.engine == "quasistatic":
-        return step2_quasistatic(n0, target)[0], 0.0, 0.0
+        # reversible: the heat is the temperature times the system entropy change
+        return binary_entropy(target) - binary_entropy(n0), 0.0, 0.0
     schedule = master_eq.SweepSchedule(config.eps1, config.eps2, config.tau)
     if fermi_occupation(config.eps2) >= target:
         raise EngineError(
@@ -312,13 +302,13 @@ def _run_operations(C, operations, config: ProtocolConfig, ledger: ThermoLedger 
     for op in operations:
         kind = op["op"]
         eps_end = 0.0
-        # C is Hermitian here: the callers validate the initial state, and
-        # every operation returns a Hermitian matrix
+        # C is Hermitian and omega valid here: the callers validate C, config and
+        # operations, and every operation returns a Hermitian matrix
         if kind == "rotate":
             C = _rotate(C, config.omega, op.get("duration"))
         elif kind == "swap":
-            C = _rotate(C, config.omega, _swap_duration(config.omega))
-        elif kind == "relax":
+            C = _rotate(C, config.omega, math.pi / (2.0 * config.omega))
+        else:
             target = float(op.get("target", 0.5))
             q, eps_end, residual = _run_engine(config, float(C[SYSTEM, SYSTEM].real), target)
             heat += q
@@ -326,8 +316,6 @@ def _run_operations(C, operations, config: ProtocolConfig, ledger: ThermoLedger 
             C = np.diag([C[MEMORY, MEMORY].real, target]).astype(complex)
             if ledger is not None:
                 ledger.interaction_residual = residual
-        else:
-            raise ValueError(f"unknown operation {kind!r}")
         if ledger is not None:
             ledger.record(kind, C, (0.0, eps_end), heat)
             if eps_end != 0.0:
@@ -418,26 +406,30 @@ def run_witness_sequence(C0, operations, omega: float = 1.0) -> WitnessReport:
     `operations` is a list of dicts: {"op": "rotate", "duration": t},
     {"op": "relax", "target": x} (quasistatic, accumulates heat) or
     {"op": "swap"}.  They are applied by the same interpreter as the
-    protocol's steps, with no ledger kept.  An operation that is not an
-    object with a string "op", a numeric or null duration and a numeric
-    target raises ValueError before any is applied, as does a C0 that is not
-    a Hermitian 2x2 matrix.
+    protocol's steps, with no ledger kept.  An omega that is not positive
+    and finite, an operation that is not an object with a string "op" naming
+    one of the three, a numeric or null duration and a numeric target (for a
+    relax, in [0, 1]), and a C0 that is not a Hermitian 2x2 matrix each raise
+    ValueError before any operation is applied.
     """
+    config = ProtocolConfig(omega=omega)
+    config.validate()
     for i, op in enumerate(operations):
         if not (isinstance(op, dict) and isinstance(op.get("op"), str)):
             raise ValueError(f"sequence[{i}] must be an object with a string \"op\", got {op!r}")
-        duration, target = op.get("duration"), op.get("target", 0.5)
+        kind, duration, target = op["op"], op.get("duration"), op.get("target", 0.5)
+        if kind not in ("rotate", "relax", "swap"):
+            raise ValueError(f"sequence[{i}] op must be rotate, relax or swap, got {kind!r}")
         if not (duration is None or _is_number(duration)):
             raise ValueError(f"sequence[{i}] duration must be a number, got {duration!r}")
         if not _is_number(target):
             raise ValueError(f"sequence[{i}] target must be a number, got {target!r}")
-    C = np.asarray(C0, dtype=complex)
-    if C.shape != (2, 2):
-        raise ValueError(f"expected a two-mode state, got shape {C.shape}")
-    C = require_hermitian(C, name="correlation matrix")
+        if kind == "relax" and not 0.0 <= target <= 1.0:
+            raise ValueError(f"sequence[{i}] target: probability {target} outside [0, 1]")
+    C = _two_mode_state(C0)
     n_M0 = float(C[MEMORY, MEMORY].real)
     n_S0 = float(C[SYSTEM, SYSTEM].real)
-    C, heat = _run_operations(C, operations, ProtocolConfig(omega=omega))
+    C, heat = _run_operations(C, operations, config)
     n_M1 = float(C[MEMORY, MEMORY].real)
     n_S1 = float(C[SYSTEM, SYSTEM].real)
     value = witness_value(n_S0, n_M0, n_S1, n_M1, heat)

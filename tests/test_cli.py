@@ -193,6 +193,11 @@ class TestProtocolCommand:
                      id="witness-phi-inf"),
         pytest.param(["witness"], {"sequence": [{"op": "relax", "target": math.nan}]},
                      "probability nan outside", id="witness-relax-target-nan"),
+        pytest.param(["witness"], {"sequence": [{"op": "relax", "target": 0}, {"op": "bogus"}]},
+                     "sequence[1] op must be rotate, relax or swap", id="witness-op-unknown"),
+        pytest.param(["witness"], {"sequence": [{"op": "relax", "target": 1.5}]},
+                     "sequence[0] target: probability 1.5 outside",
+                     id="witness-relax-target-above-one"),
         pytest.param(["witness"], {"sequence": [{"op": "rotate", "duration": math.inf}]},
                      "dt must be finite, got inf", id="witness-rotate-duration-inf"),
         pytest.param(["fig2", "--K", "50", "--gamma", "nan"], None, "gamma must be finite",

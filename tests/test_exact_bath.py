@@ -13,7 +13,7 @@ from fermicool.exact_bath import (
     interaction_energy,
     simulate,
 )
-from fermicool.gaussian import fermi_occupation, propagator
+from fermicool.gaussian import evolve_step, fermi_occupation
 from fermicool.master_eq import NoCrossingError, SweepSchedule, integrate_population
 
 
@@ -32,9 +32,7 @@ def conjugation_loop(spec, schedule, n_S0, dt, threshold, max_time):
     end = max_time - 1e-12 * max(1.0, max_time)
     while not (threshold is not None and ns[-1] <= threshold) and t < end:
         H = build_full_hamiltonian(schedule.energy(t), levels, t_amp).astype(complex)
-        U = propagator(H, dt)
-        C = U @ C @ U.conj().T
-        C = 0.5 * (C + C.conj().T)
+        C = evolve_step(C, H, dt)
         t += dt
         times.append(t)
         ns.append(float(C[0, 0].real))

@@ -14,6 +14,7 @@ from fermicool.gaussian import (
     energy_expectation,
     evolve_step,
     fermi_occupation,
+    require_hermitian,
     subsystem_entropy,
 )
 
@@ -59,6 +60,30 @@ class TestEvolveStep:
     def test_non_finite_time_rejected(self, dt):
         with pytest.raises(ValueError, match="dt must be finite"):
             evolve_step(ONE_BODY, TUNNEL, dt)
+
+    def test_zero_time_copies_without_eigensolve(self, monkeypatch):
+        def no_eigh(*args, **kwargs):
+            raise AssertionError("np.linalg.eigh called for dt = 0")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+        out = evolve_step(ONE_BODY, TUNNEL, 0.0)
+        assert out is not ONE_BODY
+        assert np.array_equal(out, ONE_BODY)
+
+
+class TestNanMatrixRejected:
+    """A NaN Hermiticity deviation is not within the tolerance, so NaN entries raise."""
+
+    @pytest.mark.parametrize("call", [
+        pytest.param(lambda C: require_hermitian(C, name="correlation matrix"),
+                     id="require_hermitian"),
+        pytest.param(lambda C: evolve_step(C, TUNNEL, 0.1), id="evolve_step"),
+        pytest.param(lambda C: subsystem_entropy(C, [0, 1]), id="subsystem_entropy"),
+        pytest.param(lambda C: coherent_information(C, [0]), id="coherent_information"),
+    ])
+    def test_nan_entry_rejected(self, call):
+        with pytest.raises(ValueError, match="correlation matrix is not Hermitian: max deviation nan"):
+            call(np.array([[math.nan, 0.0], [0.0, 0.5]]))
 
 
 class TestBinaryEntropy:

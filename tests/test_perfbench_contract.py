@@ -70,7 +70,6 @@ EXPORTS = [
     "run_witness_sequence",
     "simulate",
     "step1_rotate",
-    "step2_quasistatic",
     "step3_swap",
     "subsystem_entropy",
     "sweep_heat_curve",

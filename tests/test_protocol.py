@@ -20,7 +20,6 @@ from fermicool.protocol import (
     run_purification,
     run_witness_sequence,
     step1_rotate,
-    step2_quasistatic,
     step3_swap,
     theorem1_check,
     witness_from_ledger,
@@ -66,17 +65,22 @@ class TestProtocolSteps:
         out = step1_rotate(prepare_one_body_state(0.5, math.pi / 2), omega=omega)
         assert np.allclose(out, np.diag([0.0, 1.0]), atol=1e-12)
 
+    @staticmethod
+    def _relax(n0, target):
+        report = run_witness_sequence(np.diag([0.5, n0]), [{"op": "relax", "target": target}])
+        return report.beta_q, report.n_S1
+
     def test_step2_ideal_heat(self):
-        q, n = step2_quasistatic(1.0, 0.5)
+        q, n = self._relax(1.0, 0.5)
         assert q == pytest.approx(LN2, abs=1e-15)
         assert n == 0.5
 
     def test_step2_noop(self):
-        q, _ = step2_quasistatic(0.5, 0.5)
+        q, _ = self._relax(0.5, 0.5)
         assert q == 0.0
 
     def test_step2_finite_eps1_start(self):
-        q, _ = step2_quasistatic(0.9933071490757153, 0.5)
+        q, _ = self._relax(0.9933071490757153, 0.5)
         assert q == pytest.approx(QUASISTATIC_FINITE_EPS1_TARGET, abs=1e-12)
 
     def test_step3_swaps_diagonal(self):
@@ -94,12 +98,17 @@ class TestProtocolSteps:
         with pytest.raises(ValueError):
             step3_swap(np.eye(3), omega=1.0)
 
-    @pytest.mark.parametrize("omega", [math.inf, math.nan])
+    @pytest.mark.parametrize("omega", [math.inf, math.nan, 0.0, -1.0])
     def test_non_finite_omega_rejected(self, omega):
-        # inf made the rotation silently the identity; nan reported "dt must be finite"
+        # inf made the rotation silently the identity; nan reported "dt must be finite";
+        # 0 made the swap raise ZeroDivisionError from its half period pi/(2 omega)
         C0 = prepare_one_body_state(0.5, math.pi / 2)
-        with pytest.raises(ValueError, match="omega must be positive and finite"):
-            run_witness_sequence(C0, [{"op": "rotate"}], omega=omega)
+        for call in (lambda: run_witness_sequence(C0, [{"op": "rotate"}], omega=omega),
+                     lambda: run_witness_sequence(C0, [{"op": "swap"}], omega=omega),
+                     lambda: step1_rotate(C0, omega),
+                     lambda: step3_swap(C0, omega)):
+            with pytest.raises(ValueError, match="omega must be positive and finite"):
+                call()
 
 
 class TestInitialCoherentInformation:
@@ -243,6 +252,16 @@ class TestRecordEntropies:
                 "x", np.array(C, dtype=complex), (0.0, 0.0), 0.0
             )
 
+    @pytest.mark.parametrize("C", [
+        pytest.param([[0.5, math.nan], [math.nan, 0.5]], id="coherence-nan"),
+        pytest.param([[0.5, complex(0.0, math.nan)], [0.0, 0.5]], id="coherence-imaginary-nan"),
+    ])
+    def test_nan_coherence_rejected(self, C):
+        with pytest.raises(ValueError, match="correlation matrix is not Hermitian: max deviation nan"):
+            ThermoLedger(engine="quasistatic").record(
+                "x", np.array(C, dtype=complex), (0.0, 0.0), 0.0
+            )
+
     def test_nan_population_rejected(self):
         # the clamp keeps a NaN; the entropy sum raises binary_entropy's error for it
         with pytest.raises(ValueError, match=r"probability nan outside \[0, 1\]"):
@@ -273,6 +292,18 @@ class TestTunnelRotation:
         for a in (w, V):
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = 0.0
+
+    def test_zero_duration_copies_without_eigensolve(self, monkeypatch):
+        def no_eigh(*args, **kwargs):
+            raise AssertionError("np.linalg.eigh called for a zero duration")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+        protocol._tunnel_eigenbasis.cache_clear()
+        C = prepare_one_body_state(0.3, 0.7)
+        out = step1_rotate(C, 0.37, 0.0)
+        assert out is not C
+        assert np.array_equal(out, C)
+        assert protocol._tunnel_eigenbasis.cache_info().currsize == 0
 
     def test_step1_rejects_non_hermitian_state(self):
         with pytest.raises(ValueError, match="correlation matrix is not Hermitian"):
@@ -420,6 +451,23 @@ class TestWitness:
         C0 = prepare_one_body_state(0.5, math.pi / 2)
         with pytest.raises(ValueError, match=r"sequence\[1\] .*" + message):
             run_witness_sequence(C0, [{"op": "swap"}, op])
+
+    @pytest.mark.parametrize("op,message", [
+        pytest.param({"op": "bogus"}, "op must be rotate, relax or swap, got 'bogus'",
+                     id="unknown-op"),
+        pytest.param({"op": "relax", "target": 1.5},
+                     r"target: probability 1.5 outside \[0, 1\]", id="target-above-one"),
+        pytest.param({"op": "relax", "target": -0.5},
+                     r"target: probability -0.5 outside \[0, 1\]", id="target-below-zero"),
+    ])
+    def test_sequence_checked_before_any_operation_runs(self, monkeypatch, op, message):
+        def no_engine(*args, **kwargs):
+            raise AssertionError("an operation ran before the sequence was checked")
+
+        monkeypatch.setattr(protocol, "_run_engine", no_engine)
+        C0 = prepare_one_body_state(0.5, math.pi / 2)
+        with pytest.raises(ValueError, match=r"sequence\[1\] " + message):
+            run_witness_sequence(C0, [{"op": "relax", "target": 0}, op])
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(min_value=0, max_value=2**32 - 1))

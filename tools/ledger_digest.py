@@ -5,10 +5,12 @@
 Runs 2,000 seeded states through the 2x2 paths of `fermicool`, importing it
 from the `src/` of the checkout this script sits in: quasistatic ledgers of
 one-body and diagonal states (each with its `theorem1_check` result),
-witness sequences with seeded rotation durations and tunnel couplings, and
-the `gaussian` entropy and propagation functions on seeded mixed 2x2
-states.  Edge states (p in {0, 1/2, 1}, phi in {0, +-pi/2, pi}, pure
-diagonals) come first.
+witness sequences with seeded rotation durations and tunnel couplings, the
+quarter-period rotation and the swap (`step1_rotate`, `step3_swap`) of the
+one-body states, and the `gaussian` entropy and propagation functions
+(`evolve_step` at a seeded dt and at dt = 0) on seeded mixed 2x2 states.
+Edge states (p in {0, 1/2, 1}, phi in {0, +-pi/2, pi}, pure diagonals)
+come first.
 Every float enters the hash through its `repr`, which keeps every bit and
 the sign of zero.  Run it in two checkouts and compare the two lines; a
 change that keeps its numbers prints the same digest.
@@ -36,6 +38,11 @@ EDGE_ONE_BODY = [(p, phi) for p in (0.0, 0.5, 1.0)
                  for phi in (0.0, math.pi / 2, -math.pi / 2, math.pi)]
 EDGE_DIAGONALS = [(a, b) for a in (0.0, 1.0) for b in (0.0, 0.3, 0.7, 1.0)]
 TARGETS = (None, 0.0, 1.0)
+OMEGAS = (0.3, 1.0, 7.5)
+
+
+def _matrix(C) -> list[list[float]]:
+    return [[z.real, z.imag] for z in C.ravel().tolist()]
 
 
 def _ledger_entry(config: protocol.ProtocolConfig, separable: bool) -> dict:
@@ -54,13 +61,20 @@ def _witness_entry(C0, durations: list[float], omega: float) -> dict:
     return dataclasses.asdict(protocol.run_witness_sequence(C0, ops, omega=omega))
 
 
+def _rotation_entry(C0, omega: float) -> dict:
+    return {
+        "rotated": _matrix(protocol.step1_rotate(C0, omega)),
+        "swapped": _matrix(protocol.step3_swap(C0, omega)),
+    }
+
+
 def _gaussian_entry(C, H, dt: float) -> dict:
-    out = gaussian.evolve_step(C, H, dt)
     return {
         "S_M": gaussian.subsystem_entropy(C, [0]),
         "S_MS": gaussian.subsystem_entropy(C, [0, 1]),
         "I": gaussian.coherent_information(C, [0]),
-        "evolved": [[z.real, z.imag] for z in out.ravel().tolist()],
+        "evolved": _matrix(gaussian.evolve_step(C, H, dt)),
+        "still": _matrix(gaussian.evolve_step(C, H, 0.0)),
     }
 
 
@@ -91,6 +105,8 @@ def corpus() -> list[dict]:
         C = V @ np.diag([nu1, nu2]) @ V.conj().T
         H = np.array([[a, b + 0.5j], [b - 0.5j, -a]], dtype=complex)
         entries.append(_gaussian_entry(0.5 * (C + C.conj().T), H, 10.0 * dt))
+    for i, (p, phi) in enumerate(one_body):
+        entries.append(_rotation_entry(protocol.prepare_one_body_state(p, phi), OMEGAS[i % 3]))
     return entries
 
 
