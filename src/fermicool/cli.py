@@ -118,41 +118,13 @@ def _check_count(key: str, value: int) -> None:
         raise ValueError(f"{key} must be at most {_MAX_COUNT}, got {value}")
 
 
-def _add_common(sp, out_default: str):
-    sp.add_argument("--config", type=Path, help="JSON file of parameter overrides")
-    sp.add_argument("--out", type=Path, default=Path(out_default))
-    sp.add_argument("--format", choices=("csv", "json"), default="csv")
-
-
-def _add_physics_flags(sp, *names):
-    flags = {
-        "gamma": dict(type=float, help="relaxation rate (units of k_B T)"),
-        "eps1": dict(type=float, help="sweep start energy"),
-        "eps2": dict(type=float, help="sweep end energy"),
-        "tau": dict(type=float, help="sweep duration"),
-        "K": dict(type=int, help="number of reservoir modes"),
-        "dt": dict(type=float, help="integration step"),
-        "engine": dict(choices=ProtocolConfig.ENGINES),
-        "p": dict(type=float, help="initial memory weight of the one-body state"),
-        "phi": dict(type=float, help="initial relative phase (radians)"),
-        "n0": dict(type=float, help="initial system population"),
-        "seed": dict(type=int, help="random seed"),
-        "points": dict(type=int, help="number of sweep-time grid points"),
-        "samples": dict(type=int, help="number of randomized checks"),
-    }
-    for name in names:
-        sp.add_argument(f"--{name}", **flags[name])
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
 _LEDGER_COLUMNS = ["step", "n_M", "n_S", "S_M", "S_S", "S_MS", "E", "Q", "W", "sigma"]
 
 
-def cmd_protocol(args) -> int:
-    defaults = {f.name: f.default for f in dataclasses.fields(ProtocolConfig)}
-    params = _load_params(args, defaults)
+def cmd_protocol(params: dict):
     config = ProtocolConfig(**params)
     # the finite-time parameters are checked whichever engine runs
     SweepSchedule(config.eps1, config.eps2, config.tau)
@@ -164,7 +136,6 @@ def cmd_protocol(args) -> int:
     # the total row repeats the last step's state and cumulative heat, work, sigma
     rows.append(("total",) + rows[-1][1:])
     meta = {
-        "experiment": "protocol",
         "engine": config.engine,
         "total_minus_Q": ledger.total_minus_q,
         "coherent_information": ledger.initial_coherent_information,
@@ -172,16 +143,10 @@ def cmd_protocol(args) -> int:
         "memory_restored": ledger.memory_restored,
         "interaction_residual": ledger.interaction_residual,
     }
-    write_table(args.out, args.format, meta, _LEDGER_COLUMNS, rows)
-    return EXIT_OK
+    return meta, _LEDGER_COLUMNS, rows
 
 
-def cmd_fig1(args) -> int:
-    defaults = dict(
-        eps1=master_eq.EPS1, eps2=master_eq.EPS2, gamma=master_eq.GAMMA, n0=1.0, points=50,
-        gamma_tau_min=0.1, gamma_tau_max=100.0, dt=None,
-    )
-    params = _load_params(args, defaults)
+def cmd_fig1(params: dict):
     _check_count("points", params["points"])
     for key in ("gamma", "gamma_tau_min", "gamma_tau_max"):
         if not (math.isfinite(params[key]) and params[key] > 0):
@@ -206,7 +171,6 @@ def cmd_fig1(args) -> int:
         raise EngineError("every grid point failed: " + "; ".join(failures))
     crossing = find_zero_crossing(rows)
     meta = {
-        "experiment": "fig1",
         "eps1": params["eps1"],
         "eps2": params["eps2"],
         "n0": params["n0"],
@@ -214,16 +178,10 @@ def cmd_fig1(args) -> int:
     }
     for i, reason in enumerate(failures):
         meta[f"skipped_{i}"] = reason
-    write_table(args.out, args.format, meta, ["gamma_tau", "minus_Q"], rows)
-    return EXIT_OK
+    return meta, ["gamma_tau", "minus_Q"], rows
 
 
-def cmd_fig2(args) -> int:
-    defaults = dict(
-        gamma=master_eq.GAMMA, gamma_tau=master_eq.GAMMA_TAU, gamma_dt=master_eq.GAMMA_DT,
-        K=master_eq.RESERVOIR_MODES, eps1=master_eq.EPS1, eps2=master_eq.EPS2, n0=1.0,
-    )
-    params = _load_params(args, defaults)
+def cmd_fig2(params: dict):
     gamma = params["gamma"]
     spec = exact_bath.ReservoirSpec(K=params["K"], gamma=gamma)
     schedule = SweepSchedule(params["eps1"], params["eps2"], params["gamma_tau"] / gamma)
@@ -238,7 +196,6 @@ def cmd_fig2(args) -> int:
         )
     ]
     meta = {
-        "experiment": "fig2",
         "gamma": gamma,
         "gamma_tau": params["gamma_tau"],
         "K": params["K"],
@@ -247,31 +204,20 @@ def cmd_fig2(args) -> int:
         "max_population_deviation": report.max_population_deviation,
         "heat_deviation_at_tf": report.heat_deviation_at_tf,
     }
-    columns = ["gamma_t", "n_exact", "n_master", "minus_Q_exact", "minus_Q_master"]
-    write_table(args.out, args.format, meta, columns, rows)
-    return EXIT_OK
+    return meta, ["gamma_t", "n_exact", "n_master", "minus_Q_exact", "minus_Q_master"], rows
 
 
-_DEFAULT_SEQUENCE = [{"op": "rotate"}]
-
-
-def cmd_witness(args) -> int:
-    defaults = {k: getattr(ProtocolConfig, k) for k in ("p", "phi", "diagonal", "omega")}
-    params = _load_params(args, dict(defaults, sequence=_DEFAULT_SEQUENCE))
+def cmd_witness(params: dict):
     sequence = params.pop("sequence")
     config = ProtocolConfig(**params)
     report = protocol.run_witness_sequence(
         protocol._initial_state(config), sequence, omega=config.omega
     )
-    meta = {
-        "experiment": "witness",
-        "verdict": "entanglement certified" if report.certified else "not certified",
-    }
+    meta = {"verdict": "entanglement certified" if report.certified else "not certified"}
     columns = ["n_S0", "n_M0", "n_S1", "n_M1", "beta_Q", "witness"]
     rows = [(report.n_S0, report.n_M0, report.n_S1, report.n_M1,
              report.beta_q, report.value)]
-    write_table(args.out, args.format, meta, columns, rows)
-    return EXIT_OK
+    return meta, columns, rows
 
 
 def _random_correlation(rng, dim: int) -> np.ndarray:
@@ -286,9 +232,7 @@ def _random_hermitian(rng, dim: int) -> np.ndarray:
     return 0.5 * (z + z.conj().T)
 
 
-def cmd_invariants(args) -> int:
-    defaults = dict(seed=0, samples=200)
-    params = _load_params(args, defaults)
+def cmd_invariants(params: dict):
     _check_count("samples", params["samples"])
     rng = np.random.default_rng(params["seed"])
     rows: list[tuple] = []
@@ -358,18 +302,63 @@ def cmd_invariants(args) -> int:
         - binary_entropy(run.n_S[0]) + run.minus_Q
     check("master_eq_entropy_production_violation", -sigma.min(), 1e-6)
 
-    all_passed = all(r[3] for r in rows)
     meta = {
-        "experiment": "invariants",
         "seed": params["seed"],
         "samples": params["samples"],
-        "all_passed": all_passed,
+        "all_passed": all(r[3] for r in rows),
     }
-    write_table(args.out, args.format, meta, ["check", "value", "bound", "passed"], rows)
-    return EXIT_OK if all_passed else EXIT_ENGINE
+    return meta, ["check", "value", "bound", "passed"], rows
 
 
 # ---------------------------------------------------------------------------
+
+
+# flag name -> add_argument keywords; the flag is spelled "--" + name with "_"
+# as "-", which argparse turns back into the dest `name`
+_FLAGS = {
+    "gamma": dict(type=float, help="relaxation rate (units of k_B T)"),
+    "eps1": dict(type=float, help="sweep start energy"),
+    "eps2": dict(type=float, help="sweep end energy"),
+    "tau": dict(type=float, help="sweep duration"),
+    "K": dict(type=int, help="number of reservoir modes"),
+    "dt": dict(type=float, help="integration step"),
+    "engine": dict(choices=ProtocolConfig.ENGINES),
+    "p": dict(type=float, help="initial memory weight of the one-body state"),
+    "phi": dict(type=float, help="initial relative phase (radians)"),
+    "n0": dict(type=float, help="initial system population"),
+    "seed": dict(type=int, help="random seed"),
+    "points": dict(type=int, help="number of sweep-time grid points"),
+    "samples": dict(type=int, help="number of randomized checks"),
+    "gamma_tau": dict(type=float),
+    "gamma_dt": dict(type=float),
+}
+
+# subcommand -> (help, flags, config defaults, handler); a handler takes the
+# loaded parameters and returns its table as (meta, columns, rows)
+_COMMANDS = {
+    "protocol": ("run the purification protocol, write the ledger",
+                 ("engine", "gamma", "eps1", "eps2", "tau", "K", "dt", "p", "phi"),
+                 {f.name: f.default for f in dataclasses.fields(ProtocolConfig)},
+                 cmd_protocol),
+    "fig1": ("heat dissipation vs sweep time (rate equation)",
+             ("gamma", "eps1", "eps2", "dt", "n0", "points"),
+             dict(eps1=master_eq.EPS1, eps2=master_eq.EPS2, gamma=master_eq.GAMMA, n0=1.0,
+                  points=50, gamma_tau_min=0.1, gamma_tau_max=100.0, dt=None),
+             cmd_fig1),
+    "fig2": ("exact bath dynamics vs rate equation time series",
+             ("gamma", "eps1", "eps2", "K", "n0", "gamma_tau", "gamma_dt"),
+             dict(gamma=master_eq.GAMMA, gamma_tau=master_eq.GAMMA_TAU,
+                  gamma_dt=master_eq.GAMMA_DT, K=master_eq.RESERVOIR_MODES,
+                  eps1=master_eq.EPS1, eps2=master_eq.EPS2, n0=1.0),
+             cmd_fig2),
+    "witness": ("entanglement detection from occupancies and heat",
+                ("p", "phi"),
+                dict({k: getattr(ProtocolConfig, k) for k in ("p", "phi", "diagonal", "omega")},
+                     sequence=[{"op": "rotate"}]),
+                cmd_witness),
+    "invariants": ("randomized invariant battery, pass/fail table",
+                   ("seed", "samples"), dict(seed=0, samples=200), cmd_invariants),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -379,47 +368,31 @@ def build_parser() -> argparse.ArgumentParser:
         "protocol ledgers, figure data and invariant reports.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("protocol", help="run the purification protocol, write the ledger")
-    _add_common(sp, "protocol.csv")
-    _add_physics_flags(sp, "engine", "gamma", "eps1", "eps2", "tau", "K", "dt", "p", "phi")
-    sp.set_defaults(func=cmd_protocol)
-
-    sp = sub.add_parser("fig1", help="heat dissipation vs sweep time (rate equation)")
-    _add_common(sp, "fig1.csv")
-    _add_physics_flags(sp, "gamma", "eps1", "eps2", "dt", "n0", "points")
-    sp.set_defaults(func=cmd_fig1)
-
-    sp = sub.add_parser("fig2", help="exact bath dynamics vs rate equation time series")
-    _add_common(sp, "fig2.csv")
-    _add_physics_flags(sp, "gamma", "eps1", "eps2", "K", "n0")
-    sp.add_argument("--gamma-tau", dest="gamma_tau", type=float)
-    sp.add_argument("--gamma-dt", dest="gamma_dt", type=float)
-    sp.set_defaults(func=cmd_fig2)
-
-    sp = sub.add_parser("witness", help="entanglement detection from occupancies and heat")
-    _add_common(sp, "witness.csv")
-    _add_physics_flags(sp, "p", "phi")
-    sp.set_defaults(func=cmd_witness)
-
-    sp = sub.add_parser("invariants", help="randomized invariant battery, pass/fail table")
-    _add_common(sp, "invariants.csv")
-    _add_physics_flags(sp, "seed", "samples")
-    sp.set_defaults(func=cmd_invariants)
+    for name, (help_text, flags, _, _) in _COMMANDS.items():
+        sp = sub.add_parser(name, help=help_text)
+        sp.add_argument("--config", type=Path, help="JSON file of parameter overrides")
+        sp.add_argument("--out", type=Path, default=Path(f"{name}.csv"))
+        sp.add_argument("--format", choices=("csv", "json"), default="csv")
+        for flag in flags:
+            sp.add_argument("--" + flag.replace("_", "-"), **_FLAGS[flag])
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    _, _, defaults, handler = _COMMANDS[args.command]
     try:
-        return args.func(args)
+        meta, columns, rows = handler(_load_params(args, defaults))
+        meta["experiment"] = args.command
+        write_table(args.out, args.format, meta, columns, rows)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except (EngineError, NoCrossingError) as exc:
         print(f"engine error: {exc}", file=sys.stderr)
         return EXIT_ENGINE
+    # a failed invariant battery still writes its table
+    return EXIT_OK if meta.get("all_passed", True) else EXIT_ENGINE
 
 
 if __name__ == "__main__":

@@ -181,8 +181,10 @@ class ThermoLedger:
         exceeds HERMITIAN_TOL, or is NaN, raises ValueError.
         """
         (c_MM, c_MS), (c_SM, c_SS) = C.tolist()
-        dev = max(abs(c_MS - c_SM.conjugate()), 2.0 * abs(c_MM.imag), 2.0 * abs(c_SS.imag))
-        _require_deviation(dev, "correlation matrix")
+        terms = (abs(c_MS - c_SM.conjugate()), 2.0 * abs(c_MM.imag), 2.0 * abs(c_SS.imag))
+        # max drops a NaN that is not its first argument; the sum keeps it
+        total = sum(terms)
+        _require_deviation(max(terms) if total == total else total, "correlation matrix")
         n_M, n_S = c_MM.real, c_SS.real
         S_M = _entropy_sum((n_M,))
         S_S = _entropy_sum((n_S,))

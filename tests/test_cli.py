@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import math
@@ -11,8 +12,8 @@ import numpy as np
 import pytest
 
 import fermicool
-from fermicool import master_eq
-from fermicool.cli import main, write_table
+from fermicool import cli, master_eq
+from fermicool.cli import build_parser, main, write_table
 from fermicool.master_eq import NoCrossingError
 from fermicool.protocol import ProtocolConfig, run_purification
 
@@ -155,6 +156,14 @@ class TestProtocolCommand:
         meta, _ = read_csv(out)
         assert float(meta["total_minus_Q"]) == pytest.approx(-LN2, abs=1e-12)
 
+    def test_null_for_none_default(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"dt": None, "step2_target": None, "diagonal": None}))
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert main(["protocol", "--config", str(cfg), "--out", str(a)]) == 0
+        assert main(["protocol", "--out", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"pp": 0.5}))
@@ -217,6 +226,8 @@ class TestProtocolCommand:
         pytest.param(["witness"], {"diagonal": [True, False]}, "must be numbers",
                      id="witness-diagonal-bool"),
         pytest.param(["fig2"], {"K": 50.5}, "config key 'K'", id="fig2-K-float"),
+        pytest.param(["protocol"], [0.5], "config file must contain a JSON object",
+                     id="config-not-object"),
         # exact-bath runs beyond the memory or work budget, rejected before they start
         pytest.param(["fig2", "--K", "20000"], None, "K=20000", id="fig2-K-memory"),
         pytest.param(["fig2", "--K", "400", "--gamma-dt", "0.006"], None, "work budget",
@@ -367,6 +378,11 @@ class TestWitnessCommand:
         assert meta["verdict"] == "not certified"
         assert float(rows[0]["witness"]) >= 0.0
 
+    def test_unwritable_out_exit_code(self, tmp_path, capsys):
+        # the table is written inside main's error handling
+        assert main(["witness", "--out", str(tmp_path / "missing" / "x.csv")]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_custom_sequence(self, tmp_path):
         out = tmp_path / "witness.csv"
         cfg = tmp_path / "cfg.json"
@@ -390,11 +406,80 @@ class TestInvariantsCommand:
         assert "separable_run_heat_bound_violation" in names
         assert "evolution_spectrum_drift" in names
 
+    def test_failed_battery_written_exit_code(self, tmp_path, monkeypatch):
+        evolve_step = cli.evolve_step
+
+        def drifting(C, H, dt):
+            return evolve_step(C, H, dt) + 1e-6 * np.eye(len(C))
+
+        monkeypatch.setattr(cli, "evolve_step", drifting)
+        out = tmp_path / "inv.csv"
+        assert main(["invariants", "--samples", "3", "--out", str(out)]) == 3
+        meta, rows = read_csv(out)
+        assert meta["all_passed"] == "False"
+        assert {r["check"]: r["passed"] for r in rows}["evolution_trace_drift"] == "0"
+
     def test_deterministic_given_seed(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         main(["invariants", "--samples", "10", "--seed", "3", "--out", str(a)])
         main(["invariants", "--samples", "10", "--seed", "3", "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
+
+
+_ENGINES = ("quasistatic", "master-equation", "exact-bath")
+
+# per subcommand: (option strings, dest, type, choices) of each action after
+# -h, --config, --out and --format
+_SUBCOMMAND_FLAGS = {
+    "protocol": [
+        (["--engine"], "engine", None, _ENGINES), (["--gamma"], "gamma", float, None),
+        (["--eps1"], "eps1", float, None), (["--eps2"], "eps2", float, None),
+        (["--tau"], "tau", float, None), (["--K"], "K", int, None),
+        (["--dt"], "dt", float, None), (["--p"], "p", float, None),
+        (["--phi"], "phi", float, None),
+    ],
+    "fig1": [
+        (["--gamma"], "gamma", float, None), (["--eps1"], "eps1", float, None),
+        (["--eps2"], "eps2", float, None), (["--dt"], "dt", float, None),
+        (["--n0"], "n0", float, None), (["--points"], "points", int, None),
+    ],
+    "fig2": [
+        (["--gamma"], "gamma", float, None), (["--eps1"], "eps1", float, None),
+        (["--eps2"], "eps2", float, None), (["--K"], "K", int, None),
+        (["--n0"], "n0", float, None), (["--gamma-tau"], "gamma_tau", float, None),
+        (["--gamma-dt"], "gamma_dt", float, None),
+    ],
+    "witness": [(["--p"], "p", float, None), (["--phi"], "phi", float, None)],
+    "invariants": [(["--seed"], "seed", int, None), (["--samples"], "samples", int, None)],
+}
+
+
+class TestParser:
+    """The option strings, dests, types, choices and defaults of each subcommand."""
+
+    @staticmethod
+    def _subparsers():
+        parser = build_parser()
+        action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        return action.choices
+
+    def test_subcommands(self):
+        assert list(self._subparsers()) == list(_SUBCOMMAND_FLAGS)
+
+    @pytest.mark.parametrize("name", list(_SUBCOMMAND_FLAGS))
+    def test_options(self, name):
+        actions = self._subparsers()[name]._actions
+        got = [(a.option_strings, a.dest, a.type, a.choices) for a in actions]
+        assert got == [
+            (["-h", "--help"], "help", None, None),
+            (["--config"], "config", Path, None),
+            (["--out"], "out", Path, None),
+            (["--format"], "format", None, ("csv", "json")),
+            *_SUBCOMMAND_FLAGS[name],
+        ]
+        defaults = {a.dest: a.default for a in actions[1:]}
+        assert defaults == dict({k: None for _, k, _, _ in _SUBCOMMAND_FLAGS[name]},
+                                config=None, out=Path(f"{name}.csv"), format="csv")
 
 
 def _modules_after_fresh_import(module: str) -> set[str]:

@@ -14,7 +14,7 @@ from fermicool.exact_bath import (
     simulate,
 )
 from fermicool.gaussian import evolve_step, fermi_occupation
-from fermicool.master_eq import NoCrossingError, SweepSchedule, integrate_population
+from fermicool.master_eq import GAMMA_DT, NoCrossingError, SweepSchedule, integrate_population
 
 
 def conjugation_loop(spec, schedule, n_S0, dt, threshold, max_time):
@@ -159,6 +159,16 @@ class TestSimulate:
         assert np.abs(log["energy_post"] - log["energy_pre"]).max() < 1e-10
         # each quench jump equals (delta eps) * n_S
         assert np.abs(log["quench_jump_actual"] - log["quench_jump_expected"]).max() < 1e-10
+
+    def test_default_step(self):
+        # the step protocol --engine exact-bath takes when no dt is given
+        spec = ReservoirSpec(K=20, gamma=0.05)
+        schedule = SweepSchedule(-5.0, 1.0, 10.0 / 0.05)
+        default, explicit = simulate(spec, schedule), simulate(spec, schedule, dt=GAMMA_DT / 0.05)
+        assert default.dt == explicit.dt
+        for name in ("times", "n_S", "minus_Q", "C_final"):
+            assert getattr(default, name).tobytes() == getattr(explicit, name).tobytes(), name
+        assert (default.t_f, default.minus_Q_tf) == (explicit.t_f, explicit.minus_Q_tf)
 
     def test_threshold_interpolation(self):
         spec = ReservoirSpec(K=60, gamma=0.05)

@@ -86,6 +86,11 @@ class TestNanMatrixRejected:
             call(np.array([[math.nan, 0.0], [0.0, 0.5]]))
 
 
+def test_require_hermitian_rejects_non_square():
+    with pytest.raises(ValueError, match=r"Hamiltonian must be square, got shape \(2, 3\)"):
+        require_hermitian(np.zeros((2, 3)), name="Hamiltonian")
+
+
 class TestBinaryEntropy:
     def test_half_is_ln2(self):
         assert binary_entropy(0.5) == pytest.approx(LN2, abs=1e-15)
@@ -156,6 +161,10 @@ class TestSubsystemEntropy:
     def test_out_of_range_subset_rejected(self):
         with pytest.raises(ValueError, match="range"):
             subsystem_entropy(ONE_BODY, [2])
+
+    def test_duplicate_subset_rejected(self):
+        with pytest.raises(ValueError, match="duplicate mode indices"):
+            subsystem_entropy(ONE_BODY, [1, 1])
 
     @settings(max_examples=50)
     @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=2, max_value=5))
@@ -245,6 +254,13 @@ class TestEnergyExpectation:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError, match="mismatch"):
             energy_expectation(ONE_BODY, np.eye(3))
+
+    def test_imaginary_residue_rejected(self):
+        # Hermitian within 1e-12, but a large H turns the skew part into
+        # Im Tr(H C) = 2e3 * 4e-13 = 8e-10
+        C = np.array([[0.5, 0.1 + 4e-13j], [0.1 + 4e-13j, 0.5]])
+        with pytest.raises(ValueError, match="energy expectation has imaginary residue 8"):
+            energy_expectation(C, 1e3 * TUNNEL)
 
 
 class TestUnitarityProperties:

@@ -306,7 +306,17 @@ class TestFindZeroCrossing:
     def test_exact_zero_sample(self):
         assert find_zero_crossing([(1.0, 0.0), (3.0, -1.0)]) == 1.0
 
+    def test_zero_in_last_row(self):
+        assert find_zero_crossing([(1.0, 1.0), (3.0, 0.0)]) == 3.0
+
     def test_model_crossing_location(self):
         # frozen behavior of this rate-equation model on the standard sweep
         rows = sweep_heat_curve(-5.0, 1.0, 0.02, np.geomspace(1.0, 8.0, 16))
         assert find_zero_crossing(rows) == pytest.approx(2.574, abs=0.02)
+
+
+class TestFirstCrossing:
+    def test_non_monotone_bracket_rejected(self):
+        # a NaN before the first sample at or below the threshold is neither above nor below it
+        with pytest.raises(ValueError, match="not monotone across the crossing bracket"):
+            master_eq._first_crossing(np.array([1.0, math.nan, 0.2]), 0.5)

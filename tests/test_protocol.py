@@ -262,6 +262,17 @@ class TestRecordEntropies:
                 "x", np.array(C, dtype=complex), (0.0, 0.0), 0.0
             )
 
+    @pytest.mark.parametrize("C", [
+        pytest.param([[complex(0.5, math.nan), 0.1], [0.1, 0.5]], id="C00"),
+        pytest.param([[0.5, 0.1], [0.1, complex(0.5, math.nan)]], id="C11"),
+    ])
+    def test_nan_imaginary_diagonal_rejected(self, C):
+        # a NaN in a later term of the deviation must not be dropped by max
+        with pytest.raises(ValueError, match="correlation matrix is not Hermitian: max deviation nan"):
+            ThermoLedger(engine="quasistatic").record(
+                "x", np.array(C, dtype=complex), (0.0, 0.0), 0.0
+            )
+
     def test_nan_population_rejected(self):
         # the clamp keeps a NaN; the entropy sum raises binary_entropy's error for it
         with pytest.raises(ValueError, match=r"probability nan outside \[0, 1\]"):
@@ -373,6 +384,11 @@ class TestRunPurificationQuasistatic:
         for sp, sm in zip(lp.steps, lm.steps):
             assert sp.S_MS == pytest.approx(sm.S_MS, abs=1e-9)
 
+    @pytest.mark.parametrize("target", [-0.1, 1.5])
+    def test_step2_target_out_of_range_rejected(self, target):
+        with pytest.raises(ValueError, match=f"step2 target {target} outside"):
+            run_purification(ProtocolConfig(step2_target=target))
+
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):
             run_purification(ProtocolConfig(engine="nope"))
@@ -395,6 +411,23 @@ class TestRunPurificationFiniteTime:
             run_purification(
                 ProtocolConfig(engine="master-equation", diagonal=(0.9, 0.95), step2_target=0.1)
             )
+
+    @pytest.mark.parametrize("engine,diagonal,target,message", [
+        pytest.param("master-equation", (0.9, 0.5), None,
+                     "population 0.5000 already below target 0.9", id="already-below-target"),
+        # a target 1e-12 above f(eps2) is approached but never reached: the
+        # engine's NoCrossingError becomes an EngineError
+        pytest.param("master-equation", (0.5, 0.9), 1e-12, "population never reached",
+                     id="master-equation-no-crossing"),
+        pytest.param("exact-bath", (0.5, 0.9), 1e-12, "n_S never reached",
+                     id="exact-bath-no-crossing"),
+    ])
+    def test_engine_error(self, engine, diagonal, target, message):
+        if target is not None:
+            target += gaussian.fermi_occupation(protocol.master_eq.EPS2)
+        config = ProtocolConfig(engine=engine, K=20, diagonal=diagonal, step2_target=target)
+        with pytest.raises(EngineError, match=message):
+            run_purification(config)
 
     def test_exact_bath_engine_small_reservoir(self):
         config = ProtocolConfig(
@@ -506,6 +539,18 @@ class TestTheorem1Check:
             result = theorem1_check(ledger, initially_separable=True)
             assert result.passed, result.failures
             assert witness_from_ledger(ledger) >= -1e-9
+
+    def test_failures_reported(self):
+        # sigma = (ln 2 - 2 ln 2) - 0.1 and -Q = -0.1 on a separable, purified run
+        ledger = ThermoLedger(engine="quasistatic", purified=True, memory_restored=True)
+        ledger.record("initial", np.diag([0.5, 0.5]).astype(complex), (0.0, 0.0), 0.0)
+        ledger.record("final", np.diag([0.5, 0.0]).astype(complex), (0.0, 0.0), 0.1)
+        result = theorem1_check(ledger, initially_separable=True)
+        assert not result.passed
+        assert result.failures == [
+            "entropy production -7.931e-01 < -1e-6",
+            "-Q = -1.000e-01 < -1e-9 for a separable initial state",
+        ]
 
     def test_reported_values_match_ledger(self):
         ledger = run_purification(ProtocolConfig(diagonal=(0.2, 0.7), step2_target=1.0))

@@ -1,7 +1,9 @@
 """The tools/ scripts: the line counter classifies every line of src/ exactly once,
-and the ledger digest repeats."""
+the ledger digest repeats and the line tracer reports what a test run missed."""
 
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
@@ -48,3 +50,19 @@ def test_ledger_digest_repeats():
     first = module.digest()
     assert len(first) == 64
     assert module.digest() == first
+
+
+def test_src_coverage_reports_lines_never_run(tmp_path):
+    (tmp_path / "test_one.py").write_text(
+        "from fermicool.gaussian import binary_entropy\n\n\n"
+        "def test_half():\n    assert binary_entropy(0.5) > 0.0\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, str(TOOLS / "src_coverage.py"), "-q", "-p", "no:cacheprovider",
+         "test_one.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    report = proc.stdout.split("gaussian.py:", 1)[1].split(".py:", 1)[0]
+    assert 'raise ValueError(f"probability {x} outside [0, 1]")' in report
+    assert "return -_xlogx(x) - _xlogx(1.0 - x)" not in report
