@@ -4,8 +4,11 @@ The system level is dragged linearly from eps1 = -5 to eps2 = 1 while a
 weakly coupled reservoir relaxes its population towards the instantaneous
 Fermi factor; the bath is switched off when the population first reaches
 one half.  Fast sweeps dissipate heat into the reservoir (-Q > 0); slow
-sweeps extract heat (-Q < 0), approaching -(ln 2 - h(f(-5))) ~ -0.657 in
-the quasistatic limit.  The sign change marks the break-even sweep time.
+sweeps extract heat (-Q < 0), approaching
+-Q_inf = -(eps1 (f(eps1) - 1) + ln 2 - h(f(eps1))) ~ -0.686 in the slow-sweep
+limit: the instant relaxation from n = 1 to f(-5), then the reversible heat
+ln 2 - h(f(-5)) ~ 0.653 from f(-5) to one half.  The sign change marks the
+break-even sweep time.
 """
 
 import numpy as np

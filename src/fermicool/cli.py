@@ -28,8 +28,8 @@ from .gaussian import (
     evolve_step,
     subsystem_entropy,
 )
-from .master_eq import NoCrossingError, SweepSchedule, find_zero_crossing
-from .protocol import EngineError, ProtocolConfig, _is_number
+from .master_eq import EngineError, NoCrossingError, SweepSchedule, find_zero_crossing
+from .protocol import ProtocolConfig, _is_number, _require_positive_finite
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -58,14 +58,8 @@ def write_table(path: Path, fmt: str, meta: dict, columns: list[str], rows: list
             lines.append(",".join(_fmt(v) for v in row))
         text = "\n".join(lines)
     else:
-        doc = {
-            "meta": {k: (float(v) if isinstance(v, np.floating) else v) for k, v in meta.items()},
-            "rows": [
-                {c: (float(v) if isinstance(v, (float, np.floating)) else v)
-                 for c, v in zip(columns, row)}
-                for row in rows
-            ],
-        }
+        # np.float64 is a float subclass, which json writes through float.__repr__
+        doc = {"meta": meta, "rows": [dict(zip(columns, row)) for row in rows]}
         text = json.dumps(doc, indent=2, sort_keys=True)
     Path(path).write_text(text + "\n", encoding="utf-8")
 
@@ -149,8 +143,7 @@ def cmd_protocol(params: dict):
 def cmd_fig1(params: dict):
     _check_count("points", params["points"])
     for key in ("gamma", "gamma_tau_min", "gamma_tau_max"):
-        if not (math.isfinite(params[key]) and params[key] > 0):
-            raise ValueError(f"{key} must be positive and finite, got {params[key]}")
+        _require_positive_finite(key, params[key])
     gamma = params["gamma"]
     master_eq._check_rate_inputs(gamma, params["n0"], params["dt"])
     grid = np.geomspace(params["gamma_tau_min"], params["gamma_tau_max"], params["points"])
@@ -388,7 +381,7 @@ def main(argv=None) -> int:
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (EngineError, NoCrossingError) as exc:
+    except EngineError as exc:
         print(f"engine error: {exc}", file=sys.stderr)
         return EXIT_ENGINE
     # a failed invariant battery still writes its table

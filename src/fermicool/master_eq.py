@@ -33,7 +33,11 @@ _BLOCK_STEPS = 4096
 _MAX_STEPS = 10**8
 
 
-class NoCrossingError(RuntimeError):
+class EngineError(RuntimeError):
+    """A finite-time engine did not finish (e.g. an unreachable target, no crossing)."""
+
+
+class NoCrossingError(EngineError):
     """Population never reached the switch-off threshold."""
 
 
@@ -220,14 +224,11 @@ def integrate_population(
 
 
 def _first_crossing(values, threshold: float, *series) -> tuple[int, list[float]]:
-    """The switch-off rule of both engines: the index i of the first of `values`
-    at or below threshold, and each of `series` linearly interpolated to where
-    `values` crosses it between samples i - 1 and i (its first entry if i == 0).
+    """The switch-off rule of both engines, on a run stopped at its first sample
+    at or below threshold: its index i = len(values) - 1, and each of `series`
+    linearly interpolated to the crossing in (i - 1, i] (its first entry if i == 0).
     """
-    below = np.flatnonzero(values <= threshold)
-    if below.size == 0:
-        raise NoCrossingError(f"trajectory never reaches {threshold}")
-    i = int(below[0])
+    i = len(values) - 1
     if i == 0:
         return 0, [float(s[0]) for s in series]
     if not values[i - 1] > threshold:

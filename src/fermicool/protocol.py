@@ -16,6 +16,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,6 +30,7 @@ from .gaussian import (
     fermi_occupation,
     require_hermitian,
 )
+from .master_eq import EngineError
 
 MEMORY = 0
 SYSTEM = 1
@@ -37,11 +39,10 @@ _COHERENCE_TOL = 1e-12
 
 
 def _is_number(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
-class EngineError(RuntimeError):
-    """A step-2 engine failed to complete (e.g. no threshold crossing)."""
+    """A real other than a bool; an integer too large for a float is not one."""
+    if isinstance(value, numbers.Integral):
+        return not isinstance(value, bool) and abs(value) <= sys.float_info.max
+    return isinstance(value, (float, numbers.Real))  # float first skips the ABC check
 
 
 def prepare_one_body_state(p: float, phi: float) -> np.ndarray:
@@ -77,14 +78,14 @@ def step1_rotate(C, omega: float, duration: float | None = None) -> np.ndarray:
     both mode energies at 0.  Equals `evolve_step(C, H, duration)` bit for bit.
     """
     C = _two_mode_state(C)
-    _require_omega(omega)
+    _require_positive_finite("omega", omega)
     return _rotate(C, omega, duration)
 
 
 def step3_swap(C, omega: float) -> np.ndarray:
     """Half-period tunnel rotation: exchanges system and memory populations."""
     C = _two_mode_state(C)
-    _require_omega(omega)
+    _require_positive_finite("omega", omega)
     return _rotate(C, omega, math.pi / (2.0 * omega))
 
 
@@ -95,9 +96,9 @@ def _two_mode_state(C) -> np.ndarray:
     return require_hermitian(C, name="correlation matrix")
 
 
-def _require_omega(omega: float):
-    if not (math.isfinite(omega) and omega > 0):
-        raise ValueError(f"omega must be positive and finite, got {omega}")
+def _require_positive_finite(name: str, value: float):
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
 @functools.lru_cache(maxsize=16)
@@ -252,7 +253,7 @@ class ProtocolConfig:
                 raise ValueError(f"diagonal populations {self.diagonal} outside [0, 1]")
         if not math.isfinite(self.phi):
             raise ValueError(f"phi must be finite, got {self.phi}")
-        _require_omega(self.omega)
+        _require_positive_finite("omega", self.omega)
         if self.step2_target is not None and not 0.0 <= self.step2_target <= 1.0:
             raise ValueError(f"step2 target {self.step2_target} outside [0, 1]")
 
@@ -280,16 +281,13 @@ def _run_engine(config: ProtocolConfig, n0: float, target: float):
         raise EngineError(
             f"population {n0:.4f} already below target {target}; the sweep only lowers it"
         )
-    try:
-        if config.engine == "master-equation":
-            run = master_eq.integrate_population(
-                schedule, config.gamma, n0=n0, dt=config.dt, threshold=target
-            )
-        else:
-            spec = exact_bath.ReservoirSpec(K=config.K, gamma=config.gamma)
-            run = exact_bath.simulate(spec, schedule, n_S0=n0, dt=config.dt, threshold=target)
-    except master_eq.NoCrossingError as exc:
-        raise EngineError(str(exc)) from exc
+    if config.engine == "master-equation":
+        run = master_eq.integrate_population(
+            schedule, config.gamma, n0=n0, dt=config.dt, threshold=target
+        )
+    else:
+        spec = exact_bath.ReservoirSpec(K=config.K, gamma=config.gamma)
+        run = exact_bath.simulate(spec, schedule, n_S0=n0, dt=config.dt, threshold=target)
     residual = 0.0 if run.C_final is None else exact_bath.interaction_energy(run)
     return -run.minus_Q_tf, schedule.energy(run.t_f), residual
 

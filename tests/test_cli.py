@@ -269,6 +269,22 @@ class TestProtocolCommand:
         assert time.perf_counter() - start < 1.0
         assert message in capsys.readouterr().err
 
+    # a 401-digit JSON integer, which no float can hold
+    @pytest.mark.parametrize("argv,config,key", [
+        pytest.param(["protocol"], {"tau": 10**400}, "tau", id="protocol-tau"),
+        pytest.param(["fig1"], {"gamma_tau_max": 10**400}, "gamma_tau_max",
+                     id="fig1-gamma-tau-max"),
+        pytest.param(["fig2"], {"gamma_tau": 10**400}, "gamma_tau", id="fig2-gamma-tau"),
+        pytest.param(["witness"], {"phi": 10**400}, "phi", id="witness-phi"),
+        pytest.param(["witness"], {"sequence": [{"op": "rotate", "duration": 10**400}]},
+                     "sequence[0] duration", id="witness-sequence-duration"),
+    ])
+    def test_integer_too_large_for_a_float_exit_code(self, tmp_path, capsys, argv, config, key):
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        assert main([*argv, "--config", str(tmp_path / "cfg.json"),
+                     "--out", str(tmp_path / "x.csv")]) == 2
+        assert key in capsys.readouterr().err
+
     def test_missing_config_file(self, tmp_path):
         assert main(["protocol", "--config", str(tmp_path / "absent.json"),
                      "--out", str(tmp_path / "x.csv")]) == 2

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from fermicool import gaussian, protocol
 from fermicool.gaussian import binary_entropy, coherent_information, subsystem_entropy
+from fermicool.master_eq import NoCrossingError
 from fermicool.protocol import (
     MEMORY,
     SYSTEM,
@@ -428,6 +429,16 @@ class TestRunPurificationFiniteTime:
         config = ProtocolConfig(engine=engine, K=20, diagonal=diagonal, step2_target=target)
         with pytest.raises(EngineError, match=message):
             run_purification(config)
+
+    def test_no_crossing_is_the_engines_own_error(self):
+        assert issubclass(NoCrossingError, EngineError)
+        # a target just above f(eps2) is never reached; the engine's error is not rewrapped
+        target = gaussian.fermi_occupation(protocol.master_eq.EPS2) + 1e-12
+        for engine in ("master-equation", "exact-bath"):
+            config = ProtocolConfig(engine=engine, K=20, diagonal=(0.5, 0.9), step2_target=target)
+            with pytest.raises(NoCrossingError) as info:
+                run_purification(config)
+            assert type(info.value) is NoCrossingError, engine
 
     def test_exact_bath_engine_small_reservoir(self):
         config = ProtocolConfig(

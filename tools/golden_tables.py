@@ -1,4 +1,4 @@
-"""Write the golden CLI tables into a directory, for a byte-for-byte diff.
+"""Write the golden CLI tables and their manifest into a directory.
 
     python3 tools/golden_tables.py OUTDIR
 
@@ -7,18 +7,31 @@ in csv and json (20 tables), importing fermicool from the `src/` of the
 checkout this script sits in.  Run it in two checkouts and compare with
 `diff -r OUT_A OUT_B`; a refactor that keeps its numbers leaves no
 difference.
+
+OUTDIR/MANIFEST.json holds the SHA-256 of each table, the digest of
+`tools/ledger_digest.py` and the fingerprint of what the exact-bath bytes
+depend on besides the source: the numpy version, its BLAS and LAPACK (name
+and version, from `np.show_config(mode="dicts")`, numpy >= 1.26) and the
+machine.  tests/golden_manifest.json is its committed copy, which
+tests/test_tools.py compares with a fresh one.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
+import platform
 import sys
 import tempfile
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+import numpy as np
+
+HERE = Path(__file__).resolve().parent
+sys.path[:0] = [str(HERE.parent / "src"), str(HERE)]
 
 from fermicool.cli import main  # noqa: E402
+from ledger_digest import digest  # noqa: E402
 
 # the sequence of tests/test_cli.py::TestWitnessCommand::test_custom_sequence
 CUSTOM_SEQUENCE = {"sequence": [
@@ -40,10 +53,19 @@ TABLES = {
 }
 
 
+def fingerprint() -> dict:
+    deps = np.show_config(mode="dicts")["Build Dependencies"]
+    libs = {lib: f"{deps[lib].get('name')} {deps[lib].get('version')}"
+            for lib in ("blas", "lapack")}
+    return {"numpy": np.__version__, "machine": platform.machine(), **libs}
+
+
 def write_tables(outdir: Path) -> list[str]:
-    """Write every table; return the names of those whose command did not exit 0."""
+    """Write every table and MANIFEST.json; return the names of the tables whose
+    command did not exit 0."""
     outdir.mkdir(parents=True, exist_ok=True)
     failed = []
+    tables = {}
     with tempfile.TemporaryDirectory() as tmp:
         for name, (argv, config) in TABLES.items():
             if config is not None:
@@ -54,6 +76,10 @@ def write_tables(outdir: Path) -> list[str]:
                 out = outdir / f"{name}.{fmt}"
                 if main(argv + ["--format", fmt, "--out", str(out)]) != 0:
                     failed.append(out.name)
+                tables[out.name] = hashlib.sha256(out.read_bytes()).hexdigest()
+    manifest = {"fingerprint": fingerprint(), "ledger_digest": digest(), "tables": tables}
+    text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+    (outdir / "MANIFEST.json").write_text(text, encoding="utf-8")
     return failed
 
 
