@@ -1,10 +1,11 @@
 """Exact system-plus-reservoir dynamics against the rate-equation prediction.
 
 The reservoir is discretized into K = 200 levels and the joint correlation
-matrix is evolved exactly while the system level sweeps from -5 to 1 over
-Gamma*tau = 10, holding at the endpoint until the population reaches one
-half.  The rate equation tracks the exact population within a couple of
-percent, and both descriptions agree on the heat extracted at switch-off.
+matrix is evolved exactly while the system level sweeps from -5 toward 1
+over Gamma*tau = 10.  The population reaches one half at Gamma*t_f = 9.33,
+before the sweep ends, and the run switches off there.  The rate equation
+tracks the exact population within a couple of percent, and both
+descriptions agree on the heat extracted at switch-off.
 """
 
 from fermicool import (

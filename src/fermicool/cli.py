@@ -120,9 +120,9 @@ _LEDGER_COLUMNS = ["step", "n_M", "n_S", "S_M", "S_S", "S_MS", "E", "Q", "W", "s
 
 def cmd_protocol(params: dict):
     config = ProtocolConfig(**params)
-    # the finite-time parameters are checked whichever engine runs
+    # the finite-time parameters, and the reservoir's memory, are checked whichever engine runs
     SweepSchedule(config.eps1, config.eps2, config.tau)
-    exact_bath.ReservoirSpec(K=config.K, gamma=config.gamma)
+    exact_bath._check_memory(exact_bath.ReservoirSpec(K=config.K, gamma=config.gamma))
     if config.dt is not None:
         master_eq._require_positive("dt", config.dt)
     ledger = protocol.run_purification(config)

@@ -10,7 +10,9 @@ eigenpairs `_SecularSolver` finds in O(K^2) from its secular equation, and
 the initial correlation matrix C0 = diag(c0) is diagonal, so the one step
 loop of `simulate` carries the accumulated propagator W instead of C:
 C(t) = W diag(c0) W^dag, and the occupations are the diagonal |W|^2 c0.
-C itself is built once, at the end.
+C itself is built once, at the end.  The eigenpairs are solved a block of
+steps at a time; a block that only holds the last energy solved, as in the
+hold after the sweep, solves nothing.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ import numpy as np
 from .gaussian import fermi_occupation
 from .master_eq import (
     GAMMA_DT,
-    NoCrossingError,
     Relaxation,
     SweepSchedule,
     _first_crossing,
@@ -225,14 +226,20 @@ def initial_state(spec: ReservoirSpec, n_S0: float = 1.0) -> np.ndarray:
     return np.diag(_occupations(spec, n_S0)).astype(complex)
 
 
-def _check_budget(spec: ReservoirSpec, dt: float, max_time: float) -> None:
-    """Reject a run that would exceed the step or memory budget, before allocating."""
+def _check_memory(spec: ReservoirSpec) -> None:
+    """Reject a reservoir whose run would exceed the memory budget."""
     n = spec.K + 1
     if _DENSE_MATRICES * 16 * n**2 > _MEMORY_BUDGET:
         raise ValueError(
             f"K={spec.K} needs {_DENSE_MATRICES} dense {n}x{n} complex matrices, "
             f"more than the {_MEMORY_BUDGET / 2**30:g} GiB memory budget"
         )
+
+
+def _check_budget(spec: ReservoirSpec, dt: float, max_time: float) -> None:
+    """Reject a run that would exceed the step or memory budget, before allocating."""
+    _check_memory(spec)
+    n = spec.K + 1
     steps = np.ceil(max_time / dt)
     if steps > _WORK_BUDGET / n**3:
         raise ValueError(
@@ -255,10 +262,11 @@ def simulate(
     propagator is U = V e^{i dt w} V^T from the eigendecomposition
     H = V diag(w) V^T of the real arrowhead.  `_SecularSolver` finds it in
     O(K^2) for a block of upcoming steps at once (as many as its element
-    budget allows, never past max_time), and a held eps_S reuses it.  The
-    run carries the accumulated propagator W <- U W, applied as two real
-    matrix products on the float view of W, and reads n_S and the reservoir
-    energy off the diagonal |W|^2 c0 of C = W diag(c0) W^dag.  Only n_S and
+    budget allows, never past max_time); a block that holds the last energy
+    solved reuses its eigenpairs for each of its steps.  The run carries the
+    accumulated propagator W <- U W, applied as two real matrix products on
+    the float view of W, and reads n_S and the reservoir energy off the
+    diagonal |W|^2 c0 of C = W diag(c0) W^dag.  Only n_S and
     -Q are kept per step; C_final is built once, at the end, so C after k
     steps is the C_final of a run with threshold=None and max_time = k*dt.
 
@@ -307,17 +315,13 @@ def simulate(
         while len(starts) < solve.block and starts[-1] + dt < end:
             starts.append(starts[-1] + dt)
         eps_block = schedule.energy(np.array(starts))
-        fresh = eps_block != np.append(prev_eps, eps_block[:-1])  # held energies reuse
-        if fresh.any():
-            fresh[0] = True  # the solve overwrites the eigenvectors step 0 would reuse
-            w_block, Vt_block = solve(eps_block[fresh])
-            phase_block = np.exp(1j * dt * w_block)[:, :, None]
-            k = -1
+        if (eps_block != prev_eps).any():
+            w_block, Vt_block = solve(eps_block)
+            pairs = zip(Vt_block, np.exp(1j * dt * w_block)[:, :, None])
+        else:  # a held block reuses the eigenpairs of the last energy solved
+            pairs = [(Vt, phase)] * len(starts)
         prev_eps = eps_block[-1]
-        for new in fresh:
-            if new:
-                k += 1
-                Vt, phase = Vt_block[k], phase_block[k]
+        for Vt, phase in pairs:
             np.matmul(Vt, W.view(np.float64), out=X.view(np.float64))
             X *= phase
             np.matmul(Vt.T, X.view(np.float64), out=W_next.view(np.float64))
@@ -331,20 +335,13 @@ def simulate(
                 crossed = True
                 break
 
-    if threshold is not None and not crossed:
-        raise NoCrossingError(
-            f"n_S never reached {threshold} before t={max_time} "
-            f"(final n_S={ns[-1]:.6f})"
-        )
-
+    times, ns, minus_Q = np.array(times), np.array(ns), np.array(minus_Q)
+    t_f = minus_Q_tf = None
+    if threshold is not None:
+        _, (t_f, minus_Q_tf) = _first_crossing("n_S", ns, threshold, max_time, times, minus_Q)
     C = (W * c0) @ W.conj().T
-    run = Relaxation(
-        times=np.array(times), n_S=np.array(ns), minus_Q=np.array(minus_Q), dt=dt,
-        gamma=spec.gamma, schedule=schedule, spec=spec, C_final=0.5 * (C + C.conj().T),
-    )
-    if crossed:
-        _, (run.t_f, run.minus_Q_tf) = _first_crossing(run.n_S, threshold, run.times, run.minus_Q)
-    return run
+    return Relaxation(times, ns, minus_Q, dt, spec.gamma, schedule, t_f, minus_Q_tf,
+                      spec, 0.5 * (C + C.conj().T))
 
 
 def interaction_energy(run: Relaxation) -> float:

@@ -166,9 +166,8 @@ def integrate_population(
     n = float(n0)
     chunks = [np.array([n])]
     areas = [np.zeros(0)]  # trapezoid areas of the heat integrand, step by step
-    crossed = threshold is not None and n <= threshold
     k = 0
-    while not crossed and k < nsteps:
+    while k < nsteps and not (threshold is not None and n <= threshold):
         m = min(_BLOCK_STEPS, nsteps - k)
         t = dt * np.arange(k, k + m + 1)
         e = schedule.energy(t)
@@ -181,7 +180,6 @@ def integrate_population(
             below = np.flatnonzero(ns <= threshold)
             if below.size:
                 ns = ns[: below[0] + 1]
-                crossed = True
         # the integrand g = eps_S n_S' = eps_S * (-Gamma (n_S - f)) at the
         # block's samples from its start, with n_S clipped as it is kept, and
         # the trapezoid areas diff(t) * (g[1:] + g[:-1]) / 2 of its steps
@@ -193,12 +191,6 @@ def integrate_population(
         n = float(ns[-1])
         k += m
 
-    if threshold is not None and not crossed:
-        raise NoCrossingError(
-            f"population never reached {threshold} before t={max_time} "
-            f"(final n_S={n:.6f})"
-        )
-
     # in place where it can be, as on a long run every fresh array costs its
     # page faults: the areas are laid out in the buffer of -Q, summed for the
     # switch-off, then accumulated there
@@ -208,8 +200,8 @@ def integrate_population(
     minus_Q = np.zeros(n_S.size)
     areas = np.concatenate(areas, out=minus_Q[1:])
     t_f = minus_Q_tf = None
-    if crossed:
-        i, (t_f,) = _first_crossing(n_S, threshold, times)
+    if threshold is not None:
+        i, (t_f,) = _first_crossing("population", n_S, threshold, max_time, times)
         minus_Q_tf = 0.0
         if i > 0:
             # i is the last sample, so g ends at it; the partial-step fraction
@@ -223,12 +215,20 @@ def integrate_population(
     return Relaxation(times, n_S, minus_Q, dt, gamma, schedule, t_f, minus_Q_tf)
 
 
-def _first_crossing(values, threshold: float, *series) -> tuple[int, list[float]]:
+def _first_crossing(what: str, values, threshold: float, max_time: float,
+                    *series) -> tuple[int, list[float]]:
     """The switch-off rule of both engines, on a run stopped at its first sample
-    at or below threshold: its index i = len(values) - 1, and each of `series`
-    linearly interpolated to the crossing in (i - 1, i] (its first entry if i == 0).
+    at or below threshold or at max_time: the index i = len(values) - 1 of that
+    sample, and each of `series` linearly interpolated to the crossing in
+    (i - 1, i] (its first entry if i == 0).  Raises NoCrossingError, naming
+    `what`, when the run stopped above threshold.
     """
     i = len(values) - 1
+    if not values[i] <= threshold:
+        raise NoCrossingError(
+            f"{what} never reached {threshold} before t={max_time} "
+            f"(final n_S={values[i]:.6f})"
+        )
     if i == 0:
         return 0, [float(s[0]) for s in series]
     if not values[i - 1] > threshold:

@@ -253,6 +253,15 @@ class TestProtocolCommand:
         pytest.param(["protocol", "--dt", "nan"], None, "dt must be finite",
                      id="quasistatic-dt-nan"),
         pytest.param(["protocol", "--K", "1"], None, "K=1", id="quasistatic-K-1"),
+        # the exact bath's memory budget bounds K whichever engine runs
+        pytest.param(["protocol", "--K", "20000"], None, "K=20000 needs 7 dense",
+                     id="quasistatic-K-memory"),
+        pytest.param(["protocol", "--engine", "master-equation", "--K", "20000"], None,
+                     "K=20000 needs 7 dense", id="master-equation-K-memory"),
+        pytest.param(["protocol", "--K", str(10**400)], None, f"K={10**400} needs 7 dense",
+                     id="quasistatic-K-401-digits"),
+        pytest.param(["protocol", "--engine", "master-equation", "--K", str(10**400)], None,
+                     f"K={10**400} needs 7 dense", id="master-equation-K-401-digits"),
         # counts one past the cap, which would run for minutes
         pytest.param(["fig1", "--points", "100001"], None, "points must be at most 100000",
                      id="fig1-points-cap"),

@@ -188,6 +188,24 @@ class TestSimulate:
         assert run.times.tolist() == [0.0]
         assert run.n_S.tolist() == [0.4]
 
+    @pytest.mark.parametrize("K,calls,energies", [(200, 18, 18), (100, 3, 18)])
+    def test_held_steps_make_no_solve(self, monkeypatch, K, calls, energies):
+        # Gamma*tau = 1 at dt = 3 to Gamma*t = 4: 17 sweep steps, then 50 held
+        # steps of which only the first is solved; a call takes one step at
+        # K = 200 and six at K = 100
+        solved = []
+        solve = exact_bath._SecularSolver.__call__
+
+        def counting(self, eps):
+            solved.append(np.size(eps))
+            return solve(self, eps)
+
+        monkeypatch.setattr(exact_bath._SecularSolver, "__call__", counting)
+        run = simulate(ReservoirSpec(K=K, gamma=0.02), SweepSchedule(-5.0, 1.0, 50.0), dt=3.0,
+                       threshold=None, max_time=200.0)
+        assert run.times.size == 68
+        assert (len(solved), sum(solved)) == (calls, energies)
+
     def test_no_crossing_raises(self):
         spec = ReservoirSpec(K=20, gamma=0.05)
         schedule = SweepSchedule(-5.0, -4.0, 10.0)

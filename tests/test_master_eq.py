@@ -319,4 +319,4 @@ class TestFirstCrossing:
     def test_non_monotone_bracket_rejected(self):
         # a NaN before the first sample at or below the threshold is neither above nor below it
         with pytest.raises(ValueError, match="not monotone across the crossing bracket"):
-            master_eq._first_crossing(np.array([1.0, math.nan, 0.2]), 0.5)
+            master_eq._first_crossing("population", np.array([1.0, math.nan, 0.2]), 0.5, 1.0)

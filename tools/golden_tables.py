@@ -2,8 +2,8 @@
 
     python3 tools/golden_tables.py OUTDIR
 
-Runs ten CLI configurations through `fermicool.cli.main` in-process, each
-in csv and json (20 tables), importing fermicool from the `src/` of the
+Runs twelve CLI configurations through `fermicool.cli.main` in-process, each
+in csv and json (24 tables), importing fermicool from the `src/` of the
 checkout this script sits in.  Run it in two checkouts and compare with
 `diff -r OUT_A OUT_B`; a refactor that keeps its numbers leaves no
 difference.
@@ -47,6 +47,9 @@ TABLES = {
     "fig1": (["fig1"], None),
     "fig2": (["fig2"], None),
     "fig2_K50": (["fig2", "--K", "50"], None),
+    # the hold phase: the sweep ends at Gamma*tau = 1, the crossing comes at Gamma*t = 1.908
+    "fig2_hold": (["fig2", "--gamma-tau", "1"], None),
+    "fig2_hold_K100": (["fig2", "--gamma-tau", "1", "--K", "100"], None),
     "witness": (["witness"], None),
     "witness_custom_sequence": (["witness"], CUSTOM_SEQUENCE),
     "invariants": (["invariants", "--samples", "200", "--seed", "0"], None),
