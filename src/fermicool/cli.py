@@ -23,13 +23,14 @@ import numpy as np
 
 from . import exact_bath, master_eq, protocol
 from .gaussian import (
+    _require_positive,
     binary_entropy,
     energy_expectation,
     evolve_step,
     subsystem_entropy,
 )
 from .master_eq import EngineError, NoCrossingError, SweepSchedule, find_zero_crossing
-from .protocol import ProtocolConfig, _is_number, _require_positive_finite
+from .protocol import ProtocolConfig, _is_number
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -124,7 +125,7 @@ def cmd_protocol(params: dict):
     SweepSchedule(config.eps1, config.eps2, config.tau)
     exact_bath._check_memory(exact_bath.ReservoirSpec(K=config.K, gamma=config.gamma))
     if config.dt is not None:
-        master_eq._require_positive("dt", config.dt)
+        _require_positive("dt", config.dt)
     ledger = protocol.run_purification(config)
     rows = [dataclasses.astuple(s) for s in ledger.steps]
     # the total row repeats the last step's state and cumulative heat, work, sigma
@@ -142,8 +143,8 @@ def cmd_protocol(params: dict):
 
 def cmd_fig1(params: dict):
     _check_count("points", params["points"])
-    for key in ("gamma", "gamma_tau_min", "gamma_tau_max"):
-        _require_positive_finite(key, params[key])
+    for key in ("gamma_tau_min", "gamma_tau_max"):
+        _require_positive(key, params[key])
     gamma = params["gamma"]
     master_eq._check_rate_inputs(gamma, params["n0"], params["dt"])
     grid = np.geomspace(params["gamma_tau_min"], params["gamma_tau_max"], params["points"])

@@ -25,16 +25,8 @@ from functools import partial
 
 import numpy as np
 
-from .gaussian import fermi_occupation
-from .master_eq import (
-    GAMMA_DT,
-    Relaxation,
-    SweepSchedule,
-    _first_crossing,
-    _require_finite,
-    _require_positive,
-    integrate_population,
-)
+from .gaussian import _require_finite, _require_positive, fermi_occupation
+from .master_eq import GAMMA_DT, Relaxation, SweepSchedule, _first_crossing, integrate_population
 
 # Budgets of `simulate`, checked before any (K+1)^2 allocation: the work of
 # a run is bounded by ceil(max_time/dt) propagator products of (K+1)^3, and

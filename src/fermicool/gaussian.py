@@ -15,6 +15,17 @@ HERMITIAN_TOL = 1e-12
 PROB_TOL = 1e-12
 
 
+def _require_finite(name: str, value) -> None:
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+
+
+def _require_positive(name: str, value) -> None:
+    _require_finite(name, value)
+    if not value > 0:
+        raise ValueError(f"{name} must be positive, got {value}")
+
+
 def require_hermitian(a, name: str) -> np.ndarray:
     m = np.asarray(a, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -65,8 +76,7 @@ def _propagate(C: np.ndarray, dt: float, eigh, H) -> np.ndarray:
     dt > 0; dt = 0 returns a copy of C.  Only dt is checked: callers pass a
     validated C and H.
     """
-    if not math.isfinite(dt):
-        raise ValueError(f"dt must be finite, got {dt}")
+    _require_finite("dt", dt)
     if dt < 0:
         raise ValueError(f"dt must be nonnegative, got {dt}")
     if dt == 0:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussian import fermi_occupation
+from .gaussian import _require_finite, _require_positive, fermi_occupation
 
 # the published parameters of Figs. 1 and 2 (units of k_B*T), the only place they are set
 EPS1 = -5.0
@@ -39,17 +39,6 @@ class EngineError(RuntimeError):
 
 class NoCrossingError(EngineError):
     """Population never reached the switch-off threshold."""
-
-
-def _require_finite(name: str, value) -> None:
-    if not np.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value}")
-
-
-def _require_positive(name: str, value) -> None:
-    _require_finite(name, value)
-    if not value > 0:
-        raise ValueError(f"{name} must be positive, got {value}")
 
 
 @dataclass(frozen=True)

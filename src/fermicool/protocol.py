@@ -26,6 +26,8 @@ from .gaussian import (
     _entropy_sum,
     _propagate,
     _require_deviation,
+    _require_finite,
+    _require_positive,
     binary_entropy,
     fermi_occupation,
     require_hermitian,
@@ -78,14 +80,14 @@ def step1_rotate(C, omega: float, duration: float | None = None) -> np.ndarray:
     both mode energies at 0.  Equals `evolve_step(C, H, duration)` bit for bit.
     """
     C = _two_mode_state(C)
-    _require_positive_finite("omega", omega)
+    _require_positive("omega", omega)
     return _rotate(C, omega, duration)
 
 
 def step3_swap(C, omega: float) -> np.ndarray:
     """Half-period tunnel rotation: exchanges system and memory populations."""
     C = _two_mode_state(C)
-    _require_positive_finite("omega", omega)
+    _require_positive("omega", omega)
     return _rotate(C, omega, math.pi / (2.0 * omega))
 
 
@@ -94,11 +96,6 @@ def _two_mode_state(C) -> np.ndarray:
     if C.shape != (2, 2):
         raise ValueError(f"expected a two-mode state, got shape {C.shape}")
     return require_hermitian(C, name="correlation matrix")
-
-
-def _require_positive_finite(name: str, value: float):
-    if not (math.isfinite(value) and value > 0):
-        raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
 @functools.lru_cache(maxsize=16)
@@ -220,9 +217,9 @@ def witness_from_ledger(ledger: ThermoLedger) -> float:
     return witness_value(first.n_S, first.n_M, last.n_S, last.n_M, last.heat)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ProtocolConfig:
-    """Initial state, step-2 engine selection and engine parameters."""
+    """Initial state, step-2 engine selection and engine parameters, checked when built."""
 
     p: float = 0.5
     phi: float = math.pi / 2.0
@@ -240,7 +237,7 @@ class ProtocolConfig:
 
     ENGINES = ("quasistatic", "master-equation", "exact-bath")
 
-    def validate(self):
+    def __post_init__(self):
         if self.engine not in self.ENGINES:
             raise ValueError(f"unknown engine {self.engine!r}; choose from {self.ENGINES}")
         if self.diagonal is not None:
@@ -251,16 +248,14 @@ class ProtocolConfig:
                 raise ValueError(f"diagonal populations {self.diagonal} must be numbers")
             if not (0.0 <= n_M <= 1.0 and 0.0 <= n_S <= 1.0):
                 raise ValueError(f"diagonal populations {self.diagonal} outside [0, 1]")
-        if not math.isfinite(self.phi):
-            raise ValueError(f"phi must be finite, got {self.phi}")
-        _require_positive_finite("omega", self.omega)
+        _require_finite("phi", self.phi)
+        _require_positive("omega", self.omega)
         if self.step2_target is not None and not 0.0 <= self.step2_target <= 1.0:
             raise ValueError(f"step2 target {self.step2_target} outside [0, 1]")
 
 
 def _initial_state(config: ProtocolConfig) -> np.ndarray:
-    """Validate the config and build its initial two-mode state."""
-    config.validate()
+    """The initial two-mode state of a config: its diagonal, or the (p, phi) one-body state."""
     if config.diagonal is not None:
         return np.diag(np.asarray(config.diagonal, dtype=float)).astype(complex)
     return prepare_one_body_state(config.p, config.phi)
@@ -302,8 +297,8 @@ def _run_operations(C, operations, config: ProtocolConfig, ledger: ThermoLedger 
     for op in operations:
         kind = op["op"]
         eps_end = 0.0
-        # C is Hermitian and omega valid here: the callers validate C, config and
-        # operations, and every operation returns a Hermitian matrix
+        # C is Hermitian and omega valid here: a config is valid once built, the
+        # callers check C and operations, and every operation returns a Hermitian C
         if kind == "rotate":
             C = _rotate(C, config.omega, op.get("duration"))
         elif kind == "swap":
@@ -400,31 +395,42 @@ class WitnessReport:
     certified: bool
 
 
+# the keys each witness-sequence operation takes
+_OP_KEYS = {"rotate": {"op", "duration"}, "relax": {"op", "target"}, "swap": {"op"}}
+
+
 def run_witness_sequence(C0, operations, omega: float = 1.0) -> WitnessReport:
     """Ensemble detection procedure: occupancies before, sequence, witness after.
 
-    `operations` is a list of dicts: {"op": "rotate", "duration": t},
-    {"op": "relax", "target": x} (quasistatic, accumulates heat) or
-    {"op": "swap"}.  They are applied by the same interpreter as the
-    protocol's steps, with no ledger kept.  An omega that is not positive
-    and finite, an operation that is not an object with a string "op" naming
-    one of the three, a numeric or null duration and a numeric target (for a
-    relax, in [0, 1]), and a C0 that is not a Hermitian 2x2 matrix each raise
-    ValueError before any operation is applied.
+    `operations` is a list of dicts: {"op": "rotate", "duration": t}
+    (t >= 0 and finite; null or absent is the quarter period),
+    {"op": "relax", "target": x} (quasistatic, accumulates heat; x in [0, 1],
+    1/2 when absent) or {"op": "swap"}, with no other keys.  They are applied
+    by the same interpreter as the protocol's steps, with no ledger kept.
+    The whole input is checked before any operation is applied: an omega
+    that is not positive and finite, an operation that breaks these rules
+    and a C0 that is not a Hermitian 2x2 matrix each raise ValueError.
     """
     config = ProtocolConfig(omega=omega)
-    config.validate()
     for i, op in enumerate(operations):
         if not (isinstance(op, dict) and isinstance(op.get("op"), str)):
             raise ValueError(f"sequence[{i}] must be an object with a string \"op\", got {op!r}")
-        kind, duration, target = op["op"], op.get("duration"), op.get("target", 0.5)
-        if kind not in ("rotate", "relax", "swap"):
+        kind = op["op"]
+        if kind not in _OP_KEYS:
             raise ValueError(f"sequence[{i}] op must be rotate, relax or swap, got {kind!r}")
-        if not (duration is None or _is_number(duration)):
-            raise ValueError(f"sequence[{i}] duration must be a number, got {duration!r}")
+        unknown = set(op) - _OP_KEYS[kind]
+        if unknown:
+            raise ValueError(f"sequence[{i}] unknown keys for {kind}: {sorted(unknown, key=str)}")
+        duration, target = op.get("duration"), op.get("target", 0.5)
+        if duration is not None:
+            if not _is_number(duration):
+                raise ValueError(f"sequence[{i}] duration must be a number, got {duration!r}")
+            _require_finite(f"sequence[{i}] duration", duration)
+            if duration < 0:
+                raise ValueError(f"sequence[{i}] duration must be nonnegative, got {duration}")
         if not _is_number(target):
             raise ValueError(f"sequence[{i}] target must be a number, got {target!r}")
-        if kind == "relax" and not 0.0 <= target <= 1.0:
+        if not 0.0 <= target <= 1.0:
             raise ValueError(f"sequence[{i}] target: probability {target} outside [0, 1]")
     C = _two_mode_state(C0)
     n_M0 = float(C[MEMORY, MEMORY].real)

@@ -196,7 +196,7 @@ class TestProtocolCommand:
         pytest.param(["protocol", "--engine", "exact-bath", "--dt", "nan"], None,
                      "dt must be finite", id="exact-bath-dt-nan"),
         pytest.param(["protocol", "--phi", "nan"], None, "phi must be finite", id="phi-nan"),
-        pytest.param(["protocol"], {"omega": math.nan}, "omega must be positive and finite",
+        pytest.param(["protocol"], {"omega": math.nan}, "omega must be finite, got nan",
                      id="config-omega-nan"),
         pytest.param(["witness", "--phi", "inf"], None, "phi must be finite",
                      id="witness-phi-inf"),
@@ -208,7 +208,12 @@ class TestProtocolCommand:
                      "sequence[0] target: probability 1.5 outside",
                      id="witness-relax-target-above-one"),
         pytest.param(["witness"], {"sequence": [{"op": "rotate", "duration": math.inf}]},
-                     "dt must be finite, got inf", id="witness-rotate-duration-inf"),
+                     "sequence[0] duration must be finite, got inf",
+                     id="witness-rotate-duration-inf"),
+        pytest.param(["witness"], {"sequence": [{"op": "rotate", "durtion": 2.0},
+                                                {"op": "relax", "target": 0.0}, {"op": "swap"}]},
+                     "sequence[0] unknown keys for rotate: ['durtion']",
+                     id="witness-rotate-key-misspelled"),
         pytest.param(["fig2", "--K", "50", "--gamma", "nan"], None, "gamma must be finite",
                      id="fig2-gamma-nan"),
         # config values of the wrong type
@@ -348,9 +353,9 @@ class TestFig1Command:
         assert "skipped_1" not in meta
 
     @pytest.mark.parametrize("flag,value,message", [
-        pytest.param("gamma", "nan", "gamma must be positive and finite", id="nan"),
-        pytest.param("gamma", "inf", "gamma must be positive and finite", id="inf"),
-        pytest.param("gamma", "-0.02", "gamma must be positive and finite", id="-0.02"),
+        pytest.param("gamma", "nan", "gamma must be finite, got nan", id="nan"),
+        pytest.param("gamma", "inf", "gamma must be finite, got inf", id="inf"),
+        pytest.param("gamma", "-0.02", "gamma must be positive, got -0.02", id="-0.02"),
         pytest.param("eps1", "nan", "eps1 must be finite", id="eps1-nan"),
         pytest.param("dt", "nan", "dt must be finite", id="dt-nan"),
         pytest.param("n0", "2", "n0=2.0 outside [0, 1]", id="n0-2"),

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import struct
 
 import numpy as np
@@ -99,8 +100,13 @@ class TestProtocolSteps:
         with pytest.raises(ValueError):
             step3_swap(np.eye(3), omega=1.0)
 
-    @pytest.mark.parametrize("omega", [math.inf, math.nan, 0.0, -1.0])
-    def test_non_finite_omega_rejected(self, omega):
+    @pytest.mark.parametrize("omega,message", [
+        pytest.param(math.inf, "omega must be finite, got inf", id="inf"),
+        pytest.param(math.nan, "omega must be finite, got nan", id="nan"),
+        pytest.param(0.0, "omega must be positive, got 0.0", id="0.0"),
+        pytest.param(-1.0, "omega must be positive, got -1.0", id="-1.0"),
+    ])
+    def test_non_finite_omega_rejected(self, omega, message):
         # inf made the rotation silently the identity; nan reported "dt must be finite";
         # 0 made the swap raise ZeroDivisionError from its half period pi/(2 omega)
         C0 = prepare_one_body_state(0.5, math.pi / 2)
@@ -108,7 +114,7 @@ class TestProtocolSteps:
                      lambda: run_witness_sequence(C0, [{"op": "swap"}], omega=omega),
                      lambda: step1_rotate(C0, omega),
                      lambda: step3_swap(C0, omega)):
-            with pytest.raises(ValueError, match="omega must be positive and finite"):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 call()
 
 
@@ -387,16 +393,27 @@ class TestRunPurificationQuasistatic:
 
     @pytest.mark.parametrize("target", [-0.1, 1.5])
     def test_step2_target_out_of_range_rejected(self, target):
+        # rejected when the config is built, before any run
         with pytest.raises(ValueError, match=f"step2 target {target} outside"):
-            run_purification(ProtocolConfig(step2_target=target))
+            ProtocolConfig(step2_target=target)
 
     def test_invalid_config_rejected(self):
-        with pytest.raises(ValueError):
-            run_purification(ProtocolConfig(engine="nope"))
+        for kwargs, message in [
+            (dict(engine="nope"), "unknown engine 'nope'"),
+            (dict(diagonal=(0.5, 1.5)), r"diagonal populations \(0.5, 1.5\) outside"),
+            (dict(diagonal=(0.5,)), "diagonal must hold two populations"),
+            (dict(phi=math.nan), "phi must be finite, got nan"),
+            (dict(omega=0.0), "omega must be positive, got 0.0"),
+            (dict(step2_target=1.5), "step2 target 1.5 outside"),
+        ]:
+            with pytest.raises(ValueError, match=message):
+                ProtocolConfig(**kwargs)
+        # p is checked where the one-body state is prepared
         with pytest.raises(ValueError):
             run_purification(ProtocolConfig(p=-0.1))
-        with pytest.raises(ValueError):
-            run_purification(ProtocolConfig(diagonal=(0.5, 1.5)))
+        config = ProtocolConfig()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            config.omega = 0.0
 
 
 class TestRunPurificationFiniteTime:
@@ -503,6 +520,16 @@ class TestWitness:
                      r"target: probability 1.5 outside \[0, 1\]", id="target-above-one"),
         pytest.param({"op": "relax", "target": -0.5},
                      r"target: probability -0.5 outside \[0, 1\]", id="target-below-zero"),
+        # a misspelled key used to fall back to the quarter period
+        pytest.param({"op": "rotate", "durtion": 2.0}, r"unknown keys for rotate: \['durtion'\]",
+                     id="unknown-key"),
+        pytest.param({"op": "swap", "target": 0.0}, r"unknown keys for swap: \['target'\]",
+                     id="key-of-another-op"),
+        # the kernel used to reject these only after the relaxation before them had run
+        pytest.param({"op": "rotate", "duration": -1.0}, "duration must be nonnegative, got -1.0",
+                     id="duration-negative"),
+        pytest.param({"op": "rotate", "duration": math.inf}, "duration must be finite, got inf",
+                     id="duration-inf"),
     ])
     def test_sequence_checked_before_any_operation_runs(self, monkeypatch, op, message):
         def no_engine(*args, **kwargs):
