@@ -23,6 +23,7 @@ import numpy as np
 
 from . import exact_bath, master_eq, protocol
 from .gaussian import (
+    _is_number,
     _require_positive,
     binary_entropy,
     energy_expectation,
@@ -30,7 +31,7 @@ from .gaussian import (
     subsystem_entropy,
 )
 from .master_eq import EngineError, NoCrossingError, SweepSchedule, find_zero_crossing
-from .protocol import ProtocolConfig, _is_number
+from .protocol import ProtocolConfig
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2

@@ -25,7 +25,7 @@ from functools import partial
 
 import numpy as np
 
-from .gaussian import _require_finite, _require_positive, fermi_occupation
+from .gaussian import _require_finite, _require_positive, _require_probability, fermi_occupation
 from .master_eq import GAMMA_DT, Relaxation, SweepSchedule, _first_crossing, integrate_population
 
 # Budgets of `simulate`, checked before any (K+1)^2 allocation: the work of
@@ -65,6 +65,7 @@ class ReservoirSpec:
         _require_positive("gamma", self.gamma)
         if not self.window[0] < self.window[1]:
             raise ValueError(f"invalid level window {self.window}")
+        _require_finite("window width", self.width)
 
     @property
     def width(self) -> float:
@@ -207,8 +208,7 @@ class _SecularSolver:
 
 def _occupations(spec: ReservoirSpec, n_S0: float) -> np.ndarray:
     """Initial occupations: the system at n_S0, then the thermal reservoir levels."""
-    if not 0.0 <= n_S0 <= 1.0:
-        raise ValueError(f"initial population {n_S0} outside [0, 1]")
+    _require_probability("n_S0", n_S0)
     levels, _ = build_reservoir(spec)
     return np.concatenate(([n_S0], fermi_occupation(levels)))
 

@@ -8,6 +8,8 @@ energies are in units of k_B*T, times in 1/(k_B*T), entropies in nats.
 from __future__ import annotations
 
 import math
+import numbers
+import sys
 
 import numpy as np
 
@@ -24,6 +26,18 @@ def _require_positive(name: str, value) -> None:
     _require_finite(name, value)
     if not value > 0:
         raise ValueError(f"{name} must be positive, got {value}")
+
+
+def _is_number(value) -> bool:
+    """A real other than a bool; an integer too large for a float is not one."""
+    if isinstance(value, numbers.Integral):
+        return not isinstance(value, bool) and abs(value) <= sys.float_info.max
+    return isinstance(value, (float, numbers.Real))  # float first skips the ABC check
+
+
+def _require_probability(name: str, value) -> None:
+    if not (_is_number(value) and 0.0 <= value <= 1.0):
+        raise ValueError(f"{name} must be a number in [0, 1], got {value!r}")
 
 
 def require_hermitian(a, name: str) -> np.ndarray:

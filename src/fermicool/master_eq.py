@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussian import _require_finite, _require_positive, fermi_occupation
+from .gaussian import _require_finite, _require_positive, _require_probability, fermi_occupation
 
 # the published parameters of Figs. 1 and 2 (units of k_B*T), the only place they are set
 EPS1 = -5.0
@@ -50,12 +50,13 @@ class SweepSchedule:
     tau: float
 
     def __post_init__(self):
-        for name in ("eps1", "eps2", "tau"):
+        for name in ("eps1", "eps2"):
             _require_finite(name, getattr(self, name))
+        _require_positive("tau", self.tau)
         if not self.eps1 < self.eps2:
             raise ValueError(f"require eps1 < eps2, got {self.eps1} >= {self.eps2}")
-        if not self.tau > 0:
-            raise ValueError(f"require tau > 0, got {self.tau}")
+        # finite ends can span more than the largest float, which makes every energy NaN
+        _require_finite("eps2 - eps1", self.eps2 - self.eps1)
 
     def energy(self, t):
         t = np.asarray(t, dtype=float)
@@ -93,8 +94,7 @@ class Relaxation:
 def _check_rate_inputs(gamma: float, n0: float, dt: float | None) -> None:
     """Reject the rate-equation inputs that do not depend on the sweep schedule."""
     _require_positive("gamma", gamma)
-    if not 0.0 <= n0 <= 1.0:
-        raise ValueError(f"initial population n0={n0} outside [0, 1]")
+    _require_probability("n0", n0)
     if dt is not None:
         _require_positive("dt", dt)
         if dt > 0.01 / gamma * (1 + 1e-12):

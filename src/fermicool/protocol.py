@@ -15,8 +15,6 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,10 +22,12 @@ import numpy as np
 from . import exact_bath, master_eq
 from .gaussian import (
     _entropy_sum,
+    _is_number,
     _propagate,
     _require_deviation,
     _require_finite,
     _require_positive,
+    _require_probability,
     binary_entropy,
     fermi_occupation,
     require_hermitian,
@@ -40,13 +40,6 @@ SYSTEM = 1
 _COHERENCE_TOL = 1e-12
 
 
-def _is_number(value) -> bool:
-    """A real other than a bool; an integer too large for a float is not one."""
-    if isinstance(value, numbers.Integral):
-        return not isinstance(value, bool) and abs(value) <= sys.float_info.max
-    return isinstance(value, (float, numbers.Real))  # float first skips the ABC check
-
-
 def prepare_one_body_state(p: float, phi: float) -> np.ndarray:
     """Pure one-particle state with weight p on the memory and relative phase phi.
 
@@ -54,8 +47,7 @@ def prepare_one_body_state(p: float, phi: float) -> np.ndarray:
     tunnel rotation maps the p = 1/2 state exactly onto the particle sitting
     in the system mode (test_step1_lands_on_system_mode checks the sign).
     """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"probability p={p} outside [0, 1]")
+    _require_probability("p", p)
     z = math.sqrt(p * (1.0 - p)) * np.exp(-1j * phi)
     return np.array([[p, z], [np.conj(z), 1.0 - p]], dtype=complex)
 
@@ -219,7 +211,11 @@ def witness_from_ledger(ledger: ThermoLedger) -> float:
 
 @dataclass(frozen=True)
 class ProtocolConfig:
-    """Initial state, step-2 engine selection and engine parameters, checked when built."""
+    """Initial state, step-2 engine selection and engine parameters, checked when built.
+
+    p, both diagonal populations and step2_target must be numbers in [0, 1];
+    p is checked even when a diagonal overrides it.
+    """
 
     p: float = 0.5
     phi: float = math.pi / 2.0
@@ -243,15 +239,13 @@ class ProtocolConfig:
         if self.diagonal is not None:
             if len(self.diagonal) != 2:
                 raise ValueError(f"diagonal must hold two populations, got {self.diagonal!r}")
-            n_M, n_S = self.diagonal
-            if not (_is_number(n_M) and _is_number(n_S)):
-                raise ValueError(f"diagonal populations {self.diagonal} must be numbers")
-            if not (0.0 <= n_M <= 1.0 and 0.0 <= n_S <= 1.0):
-                raise ValueError(f"diagonal populations {self.diagonal} outside [0, 1]")
+            _require_probability("diagonal n_M", self.diagonal[0])
+            _require_probability("diagonal n_S", self.diagonal[1])
+        _require_probability("p", self.p)
         _require_finite("phi", self.phi)
         _require_positive("omega", self.omega)
-        if self.step2_target is not None and not 0.0 <= self.step2_target <= 1.0:
-            raise ValueError(f"step2 target {self.step2_target} outside [0, 1]")
+        if self.step2_target is not None:
+            _require_probability("step2_target", self.step2_target)
 
 
 def _initial_state(config: ProtocolConfig) -> np.ndarray:
@@ -428,10 +422,7 @@ def run_witness_sequence(C0, operations, omega: float = 1.0) -> WitnessReport:
             _require_finite(f"sequence[{i}] duration", duration)
             if duration < 0:
                 raise ValueError(f"sequence[{i}] duration must be nonnegative, got {duration}")
-        if not _is_number(target):
-            raise ValueError(f"sequence[{i}] target must be a number, got {target!r}")
-        if not 0.0 <= target <= 1.0:
-            raise ValueError(f"sequence[{i}] target: probability {target} outside [0, 1]")
+        _require_probability(f"sequence[{i}] target", target)
     C = _two_mode_state(C0)
     n_M0 = float(C[MEMORY, MEMORY].real)
     n_S0 = float(C[SYSTEM, SYSTEM].real)

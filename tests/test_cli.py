@@ -201,11 +201,12 @@ class TestProtocolCommand:
         pytest.param(["witness", "--phi", "inf"], None, "phi must be finite",
                      id="witness-phi-inf"),
         pytest.param(["witness"], {"sequence": [{"op": "relax", "target": math.nan}]},
-                     "probability nan outside", id="witness-relax-target-nan"),
+                     "sequence[0] target must be a number in [0, 1], got nan",
+                     id="witness-relax-target-nan"),
         pytest.param(["witness"], {"sequence": [{"op": "relax", "target": 0}, {"op": "bogus"}]},
                      "sequence[1] op must be rotate, relax or swap", id="witness-op-unknown"),
         pytest.param(["witness"], {"sequence": [{"op": "relax", "target": 1.5}]},
-                     "sequence[0] target: probability 1.5 outside",
+                     "sequence[0] target must be a number in [0, 1], got 1.5",
                      id="witness-relax-target-above-one"),
         pytest.param(["witness"], {"sequence": [{"op": "rotate", "duration": math.inf}]},
                      "sequence[0] duration must be finite, got inf",
@@ -226,9 +227,11 @@ class TestProtocolCommand:
                      id="protocol-diagonal-short"),
         pytest.param(["witness"], {"diagonal": [0.5, 0.5, 0.5]},
                      "diagonal must hold two populations", id="witness-diagonal-long"),
-        pytest.param(["protocol"], {"diagonal": [0.5, True]}, "must be numbers",
+        pytest.param(["protocol"], {"diagonal": [0.5, True]},
+                     "diagonal n_S must be a number in [0, 1], got True",
                      id="protocol-diagonal-bool"),
-        pytest.param(["witness"], {"diagonal": [True, False]}, "must be numbers",
+        pytest.param(["witness"], {"diagonal": [True, False]},
+                     "diagonal n_M must be a number in [0, 1], got True",
                      id="witness-diagonal-bool"),
         pytest.param(["fig2"], {"K": 50.5}, "config key 'K'", id="fig2-K-float"),
         pytest.param(["protocol"], [0.5], "config file must contain a JSON object",
@@ -258,6 +261,16 @@ class TestProtocolCommand:
         pytest.param(["protocol", "--dt", "nan"], None, "dt must be finite",
                      id="quasistatic-dt-nan"),
         pytest.param(["protocol", "--K", "1"], None, "K=1", id="quasistatic-K-1"),
+        # finite ends whose span overflows, which would sweep through NaN energies
+        pytest.param(["protocol", "--eps1=-1e308", "--eps2", "1e308"], None,
+                     "eps2 - eps1 must be finite", id="quasistatic-eps-span-inf"),
+        pytest.param(["protocol", "--engine", "master-equation", "--eps1=-1e308",
+                      "--eps2", "1e308"], None, "eps2 - eps1 must be finite",
+                     id="master-equation-eps-span-inf"),
+        pytest.param(["fig1", "--eps1=-1e308", "--eps2", "1e308"], None,
+                     "eps2 - eps1 must be finite", id="fig1-eps-span-inf"),
+        pytest.param(["fig2", "--K", "50", "--eps1=-1e308", "--eps2", "1e308"], None,
+                     "eps2 - eps1 must be finite", id="fig2-eps-span-inf"),
         # the exact bath's memory budget bounds K whichever engine runs
         pytest.param(["protocol", "--K", "20000"], None, "K=20000 needs 7 dense",
                      id="quasistatic-K-memory"),
@@ -358,7 +371,7 @@ class TestFig1Command:
         pytest.param("gamma", "-0.02", "gamma must be positive, got -0.02", id="-0.02"),
         pytest.param("eps1", "nan", "eps1 must be finite", id="eps1-nan"),
         pytest.param("dt", "nan", "dt must be finite", id="dt-nan"),
-        pytest.param("n0", "2", "n0=2.0 outside [0, 1]", id="n0-2"),
+        pytest.param("n0", "2", "n0 must be a number in [0, 1], got 2.0", id="n0-2"),
     ])
     def test_invalid_gamma_exit_code(self, tmp_path, capsys, flag, value, message):
         # a parameter error is reported once, not once per grid point

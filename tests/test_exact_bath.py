@@ -67,6 +67,10 @@ class TestReservoirSpec:
             ReservoirSpec(K=10, gamma=0.0)
         with pytest.raises(ValueError, match="window"):
             ReservoirSpec(K=10, gamma=0.02, window=(3.0, -7.0))
+        # an infinite end, or finite ends whose width overflows, would give NaN levels
+        for window in [(-math.inf, 3.0), (-1e308, 1e308)]:
+            with pytest.raises(ValueError, match="window width must be finite, got inf"):
+                ReservoirSpec(K=10, gamma=0.02, window=window)
 
 
 class TestBuildReservoir:
@@ -99,9 +103,9 @@ class TestInitialState:
         assert np.count_nonzero(C - np.diag(np.diag(C))) == 0
 
     def test_population_validated(self):
-        with pytest.raises(ValueError, match="population"):
+        with pytest.raises(ValueError, match=r"n_S0 must be a number in \[0, 1\], got -0.2"):
             initial_state(ReservoirSpec(K=2, gamma=0.02), n_S0=-0.2)
-        with pytest.raises(ValueError, match="population"):
+        with pytest.raises(ValueError, match=r"n_S0 must be a number in \[0, 1\], got -0.2"):
             simulate(ReservoirSpec(K=2, gamma=0.02), SweepSchedule(-5.0, 1.0, 500.0),
                      n_S0=-0.2, dt=3.0)
 

@@ -71,8 +71,11 @@ class TestSweepSchedule:
     def test_validation(self):
         with pytest.raises(ValueError, match="eps1 < eps2"):
             SweepSchedule(1.0, -5.0, 10.0)
-        with pytest.raises(ValueError, match="tau > 0"):
+        with pytest.raises(ValueError, match="tau must be positive, got 0.0"):
             SweepSchedule(-5.0, 1.0, 0.0)
+        # finite ends whose span overflows: every energy would be NaN
+        with pytest.raises(ValueError, match="eps2 - eps1 must be finite, got inf"):
+            SweepSchedule(-1e308, 1e308, 10.0)
 
     @pytest.mark.parametrize("name", ["eps1", "eps2", "tau"])
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
@@ -141,7 +144,7 @@ class TestIntegratePopulation:
     def test_bad_inputs_rejected(self):
         with pytest.raises(ValueError, match="gamma"):
             integrate_population(constant_schedule(1.0), -0.1)
-        with pytest.raises(ValueError, match="population"):
+        with pytest.raises(ValueError, match=r"n0 must be a number in \[0, 1\], got 1.5"):
             integrate_population(constant_schedule(1.0), 0.05, n0=1.5)
 
     @pytest.mark.parametrize("value", [math.inf, math.nan])

@@ -394,23 +394,27 @@ class TestRunPurificationQuasistatic:
     @pytest.mark.parametrize("target", [-0.1, 1.5])
     def test_step2_target_out_of_range_rejected(self, target):
         # rejected when the config is built, before any run
-        with pytest.raises(ValueError, match=f"step2 target {target} outside"):
+        with pytest.raises(ValueError,
+                           match=rf"step2_target must be a number in \[0, 1\], got {target}"):
             ProtocolConfig(step2_target=target)
 
     def test_invalid_config_rejected(self):
         for kwargs, message in [
             (dict(engine="nope"), "unknown engine 'nope'"),
-            (dict(diagonal=(0.5, 1.5)), r"diagonal populations \(0.5, 1.5\) outside"),
+            (dict(diagonal=(0.5, 1.5)), r"diagonal n_S must be a number in \[0, 1\], got 1.5"),
             (dict(diagonal=(0.5,)), "diagonal must hold two populations"),
             (dict(phi=math.nan), "phi must be finite, got nan"),
             (dict(omega=0.0), "omega must be positive, got 0.0"),
-            (dict(step2_target=1.5), "step2 target 1.5 outside"),
+            (dict(step2_target=1.5), r"step2_target must be a number in \[0, 1\], got 1.5"),
+            # p is checked when the config is built, also when a diagonal overrides it
+            (dict(p=-0.1), r"p must be a number in \[0, 1\], got -0.1"),
+            (dict(p=1.5), r"p must be a number in \[0, 1\], got 1.5"),
+            (dict(p=math.nan), r"p must be a number in \[0, 1\], got nan"),
+            (dict(p="0.5"), r"p must be a number in \[0, 1\], got '0.5'"),
+            (dict(diagonal=(0.5, 0.5), p=1.5), r"p must be a number in \[0, 1\], got 1.5"),
         ]:
             with pytest.raises(ValueError, match=message):
                 ProtocolConfig(**kwargs)
-        # p is checked where the one-body state is prepared
-        with pytest.raises(ValueError):
-            run_purification(ProtocolConfig(p=-0.1))
         config = ProtocolConfig()
         with pytest.raises(dataclasses.FrozenInstanceError):
             config.omega = 0.0
@@ -517,9 +521,9 @@ class TestWitness:
         pytest.param({"op": "bogus"}, "op must be rotate, relax or swap, got 'bogus'",
                      id="unknown-op"),
         pytest.param({"op": "relax", "target": 1.5},
-                     r"target: probability 1.5 outside \[0, 1\]", id="target-above-one"),
+                     r"target must be a number in \[0, 1\], got 1.5", id="target-above-one"),
         pytest.param({"op": "relax", "target": -0.5},
-                     r"target: probability -0.5 outside \[0, 1\]", id="target-below-zero"),
+                     r"target must be a number in \[0, 1\], got -0.5", id="target-below-zero"),
         # a misspelled key used to fall back to the quarter period
         pytest.param({"op": "rotate", "durtion": 2.0}, r"unknown keys for rotate: \['durtion'\]",
                      id="unknown-key"),
