@@ -37,7 +37,7 @@ def _is_number(value) -> bool:
 
 def _require_probability(name: str, value) -> None:
     if not (_is_number(value) and 0.0 <= value <= 1.0):
-        raise ValueError(f"{name} must be a number in [0, 1], got {value!r}")
+        raise ValueError(f"{name} must be a number in [0, 1], got {value}")
 
 
 def require_hermitian(a, name: str) -> np.ndarray:

@@ -410,7 +410,9 @@ class TestRunPurificationQuasistatic:
             (dict(p=-0.1), r"p must be a number in \[0, 1\], got -0.1"),
             (dict(p=1.5), r"p must be a number in \[0, 1\], got 1.5"),
             (dict(p=math.nan), r"p must be a number in \[0, 1\], got nan"),
-            (dict(p="0.5"), r"p must be a number in \[0, 1\], got '0.5'"),
+            (dict(p="0.5"), r"p must be a number in \[0, 1\], got 0.5$"),
+            # a numpy scalar prints as its value, as in the finite/positive checks
+            (dict(p=np.float64(1.2)), r"p must be a number in \[0, 1\], got 1.2$"),
             (dict(diagonal=(0.5, 0.5), p=1.5), r"p must be a number in \[0, 1\], got 1.5"),
         ]:
             with pytest.raises(ValueError, match=message):
