@@ -18,19 +18,20 @@ hold after the sweep, solves nothing.
 from __future__ import annotations
 
 import math
-import numbers
 import warnings
 from dataclasses import dataclass, field, replace
 from functools import partial
 
 import numpy as np
 
-from .gaussian import _require_finite, _require_positive, _require_probability, fermi_occupation
+from .gaussian import (_require_finite, _require_integer, _require_positive,
+                       _require_probability, fermi_occupation)
 from .master_eq import GAMMA_DT, Relaxation, SweepSchedule, _first_crossing, integrate_population
 
-# Budgets of `simulate`, checked before any (K+1)^2 allocation: the work of
-# a run is bounded by ceil(max_time/dt) propagator products of (K+1)^3, and
-# it holds at most _DENSE_MATRICES dense (K+1)^2 complex matrices at once
+# Budgets of a run, checked before any (K+1)^2 allocation (the memory budget
+# when its ReservoirSpec is built): the work of a run is bounded by
+# ceil(max_time/dt) propagator products of (K+1)^3, and it holds at most
+# _DENSE_MATRICES dense (K+1)^2 complex matrices at once
 # (tracemalloc peaks of 6.74, 6.57 and 6.51 at K = 200, 400 and 1000).
 # Held throughout: W, its two step buffers and the solver's real eigenvector
 # buffer (half a matrix).  At the end come three more: the two factors and
@@ -51,21 +52,29 @@ _EPS = np.finfo(float).eps
 
 @dataclass(frozen=True)
 class ReservoirSpec:
-    """Discretized thermal reservoir: K levels on `window`, coupling rate gamma."""
+    """Discretized thermal reservoir: K levels on `window`, coupling rate gamma.
+
+    A K whose run would exceed the memory budget (K > 4377) is rejected when built.
+    """
 
     K: int
     gamma: float
     window: tuple[float, float] = (-7.0, 3.0)
 
     def __post_init__(self):
-        if not isinstance(self.K, numbers.Integral):
-            raise ValueError(f"K must be an integer, got {self.K!r}")
+        _require_integer("K", self.K)
         if self.K < 2:
             raise ValueError(f"need at least 2 reservoir modes, got K={self.K}")
         _require_positive("gamma", self.gamma)
         if not self.window[0] < self.window[1]:
             raise ValueError(f"invalid level window {self.window}")
         _require_finite("window width", self.width)
+        n = self.K + 1
+        if _DENSE_MATRICES * 16 * n**2 > _MEMORY_BUDGET:
+            raise ValueError(
+                f"K={self.K} needs {_DENSE_MATRICES} dense {n}x{n} complex matrices, "
+                f"more than the {_MEMORY_BUDGET / 2**30:g} GiB memory budget"
+            )
 
     @property
     def width(self) -> float:
@@ -218,19 +227,8 @@ def initial_state(spec: ReservoirSpec, n_S0: float = 1.0) -> np.ndarray:
     return np.diag(_occupations(spec, n_S0)).astype(complex)
 
 
-def _check_memory(spec: ReservoirSpec) -> None:
-    """Reject a reservoir whose run would exceed the memory budget."""
-    n = spec.K + 1
-    if _DENSE_MATRICES * 16 * n**2 > _MEMORY_BUDGET:
-        raise ValueError(
-            f"K={spec.K} needs {_DENSE_MATRICES} dense {n}x{n} complex matrices, "
-            f"more than the {_MEMORY_BUDGET / 2**30:g} GiB memory budget"
-        )
-
-
 def _check_budget(spec: ReservoirSpec, dt: float, max_time: float) -> None:
-    """Reject a run that would exceed the step or memory budget, before allocating."""
-    _check_memory(spec)
+    """Reject a run that would exceed the work budget, before allocating."""
     n = spec.K + 1
     steps = np.ceil(max_time / dt)
     if steps > _WORK_BUDGET / n**3:
@@ -266,9 +264,7 @@ def simulate(
     follow the rate equation's switch-off rule.  Raises NoCrossingError at
     max_time.  Raises ValueError, before allocating any (K+1)^2 matrix, when
     ceil(max_time/dt) * (K+1)^3 exceeds the work budget _WORK_BUDGET (1e11,
-    about a minute on a 2-vCPU host) or the run's _DENSE_MATRICES dense
-    (K+1)^2 complex matrices exceed the memory budget _MEMORY_BUDGET (2 GiB,
-    so K <= 4377).
+    about a minute on a 2-vCPU host); the spec already fits the memory budget.
     """
     if dt is None:
         dt = GAMMA_DT / spec.gamma

@@ -18,6 +18,8 @@ PROB_TOL = 1e-12
 
 
 def _require_finite(name: str, value) -> None:
+    if not _is_number(value):
+        raise ValueError(f"{name} must be a number, got {value!r}")
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value}")
 
@@ -33,6 +35,11 @@ def _is_number(value) -> bool:
     if isinstance(value, numbers.Integral):
         return not isinstance(value, bool) and abs(value) <= sys.float_info.max
     return isinstance(value, (float, numbers.Real))  # float first skips the ABC check
+
+
+def _require_integer(name: str, value) -> None:
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def _require_probability(name: str, value) -> None:

@@ -22,7 +22,6 @@ import numpy as np
 from . import exact_bath, master_eq
 from .gaussian import (
     _entropy_sum,
-    _is_number,
     _propagate,
     _require_deviation,
     _require_finite,
@@ -211,10 +210,13 @@ def witness_from_ledger(ledger: ThermoLedger) -> float:
 
 @dataclass(frozen=True)
 class ProtocolConfig:
-    """Initial state, step-2 engine selection and engine parameters, checked when built.
+    """Initial state, step-2 engine selection and finite-time engine parameters.
 
-    p, both diagonal populations and step2_target must be numbers in [0, 1];
-    p is checked even when a diagonal overrides it.
+    p, phi, diagonal, omega, engine and step2_target are checked when built:
+    p, both diagonal populations and step2_target must be numbers in [0, 1],
+    p even when a diagonal (a tuple, list or 1-D array of two) overrides it.
+    eps1, eps2, gamma, tau, dt and K are checked by the engine that uses
+    them, and by `fermicool protocol` whichever engine runs.
     """
 
     p: float = 0.5
@@ -236,11 +238,13 @@ class ProtocolConfig:
     def __post_init__(self):
         if self.engine not in self.ENGINES:
             raise ValueError(f"unknown engine {self.engine!r}; choose from {self.ENGINES}")
-        if self.diagonal is not None:
-            if len(self.diagonal) != 2:
-                raise ValueError(f"diagonal must hold two populations, got {self.diagonal!r}")
-            _require_probability("diagonal n_M", self.diagonal[0])
-            _require_probability("diagonal n_S", self.diagonal[1])
+        d = self.diagonal
+        if d is not None:
+            if not (isinstance(d, (tuple, list)) or isinstance(d, np.ndarray) and d.ndim == 1) \
+                    or len(d) != 2:
+                raise ValueError(f"diagonal must hold two populations, got {d!r}")
+            _require_probability("diagonal n_M", d[0])
+            _require_probability("diagonal n_S", d[1])
         _require_probability("p", self.p)
         _require_finite("phi", self.phi)
         _require_positive("omega", self.omega)
@@ -396,7 +400,7 @@ _OP_KEYS = {"rotate": {"op", "duration"}, "relax": {"op", "target"}, "swap": {"o
 def run_witness_sequence(C0, operations, omega: float = 1.0) -> WitnessReport:
     """Ensemble detection procedure: occupancies before, sequence, witness after.
 
-    `operations` is a list of dicts: {"op": "rotate", "duration": t}
+    `operations` is a list or tuple of dicts: {"op": "rotate", "duration": t}
     (t >= 0 and finite; null or absent is the quarter period),
     {"op": "relax", "target": x} (quasistatic, accumulates heat; x in [0, 1],
     1/2 when absent) or {"op": "swap"}, with no other keys.  They are applied
@@ -406,6 +410,8 @@ def run_witness_sequence(C0, operations, omega: float = 1.0) -> WitnessReport:
     and a C0 that is not a Hermitian 2x2 matrix each raise ValueError.
     """
     config = ProtocolConfig(omega=omega)
+    if not isinstance(operations, (list, tuple)):
+        raise ValueError(f"sequence must be a list or tuple of operations, got {operations!r}")
     for i, op in enumerate(operations):
         if not (isinstance(op, dict) and isinstance(op.get("op"), str)):
             raise ValueError(f"sequence[{i}] must be an object with a string \"op\", got {op!r}")
@@ -417,8 +423,6 @@ def run_witness_sequence(C0, operations, omega: float = 1.0) -> WitnessReport:
             raise ValueError(f"sequence[{i}] unknown keys for {kind}: {sorted(unknown, key=str)}")
         duration, target = op.get("duration"), op.get("target", 0.5)
         if duration is not None:
-            if not _is_number(duration):
-                raise ValueError(f"sequence[{i}] duration must be a number, got {duration!r}")
             _require_finite(f"sequence[{i}] duration", duration)
             if duration < 0:
                 raise ValueError(f"sequence[{i}] duration must be nonnegative, got {duration}")

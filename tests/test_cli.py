@@ -3,6 +3,7 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -80,6 +81,23 @@ class TestWriteTable:
   ]
 }
 """
+
+
+# the kind of value each config key with a None default takes besides null
+_NULLABLE = {"dt": float, "step2_target": float, "diagonal": list}
+_WRONG_VALUES = {"str": "0.5", "bool": True, "null": None, "list": [0.5], "dict": {"x": 0.5},
+                 "int-401-digits": 10**400, "float": 2.5}
+_RIGHT_VALUES = {float: "float", int: "int-401-digits", str: "str", list: "list"}
+
+
+def _wrong_type_cases():
+    """Every config key of every subcommand, with each value not of its default's kind."""
+    for command, (_, _, defaults, _) in cli._COMMANDS.items():
+        for key, default in defaults.items():
+            kind = _NULLABLE[key] if default is None else type(default)
+            for name, value in _WRONG_VALUES.items():
+                if name != _RIGHT_VALUES[kind] and not (name == "null" and default is None):
+                    yield pytest.param(command, key, value, id=f"{command}-{key}-{name}")
 
 
 class TestProtocolCommand:
@@ -222,7 +240,8 @@ class TestProtocolCommand:
                      id="witness-op-missing"),
         pytest.param(["witness"], {"sequence": [{"op": "rotate", "duration": "1"}]},
                      "duration must be a number", id="witness-duration-str"),
-        pytest.param(["fig1"], {"points": 2.5}, "config key 'points'", id="fig1-points-float"),
+        pytest.param(["fig1"], {"points": 2.5}, "points must be an integer, got 2.5",
+                     id="fig1-points-float"),
         pytest.param(["protocol"], {"diagonal": [0.5]}, "diagonal must hold two populations",
                      id="protocol-diagonal-short"),
         pytest.param(["witness"], {"diagonal": [0.5, 0.5, 0.5]},
@@ -233,7 +252,7 @@ class TestProtocolCommand:
         pytest.param(["witness"], {"diagonal": [True, False]},
                      "diagonal n_M must be a number in [0, 1], got True",
                      id="witness-diagonal-bool"),
-        pytest.param(["fig2"], {"K": 50.5}, "config key 'K'", id="fig2-K-float"),
+        pytest.param(["fig2"], {"K": 50.5}, "K must be an integer, got 50.5", id="fig2-K-float"),
         pytest.param(["protocol"], [0.5], "config file must contain a JSON object",
                      id="config-not-object"),
         # exact-bath runs beyond the memory or work budget, rejected before they start
@@ -285,6 +304,13 @@ class TestProtocolCommand:
                      id="fig1-points-cap"),
         pytest.param(["invariants", "--samples", "100001"], None,
                      "samples must be at most 100000", id="invariants-samples-cap"),
+        # fig2's own inputs are reported under their own names
+        pytest.param(["fig2", "--gamma-tau", "-1"], None, "gamma_tau must be positive, got -1.0",
+                     id="fig2-gamma-tau-negative"),
+        pytest.param(["fig2", "--gamma-dt", "0"], None, "gamma_dt must be positive, got 0.0",
+                     id="fig2-gamma-dt-0"),
+        pytest.param(["fig2", "--n0", "1.5"], None, "n0 must be a number in [0, 1], got 1.5",
+                     id="fig2-n0-above-one"),
     ])
     def test_non_finite_parameter_exit_code(self, tmp_path, capsys, argv, config, message):
         if config is not None:
@@ -311,6 +337,16 @@ class TestProtocolCommand:
         assert main([*argv, "--config", str(tmp_path / "cfg.json"),
                      "--out", str(tmp_path / "x.csv")]) == 2
         assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,key,value", list(_wrong_type_cases()))
+    def test_wrong_type_config_value_exit_code(self, tmp_path, capsys, command, key, value):
+        # each value's own check rejects a wrong type, naming its key, before any work
+        (tmp_path / "cfg.json").write_text(json.dumps({key: value}))
+        start = time.perf_counter()
+        assert main([command, "--config", str(tmp_path / "cfg.json"),
+                     "--out", str(tmp_path / "x.csv")]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert re.search(rf"\b{key}\b", capsys.readouterr().err)
 
     def test_missing_config_file(self, tmp_path):
         assert main(["protocol", "--config", str(tmp_path / "absent.json"),

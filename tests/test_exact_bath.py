@@ -63,8 +63,12 @@ class TestReservoirSpec:
             ReservoirSpec(K=1, gamma=0.02)
         with pytest.raises(ValueError, match="K must be an integer"):
             ReservoirSpec(K=50.5, gamma=0.02)
+        with pytest.raises(ValueError, match="K must be an integer, got True"):
+            ReservoirSpec(K=True, gamma=0.02)
         with pytest.raises(ValueError, match="gamma"):
             ReservoirSpec(K=10, gamma=0.0)
+        with pytest.raises(ValueError, match="gamma must be a number, got '0.02'"):
+            ReservoirSpec(K=10, gamma="0.02")
         with pytest.raises(ValueError, match="window"):
             ReservoirSpec(K=10, gamma=0.02, window=(3.0, -7.0))
         # an infinite end, or finite ends whose width overflows, would give NaN levels
@@ -317,10 +321,16 @@ class TestBudget:
         monkeypatch.setattr(exact_bath, "build_reservoir", refuse)
         monkeypatch.setattr(exact_bath, "initial_state", refuse)
 
-    def test_memory_budget(self, no_allocation):
-        spec = ReservoirSpec(K=20_000, gamma=0.02)
+    def test_memory_budget(self):
+        # the spec itself is rejected, so no engine can allocate for it
         with pytest.raises(ValueError, match="K=20000 .* memory budget"):
-            simulate(spec, SweepSchedule(-5.0, 1.0, 500.0), max_time=3.0, dt=3.0)
+            ReservoirSpec(K=20_000, gamma=0.02)
+
+    def test_memory_budget_edge(self):
+        # 7 dense complex (K+1)^2 matrices: 2,146,691,008 bytes at K=4377, 2,147,671,792 at 4378
+        assert ReservoirSpec(K=4377, gamma=0.02).K == 4377
+        with pytest.raises(ValueError, match="K=4378 needs 7 dense 4379x4379 complex matrices"):
+            ReservoirSpec(K=4378, gamma=0.02)
 
     @pytest.mark.parametrize("dt", [0.3, 1e-300, 5e-324])
     def test_work_budget(self, no_allocation, dt):

@@ -76,6 +76,8 @@ class TestSweepSchedule:
         # finite ends whose span overflows: every energy would be NaN
         with pytest.raises(ValueError, match="eps2 - eps1 must be finite, got inf"):
             SweepSchedule(-1e308, 1e308, 10.0)
+        with pytest.raises(ValueError, match="eps1 must be a number, got 'a'"):
+            SweepSchedule("a", 1.0, 10.0)
 
     @pytest.mark.parametrize("name", ["eps1", "eps2", "tau"])
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])

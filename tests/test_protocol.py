@@ -105,6 +105,7 @@ class TestProtocolSteps:
         pytest.param(math.nan, "omega must be finite, got nan", id="nan"),
         pytest.param(0.0, "omega must be positive, got 0.0", id="0.0"),
         pytest.param(-1.0, "omega must be positive, got -1.0", id="-1.0"),
+        pytest.param("1", "omega must be a number, got '1'", id="str"),
     ])
     def test_non_finite_omega_rejected(self, omega, message):
         # inf made the rotation silently the identity; nan reported "dt must be finite";
@@ -414,9 +415,15 @@ class TestRunPurificationQuasistatic:
             # a numpy scalar prints as its value, as in the finite/positive checks
             (dict(p=np.float64(1.2)), r"p must be a number in \[0, 1\], got 1.2$"),
             (dict(diagonal=(0.5, 0.5), p=1.5), r"p must be a number in \[0, 1\], got 1.5"),
+            # a value of the wrong type is rejected by the check that bounds it
+            (dict(phi="0"), "phi must be a number, got '0'"),
+            (dict(omega=True), "omega must be a number, got True"),
+            (dict(diagonal=5), "diagonal must hold two populations, got 5"),
+            (dict(diagonal=np.full((2, 2), 0.5)), "diagonal must hold two populations"),
         ]:
             with pytest.raises(ValueError, match=message):
                 ProtocolConfig(**kwargs)
+        assert ProtocolConfig(diagonal=np.array([0.5, 0.25])).diagonal.shape == (2,)
         config = ProtocolConfig()
         with pytest.raises(dataclasses.FrozenInstanceError):
             config.omega = 0.0
@@ -473,6 +480,10 @@ class TestRunPurificationFiniteTime:
         assert abs(ledger.interaction_residual) < 0.1
 
 
+# the first operation of a sequence whose second one is malformed
+_RELAX_0 = {"op": "relax", "target": 0}
+
+
 class TestWitness:
     def test_unitary_step_certifies_entanglement(self):
         assert witness_value(0.5, 0.5, 1.0, 0.0, 0.0) == pytest.approx(-LN2, abs=1e-12)
@@ -519,32 +530,41 @@ class TestWitness:
         with pytest.raises(ValueError, match=r"sequence\[1\] .*" + message):
             run_witness_sequence(C0, [{"op": "swap"}, op])
 
-    @pytest.mark.parametrize("op,message", [
-        pytest.param({"op": "bogus"}, "op must be rotate, relax or swap, got 'bogus'",
+    @pytest.mark.parametrize("sequence,message", [
+        pytest.param([_RELAX_0, {"op": "bogus"}],
+                     r"sequence\[1\] op must be rotate, relax or swap, got 'bogus'",
                      id="unknown-op"),
-        pytest.param({"op": "relax", "target": 1.5},
-                     r"target must be a number in \[0, 1\], got 1.5", id="target-above-one"),
-        pytest.param({"op": "relax", "target": -0.5},
-                     r"target must be a number in \[0, 1\], got -0.5", id="target-below-zero"),
+        pytest.param([_RELAX_0, {"op": "relax", "target": 1.5}],
+                     r"sequence\[1\] target must be a number in \[0, 1\], got 1.5",
+                     id="target-above-one"),
+        pytest.param([_RELAX_0, {"op": "relax", "target": -0.5}],
+                     r"sequence\[1\] target must be a number in \[0, 1\], got -0.5",
+                     id="target-below-zero"),
         # a misspelled key used to fall back to the quarter period
-        pytest.param({"op": "rotate", "durtion": 2.0}, r"unknown keys for rotate: \['durtion'\]",
-                     id="unknown-key"),
-        pytest.param({"op": "swap", "target": 0.0}, r"unknown keys for swap: \['target'\]",
-                     id="key-of-another-op"),
+        pytest.param([_RELAX_0, {"op": "rotate", "durtion": 2.0}],
+                     r"sequence\[1\] unknown keys for rotate: \['durtion'\]", id="unknown-key"),
+        pytest.param([_RELAX_0, {"op": "swap", "target": 0.0}],
+                     r"sequence\[1\] unknown keys for swap: \['target'\]", id="key-of-another-op"),
         # the kernel used to reject these only after the relaxation before them had run
-        pytest.param({"op": "rotate", "duration": -1.0}, "duration must be nonnegative, got -1.0",
+        pytest.param([_RELAX_0, {"op": "rotate", "duration": -1.0}],
+                     r"sequence\[1\] duration must be nonnegative, got -1.0",
                      id="duration-negative"),
-        pytest.param({"op": "rotate", "duration": math.inf}, "duration must be finite, got inf",
-                     id="duration-inf"),
+        pytest.param([_RELAX_0, {"op": "rotate", "duration": math.inf}],
+                     r"sequence\[1\] duration must be finite, got inf", id="duration-inf"),
+        # an iterator used to be used up by the checks, so that no operation ran
+        pytest.param(iter([{"op": "rotate"}, _RELAX_0, {"op": "swap"}]),
+                     "sequence must be a list or tuple of operations, got <list_iterator",
+                     id="iterator"),
+        pytest.param(None, "sequence must be a list or tuple of operations, got None", id="none"),
     ])
-    def test_sequence_checked_before_any_operation_runs(self, monkeypatch, op, message):
+    def test_sequence_checked_before_any_operation_runs(self, monkeypatch, sequence, message):
         def no_engine(*args, **kwargs):
             raise AssertionError("an operation ran before the sequence was checked")
 
         monkeypatch.setattr(protocol, "_run_engine", no_engine)
         C0 = prepare_one_body_state(0.5, math.pi / 2)
-        with pytest.raises(ValueError, match=r"sequence\[1\] " + message):
-            run_witness_sequence(C0, [{"op": "relax", "target": 0}, op])
+        with pytest.raises(ValueError, match=message):
+            run_witness_sequence(C0, sequence)
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(min_value=0, max_value=2**32 - 1))
