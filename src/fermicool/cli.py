@@ -31,7 +31,7 @@ from .gaussian import (
     evolve_step,
     subsystem_entropy,
 )
-from .master_eq import EngineError, NoCrossingError, SweepSchedule, find_zero_crossing
+from .master_eq import EngineError, SweepSchedule, find_zero_crossing
 from .protocol import ProtocolConfig
 
 EXIT_OK = 0
@@ -129,24 +129,12 @@ def cmd_fig1(params: dict):
     _check_count("points", params["points"])
     for key in ("gamma_tau_min", "gamma_tau_max"):
         _require_positive(key, params[key])
-    gamma = params["gamma"]
-    master_eq._check_rate_inputs(gamma, params["n0"], params["dt"])
     grid = np.geomspace(params["gamma_tau_min"], params["gamma_tau_max"], params["points"])
-    schedules = [SweepSchedule(params["eps1"], params["eps2"], float(g) / gamma) for g in grid]
-    rows = []
-    failures = []
-    # parameters are checked above: a failure here (no crossing, the step
-    # budget, a non-monotone bracket) belongs to one grid point
-    for gtau, schedule in zip(grid, schedules):
-        try:
-            run = master_eq.integrate_population(
-                schedule, gamma, n0=params["n0"], dt=params["dt"]
-            )
-            rows.append((float(gtau), run.minus_Q_tf))
-        except (NoCrossingError, ValueError) as exc:
-            failures.append(f"gamma_tau={gtau:g}: {exc}")
+    rows, failures = master_eq._heat_curve(params["eps1"], params["eps2"], params["gamma"],
+                                           grid, params["n0"], params["dt"])
+    skipped = [f"gamma_tau={gtau:g}: {exc}" for gtau, exc in failures]
     if not rows:
-        raise EngineError("every grid point failed: " + "; ".join(failures))
+        raise EngineError("every grid point failed: " + "; ".join(skipped))
     crossing = find_zero_crossing(rows)
     meta = {
         "eps1": params["eps1"],
@@ -154,8 +142,7 @@ def cmd_fig1(params: dict):
         "n0": params["n0"],
         "zero_crossing_gamma_tau": crossing if crossing is not None else "none",
     }
-    for i, reason in enumerate(failures):
-        meta[f"skipped_{i}"] = reason
+    meta.update((f"skipped_{i}", reason) for i, reason in enumerate(skipped))
     return meta, ["gamma_tau", "minus_Q"], rows
 
 
@@ -216,6 +203,8 @@ def _random_hermitian(rng, dim: int) -> np.ndarray:
 def cmd_invariants(params: dict):
     _check_count("samples", params["samples"])
     _require_integer("seed", params["seed"])
+    if params["seed"] < 0:
+        raise ValueError(f"seed must be nonnegative, got {params['seed']}")
     rng = np.random.default_rng(params["seed"])
     rows: list[tuple] = []
 

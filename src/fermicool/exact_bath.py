@@ -24,7 +24,7 @@ from functools import partial
 
 import numpy as np
 
-from .gaussian import (_require_finite, _require_integer, _require_positive,
+from .gaussian import (_is_number, _require_finite, _require_integer, _require_positive,
                        _require_probability, fermi_occupation)
 from .master_eq import GAMMA_DT, Relaxation, SweepSchedule, _first_crossing, integrate_population
 
@@ -66,8 +66,10 @@ class ReservoirSpec:
         if self.K < 2:
             raise ValueError(f"need at least 2 reservoir modes, got K={self.K}")
         _require_positive("gamma", self.gamma)
-        if not self.window[0] < self.window[1]:
-            raise ValueError(f"invalid level window {self.window}")
+        w = self.window
+        if not (isinstance(w, (tuple, list)) and len(w) == 2 and all(map(_is_number, w))
+                and w[0] < w[1]):
+            raise ValueError(f"window must be two increasing numbers, got {w!r}")
         _require_finite("window width", self.width)
         n = self.K + 1
         if _DENSE_MATRICES * 16 * n**2 > _MEMORY_BUDGET:
@@ -326,7 +328,7 @@ def simulate(
     times, ns, minus_Q = np.array(times), np.array(ns), np.array(minus_Q)
     t_f = minus_Q_tf = None
     if threshold is not None:
-        _, (t_f, minus_Q_tf) = _first_crossing("n_S", ns, threshold, max_time, times, minus_Q)
+        _, (t_f, minus_Q_tf) = _first_crossing(ns, threshold, max_time, times, minus_Q)
     C = (W * c0) @ W.conj().T
     return Relaxation(times, ns, minus_Q, dt, spec.gamma, schedule, t_f, minus_Q_tf,
                       spec, 0.5 * (C + C.conj().T))

@@ -190,7 +190,7 @@ def integrate_population(
     areas = np.concatenate(areas, out=minus_Q[1:])
     t_f = minus_Q_tf = None
     if threshold is not None:
-        i, (t_f,) = _first_crossing("population", n_S, threshold, max_time, times)
+        i, (t_f,) = _first_crossing(n_S, threshold, max_time, times)
         minus_Q_tf = 0.0
         if i > 0:
             # i is the last sample, so g ends at it; the partial-step fraction
@@ -204,19 +204,17 @@ def integrate_population(
     return Relaxation(times, n_S, minus_Q, dt, gamma, schedule, t_f, minus_Q_tf)
 
 
-def _first_crossing(what: str, values, threshold: float, max_time: float,
-                    *series) -> tuple[int, list[float]]:
+def _first_crossing(values, threshold: float, max_time: float, *series) -> tuple[int, list[float]]:
     """The switch-off rule of both engines, on a run stopped at its first sample
     at or below threshold or at max_time: the index i = len(values) - 1 of that
     sample, and each of `series` linearly interpolated to the crossing in
-    (i - 1, i] (its first entry if i == 0).  Raises NoCrossingError, naming
-    `what`, when the run stopped above threshold.
+    (i - 1, i] (its first entry if i == 0).  Raises NoCrossingError when the
+    run stopped above threshold.
     """
     i = len(values) - 1
     if not values[i] <= threshold:
         raise NoCrossingError(
-            f"{what} never reached {threshold} before t={max_time} "
-            f"(final n_S={values[i]:.6f})"
+            f"n_S never reached {threshold} before t={max_time} (final n_S={values[i]:.6f})"
         )
     if i == 0:
         return 0, [float(s[0]) for s in series]
@@ -226,18 +224,35 @@ def _first_crossing(what: str, values, threshold: float, max_time: float,
     return i, [float(s[i - 1] + frac * (s[i] - s[i - 1])) for s in series]
 
 
-def sweep_heat_curve(
-    eps1: float, eps2: float, gamma: float, gamma_tau_values
-) -> list[tuple[float, float]]:
-    """Table of (Gamma*tau, -Q) over a list of dimensionless sweep times."""
-    gt = list(gamma_tau_values)
-    if not gt:
+def _heat_curve(eps1: float, eps2: float, gamma: float, gamma_tau_values,
+                n0: float = 1.0, dt: float | None = None):
+    """The one Fig. 1 loop: (Gamma*tau, -Q) rows and (Gamma*tau, exception) failures.
+
+    Every input is checked first, so an input error is raised once; a point whose
+    run fails (no crossing, the step budget, a non-monotone bracket) is a failure.
+    """
+    _check_rate_inputs(gamma, n0, dt)
+    points = [(float(g), SweepSchedule(eps1, eps2, float(g) / gamma)) for g in gamma_tau_values]
+    if not points:
         raise ValueError("gamma_tau list must be nonempty")
-    rows = []
-    for gtau in gt:
-        schedule = SweepSchedule(eps1, eps2, float(gtau) / gamma)
-        run = integrate_population(schedule, gamma)
-        rows.append((float(gtau), run.minus_Q_tf))
+    rows, failures = [], []
+    for gtau, schedule in points:
+        try:
+            rows.append((gtau, integrate_population(schedule, gamma, n0=n0, dt=dt).minus_Q_tf))
+        except (NoCrossingError, ValueError) as exc:
+            failures.append((gtau, exc))
+    return rows, failures
+
+
+def sweep_heat_curve(eps1: float, eps2: float, gamma: float,
+                     gamma_tau_values) -> list[tuple[float, float]]:
+    """Table of (Gamma*tau, -Q) over a list of dimensionless sweep times.
+
+    Raises the first failed point's own exception, after every point has run.
+    """
+    rows, failures = _heat_curve(eps1, eps2, gamma, gamma_tau_values)
+    if failures:
+        raise failures[0][1]
     return rows
 
 

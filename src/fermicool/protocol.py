@@ -157,8 +157,8 @@ class ThermoLedger:
     def total_minus_q(self) -> float:
         return -self.steps[-1].heat
 
-    def record(self, label: str, C, eps: tuple[float, float], heat: float):
-        """Append the step that leaves the two-mode state C.
+    def record(self, label: str, C, eps_S: float, heat: float):
+        """Append the step that leaves the two-mode state C, with the system mode at eps_S.
 
         The entropies are those of `gaussian.subsystem_entropy`, bit for bit,
         read from at most one 2x2 eigensolve: S_M and S_S are the binary
@@ -181,7 +181,8 @@ class ThermoLedger:
             S_MS = S_M + S_S
         else:
             S_MS = _entropy_sum(np.linalg.eigvalsh(C).tolist())
-        energy = eps[0] * n_M + eps[1] * n_S
+        # the memory mode is never detuned, so E = eps_S * n_S; 0.0 + keeps -0.0 out of E
+        energy = 0.0 + eps_S * n_S
         if self.steps:
             e0 = self.steps[0].energy
             s0 = self.steps[0].S_MS
@@ -310,10 +311,10 @@ def _run_operations(C, operations, config: ProtocolConfig, ledger: ThermoLedger 
             if ledger is not None:
                 ledger.interaction_residual = residual
         if ledger is not None:
-            ledger.record(kind, C, (0.0, eps_end), heat)
+            ledger.record(kind, C, eps_end, heat)
             if eps_end != 0.0:
                 # quench the decoupled system level back to zero (pure work, no heat)
-                ledger.record("reset-energy", C, (0.0, 0.0), heat)
+                ledger.record("reset-energy", C, 0.0, heat)
     return C, heat
 
 
@@ -329,7 +330,7 @@ def run_purification(config: ProtocolConfig) -> ThermoLedger:
     """
     C0 = _initial_state(config)
     ledger = ThermoLedger(engine=config.engine)
-    ledger.record("initial", C0, (0.0, 0.0), 0.0)
+    ledger.record("initial", C0, 0.0, 0.0)
 
     n_M0 = float(C0[MEMORY, MEMORY].real)
     coherent = abs(C0[MEMORY, SYSTEM]) > _COHERENCE_TOL

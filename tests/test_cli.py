@@ -304,6 +304,9 @@ class TestProtocolCommand:
                      id="fig1-points-cap"),
         pytest.param(["invariants", "--samples", "100001"], None,
                      "samples must be at most 100000", id="invariants-samples-cap"),
+        # numpy's own error for a negative seed names neither the seed nor its value
+        pytest.param(["invariants", "--seed", "-1"], None, "seed must be nonnegative, got -1",
+                     id="invariants-seed-negative"),
         # fig2's own inputs are reported under their own names
         pytest.param(["fig2", "--gamma-tau", "-1"], None, "gamma_tau must be positive, got -1.0",
                      id="fig2-gamma-tau-negative"),
@@ -400,6 +403,22 @@ class TestFig1Command:
         assert [float(r["gamma_tau"]) for r in rows] == pytest.approx([1.0, 4.0])
         assert meta["skipped_0"] == "gamma_tau=2: no crossing"
         assert "skipped_1" not in meta
+
+    def test_point_over_the_step_budget_skipped(self, tmp_path):
+        # at the default dt a sweep needs 1000 + 2e4/(Gamma*tau) steps, more than
+        # the 1e8 budget below Gamma*tau = 2e-4: the grid 1e-6, 1e-4, 1e-2, 1
+        # loses its first two points and keeps the rest
+        out = tmp_path / "fig1.csv"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"points": 4, "gamma_tau_min": 1e-6, "gamma_tau_max": 1.0}))
+        start = time.perf_counter()
+        assert main(["fig1", "--config", str(cfg), "--out", str(out)]) == 0
+        assert time.perf_counter() - start < 1.0
+        meta, rows = read_csv(out)
+        assert [float(r["gamma_tau"]) for r in rows] == pytest.approx([1e-2, 1.0])
+        assert meta["skipped_0"].startswith("gamma_tau=1e-06: max_time/dt = ")
+        assert meta["skipped_1"].startswith("gamma_tau=0.0001: max_time/dt = ")
+        assert "skipped_2" not in meta
 
     @pytest.mark.parametrize("flag,value,message", [
         pytest.param("gamma", "nan", "gamma must be finite, got nan", id="nan"),

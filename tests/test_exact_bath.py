@@ -71,6 +71,10 @@ class TestReservoirSpec:
             ReservoirSpec(K=10, gamma="0.02")
         with pytest.raises(ValueError, match="window"):
             ReservoirSpec(K=10, gamma=0.02, window=(3.0, -7.0))
+        # a window that is not two numbers is rejected by name, not with a TypeError
+        for window in [("a", "b"), (0.0, "b"), None, (1.0,)]:
+            with pytest.raises(ValueError, match="window must be two increasing numbers"):
+                ReservoirSpec(K=10, gamma=0.02, window=window)
         # an infinite end, or finite ends whose width overflows, would give NaN levels
         for window in [(-math.inf, 3.0), (-1e308, 1e308)]:
             with pytest.raises(ValueError, match="window width must be finite, got inf"):

@@ -300,6 +300,25 @@ class TestSweepHeatCurve:
         with pytest.raises(ValueError, match="nonempty"):
             sweep_heat_curve(-5.0, 1.0, 0.02, [])
 
+    def test_first_failure_reraised_after_every_point(self, monkeypatch):
+        integrate = master_eq.integrate_population
+        errors = {2.0: NoCrossingError("first"), 4.0: ValueError("second")}
+        ran = []
+
+        def fail_at_2_and_4(schedule, gamma, **kwargs):
+            gtau = schedule.tau * gamma
+            ran.append(gtau)
+            if gtau in errors:
+                raise errors[gtau]
+            return integrate(schedule, gamma, **kwargs)
+
+        monkeypatch.setattr(master_eq, "integrate_population", fail_at_2_and_4)
+        with pytest.raises(NoCrossingError) as info:
+            sweep_heat_curve(-5.0, 1.0, 0.02, [1.0, 2.0, 4.0, 8.0])
+        # the point's own exception, raised once the later points have run
+        assert info.value is errors[2.0]
+        assert ran == pytest.approx([1.0, 2.0, 4.0, 8.0])
+
 
 class TestFindZeroCrossing:
     def test_linear_interpolation(self):
@@ -324,4 +343,4 @@ class TestFirstCrossing:
     def test_non_monotone_bracket_rejected(self):
         # a NaN before the first sample at or below the threshold is neither above nor below it
         with pytest.raises(ValueError, match="not monotone across the crossing bracket"):
-            master_eq._first_crossing("population", np.array([1.0, math.nan, 0.2]), 0.5, 1.0)
+            master_eq._first_crossing(np.array([1.0, math.nan, 0.2]), 0.5, 1.0)

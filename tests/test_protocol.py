@@ -247,7 +247,7 @@ class TestRecordEntropies:
     ])
     def test_eigenvalues_outside_unit_interval_are_clamped(self, checked_labels, C):
         # beyond binary_entropy's 1e-12 range tolerance: only the clamp keeps these finite
-        ThermoLedger(engine="quasistatic").record("x", C.astype(complex), (0.0, 0.0), 0.0)
+        ThermoLedger(engine="quasistatic").record("x", C.astype(complex), 0.0, 0.0)
         assert checked_labels == ["x"]
 
     @pytest.mark.parametrize("C", [
@@ -257,7 +257,7 @@ class TestRecordEntropies:
     def test_non_hermitian_rejected(self, C):
         with pytest.raises(ValueError, match="correlation matrix is not Hermitian"):
             ThermoLedger(engine="quasistatic").record(
-                "x", np.array(C, dtype=complex), (0.0, 0.0), 0.0
+                "x", np.array(C, dtype=complex), 0.0, 0.0
             )
 
     @pytest.mark.parametrize("C", [
@@ -267,7 +267,7 @@ class TestRecordEntropies:
     def test_nan_coherence_rejected(self, C):
         with pytest.raises(ValueError, match="correlation matrix is not Hermitian: max deviation nan"):
             ThermoLedger(engine="quasistatic").record(
-                "x", np.array(C, dtype=complex), (0.0, 0.0), 0.0
+                "x", np.array(C, dtype=complex), 0.0, 0.0
             )
 
     @pytest.mark.parametrize("C", [
@@ -278,15 +278,22 @@ class TestRecordEntropies:
         # a NaN in a later term of the deviation must not be dropped by max
         with pytest.raises(ValueError, match="correlation matrix is not Hermitian: max deviation nan"):
             ThermoLedger(engine="quasistatic").record(
-                "x", np.array(C, dtype=complex), (0.0, 0.0), 0.0
+                "x", np.array(C, dtype=complex), 0.0, 0.0
             )
 
     def test_nan_population_rejected(self):
         # the clamp keeps a NaN; the entropy sum raises binary_entropy's error for it
         with pytest.raises(ValueError, match=r"probability nan outside \[0, 1\]"):
             ThermoLedger(engine="quasistatic").record(
-                "x", np.diag([math.nan, 0.5]).astype(complex), (0.0, 0.0), 0.0
+                "x", np.diag([math.nan, 0.5]).astype(complex), 0.0, 0.0
             )
+
+    def test_energy_is_the_system_modes(self):
+        # E = eps_S * n_S, as the memory mode sits at zero energy; a -0.0 product reads 0.0
+        ledger = ThermoLedger(engine="quasistatic")
+        ledger.record("x", np.diag([0.3, 0.25]).astype(complex), -2.0, 0.0)
+        ledger.record("y", np.diag([0.3, -0.0]).astype(complex), 1.0, 0.0)
+        assert [_bits(s.energy) for s in ledger.steps] == [_bits(-0.5), _bits(0.0)]
 
 
 class TestTunnelRotation:
@@ -448,7 +455,7 @@ class TestRunPurificationFiniteTime:
                      "population 0.5000 already below target 0.9", id="already-below-target"),
         # a target 1e-12 above f(eps2) is approached but never reached: the
         # engine's NoCrossingError becomes an EngineError
-        pytest.param("master-equation", (0.5, 0.9), 1e-12, "population never reached",
+        pytest.param("master-equation", (0.5, 0.9), 1e-12, "n_S never reached",
                      id="master-equation-no-crossing"),
         pytest.param("exact-bath", (0.5, 0.9), 1e-12, "n_S never reached",
                      id="exact-bath-no-crossing"),
@@ -607,8 +614,8 @@ class TestTheorem1Check:
     def test_failures_reported(self):
         # sigma = (ln 2 - 2 ln 2) - 0.1 and -Q = -0.1 on a separable, purified run
         ledger = ThermoLedger(engine="quasistatic", purified=True, memory_restored=True)
-        ledger.record("initial", np.diag([0.5, 0.5]).astype(complex), (0.0, 0.0), 0.0)
-        ledger.record("final", np.diag([0.5, 0.0]).astype(complex), (0.0, 0.0), 0.1)
+        ledger.record("initial", np.diag([0.5, 0.5]).astype(complex), 0.0, 0.0)
+        ledger.record("final", np.diag([0.5, 0.0]).astype(complex), 0.0, 0.1)
         result = theorem1_check(ledger, initially_separable=True)
         assert not result.passed
         assert result.failures == [
