@@ -24,7 +24,7 @@ from functools import partial
 
 import numpy as np
 
-from .gaussian import (_is_number, _require_finite, _require_integer, _require_positive,
+from .gaussian import (_is_pair, _require_finite, _require_integer, _require_positive,
                        _require_probability, fermi_occupation)
 from .master_eq import GAMMA_DT, Relaxation, SweepSchedule, _first_crossing, integrate_population
 
@@ -67,8 +67,7 @@ class ReservoirSpec:
             raise ValueError(f"need at least 2 reservoir modes, got K={self.K}")
         _require_positive("gamma", self.gamma)
         w = self.window
-        if not (isinstance(w, (tuple, list)) and len(w) == 2 and all(map(_is_number, w))
-                and w[0] < w[1]):
+        if not (_is_pair(w, of_numbers=True) and w[0] < w[1]):
             raise ValueError(f"window must be two increasing numbers, got {w!r}")
         _require_finite("window width", self.width)
         n = self.K + 1

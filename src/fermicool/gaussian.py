@@ -37,6 +37,12 @@ def _is_number(value) -> bool:
     return isinstance(value, (float, numbers.Real))  # float first skips the ABC check
 
 
+def _is_pair(value, of_numbers: bool = False) -> bool:
+    """A tuple, list or 1-D array of two entries, both numbers if of_numbers."""
+    ok = isinstance(value, (tuple, list)) or isinstance(value, np.ndarray) and value.ndim == 1
+    return ok and len(value) == 2 and (not of_numbers or all(map(_is_number, value)))
+
+
 def _require_integer(name: str, value) -> None:
     if not isinstance(value, numbers.Integral) or isinstance(value, bool):
         raise ValueError(f"{name} must be an integer, got {value!r}")

@@ -240,7 +240,8 @@ def _heat_curve(eps1: float, eps2: float, gamma: float, gamma_tau_values,
         try:
             rows.append((gtau, integrate_population(schedule, gamma, n0=n0, dt=dt).minus_Q_tf))
         except (NoCrossingError, ValueError) as exc:
-            failures.append((gtau, exc))
+            # without its traceback, which would keep the failed run's arrays alive
+            failures.append((gtau, exc.with_traceback(None)))
     return rows, failures
 
 

@@ -22,6 +22,7 @@ import numpy as np
 from . import exact_bath, master_eq
 from .gaussian import (
     _entropy_sum,
+    _is_pair,
     _propagate,
     _require_deviation,
     _require_finite,
@@ -241,8 +242,7 @@ class ProtocolConfig:
             raise ValueError(f"unknown engine {self.engine!r}; choose from {self.ENGINES}")
         d = self.diagonal
         if d is not None:
-            if not (isinstance(d, (tuple, list)) or isinstance(d, np.ndarray) and d.ndim == 1) \
-                    or len(d) != 2:
+            if not _is_pair(d):
                 raise ValueError(f"diagonal must hold two populations, got {d!r}")
             _require_probability("diagonal n_M", d[0])
             _require_probability("diagonal n_S", d[1])

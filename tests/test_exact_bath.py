@@ -72,9 +72,11 @@ class TestReservoirSpec:
         with pytest.raises(ValueError, match="window"):
             ReservoirSpec(K=10, gamma=0.02, window=(3.0, -7.0))
         # a window that is not two numbers is rejected by name, not with a TypeError
-        for window in [("a", "b"), (0.0, "b"), None, (1.0,)]:
+        for window in [("a", "b"), (0.0, "b"), None, (1.0,), np.full((2, 2), 1.0)]:
             with pytest.raises(ValueError, match="window must be two increasing numbers"):
                 ReservoirSpec(K=10, gamma=0.02, window=window)
+        # a 1-D array of two is a pair, as for ProtocolConfig.diagonal
+        assert ReservoirSpec(K=10, gamma=0.02, window=np.array([-7.0, 3.0])).width == 10.0
         # an infinite end, or finite ends whose width overflows, would give NaN levels
         for window in [(-math.inf, 3.0), (-1e308, 1e308)]:
             with pytest.raises(ValueError, match="window width must be finite, got inf"):

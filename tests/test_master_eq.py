@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -318,6 +319,23 @@ class TestSweepHeatCurve:
         # the point's own exception, raised once the later points have run
         assert info.value is errors[2.0]
         assert ran == pytest.approx([1.0, 2.0, 4.0, 8.0])
+
+    def test_failed_run_freed(self, monkeypatch):
+        # a kept exception must not keep the failed run's frame, and so its arrays, alive
+        runs = []
+
+        class Run:
+            pass
+
+        def fail(schedule, gamma, **kwargs):
+            run = Run()
+            runs.append(weakref.ref(run))
+            raise NoCrossingError(f"no crossing for {run}")
+
+        monkeypatch.setattr(master_eq, "integrate_population", fail)
+        rows, failures = master_eq._heat_curve(-5.0, 1.0, 0.02, [1.0, 2.0, 4.0])
+        assert rows == [] and len(failures) == 3
+        assert [ref() for ref in runs] == [None, None, None]
 
 
 class TestFindZeroCrossing:
