@@ -26,7 +26,8 @@ import numpy as np
 
 from .gaussian import (_is_pair, _require_finite, _require_integer, _require_positive,
                        _require_probability, fermi_occupation)
-from .master_eq import GAMMA_DT, Relaxation, SweepSchedule, _first_crossing, integrate_population
+from .master_eq import (GAMMA_DT, Relaxation, SweepSchedule, _check_stop, _first_crossing,
+                        integrate_population)
 
 # Budgets of a run, checked before any (K+1)^2 allocation (the memory budget
 # when its ReservoirSpec is built): the work of a run is bounded by
@@ -278,7 +279,7 @@ def simulate(
         )
     if max_time is None:
         max_time = schedule.tau + 20.0 / spec.gamma
-    _require_finite("max_time", max_time)
+    _check_stop(threshold, max_time)
     _check_budget(spec, dt, max_time)
 
     levels, t_amp = build_reservoir(spec)

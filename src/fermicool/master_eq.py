@@ -7,7 +7,9 @@ time t_f at which the population first reaches 1/2.
 The integrator is classical fixed-step RK4.  Because the ODE is linear, one
 RK4 step is an affine map of n_S, so the steps are evaluated as a vectorised
 scan over blocks of the time grid; only the blocks up to the crossing are
-ever built.
+ever built.  A block that starts at or after tau holds eps2 throughout, so
+every held block shares one energy, one Fermi factor and one array of
+running sums, computed once per run.
 """
 
 from __future__ import annotations
@@ -101,6 +103,16 @@ def _check_rate_inputs(gamma: float, n0: float, dt: float | None) -> None:
             raise ValueError(f"dt={dt} too coarse; require dt <= 0.01/gamma = {0.01 / gamma}")
 
 
+def _check_stop(threshold: float | None, max_time: float) -> None:
+    """Reject a stop rule of either engine that no run can keep: a threshold
+    that is not a finite number, or a max_time that is not a finite number >= 0."""
+    if threshold is not None:
+        _require_finite("threshold", threshold)
+    _require_finite("max_time", max_time)
+    if max_time < 0:
+        raise ValueError(f"max_time must be nonnegative, got {max_time}")
+
+
 def integrate_population(
     schedule: SweepSchedule,
     gamma: float,
@@ -119,7 +131,10 @@ def integrate_population(
     n_{k+1} = A n_k + B0 f_k + Bm f_{k+1/2} + B1 f_{k+1}.  The steps are
     evaluated block by block as n_j = A^j (n_start + sum_{i<j} b_i / A^{i+1}),
     with the Fermi factors built for one block at a time, so memory is bounded
-    by the samples kept up to the crossing.
+    by the samples kept up to the crossing.  A held block (one that starts at
+    or after tau) has one energy, one Fermi factor and so one drive b; its
+    running sums are a prefix of cumsum(b / A^{i+1}), built by the first held
+    block and shared by the rest, with the bits of the per-sample scan.
 
     -Q(t) = -int eps_S n_S' dt is the cumulative trapezoid of the integrand
     eps_S n_S', with n_S' taken from the ODE right-hand side at each sample.
@@ -137,7 +152,7 @@ def integrate_population(
         dt = min(0.01 / gamma, schedule.tau / 1000.0)
     if max_time is None:
         max_time = schedule.tau + 20.0 / gamma
-    _require_finite("max_time", max_time)
+    _check_stop(threshold, max_time)
 
     if max_time / dt > _MAX_STEPS:
         raise ValueError(
@@ -151,6 +166,7 @@ def integrate_population(
     bm = h / 6.0 * (4.0 - 2.0 * h + h**2 / 2.0)
     b1 = h / 6.0
     powers = a ** np.arange(1, min(_BLOCK_STEPS, nsteps) + 1)
+    held_sums = None  # the running sums of a held block, built by the first one
 
     n = float(n0)
     chunks = [np.array([n])]
@@ -159,12 +175,22 @@ def integrate_population(
     while k < nsteps and not (threshold is not None and n <= threshold):
         m = min(_BLOCK_STEPS, nsteps - k)
         t = dt * np.arange(k, k + m + 1)
-        e = schedule.energy(t)
-        f = fermi_occupation(e)
-        f_half = fermi_occupation(schedule.energy(t[:-1] + 0.5 * dt))
-        drive = b0 * f[:-1] + bm * f_half + b1 * f[1:]
         pw = powers[:m]
-        ns = pw * (n + np.cumsum(drive / pw))
+        if t[0] >= schedule.tau:
+            # held: every sample sits at eps2, so e and f are one element each
+            # (broadcast below) and the drive is one number; the cumsum of a
+            # prefix is the prefix of the cumsum, bit for bit
+            if held_sums is None:
+                e = np.array([schedule.energy(schedule.tau)])
+                f = fermi_occupation(e)
+                held_sums = np.cumsum((b0 * f + bm * f + b1 * f) / powers)
+            ns = pw * (n + held_sums[:m])
+        else:
+            e = schedule.energy(t)
+            f = fermi_occupation(e)
+            f_half = fermi_occupation(schedule.energy(t[:-1] + 0.5 * dt))
+            drive = b0 * f[:-1] + bm * f_half + b1 * f[1:]
+            ns = pw * (n + np.cumsum(drive / pw))
         if threshold is not None:
             below = np.flatnonzero(ns <= threshold)
             if below.size:

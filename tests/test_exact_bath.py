@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fermicool import exact_bath
+from fermicool import exact_bath, master_eq
 from fermicool.exact_bath import (
     ReservoirSpec,
     build_full_hamiltonian,
@@ -317,6 +317,45 @@ class TestPropagatorAccumulation:
         ref = conjugation_loop(fig2_run.spec, fig2_run.schedule, 1.0, fig2_run.dt, 0.5,
                                fig2_run.schedule.tau + 20.0 / fig2_run.spec.gamma)
         self.assert_same_run(fig2_run, ref)
+
+
+# one schedule run by either engine; each takes the stop rule as keywords
+STOP_SCHEDULE = SweepSchedule(-5.0, 1.0, 10.0)
+ENGINES = {
+    "master-equation": lambda **stop: integrate_population(STOP_SCHEDULE, 0.05, dt=0.1, **stop),
+    "exact-bath": lambda **stop: simulate(ReservoirSpec(K=10, gamma=0.05), STOP_SCHEDULE,
+                                          dt=1.0, **stop),
+}
+
+
+class TestStopRule:
+    """Both engines check threshold and max_time with one rule, before any work."""
+
+    @pytest.fixture
+    def no_work(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the run was started")
+        monkeypatch.setattr(exact_bath, "build_reservoir", refuse)
+        monkeypatch.setattr(master_eq, "fermi_occupation", refuse)
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("stop,message", [
+        ({"max_time": -5.0}, "max_time must be nonnegative, got -5.0"),
+        ({"max_time": -5.0, "threshold": None}, "max_time must be nonnegative, got -5.0"),
+        ({"threshold": math.nan}, "threshold must be finite, got nan"),
+        ({"threshold": math.inf}, "threshold must be finite, got inf"),
+        ({"threshold": -math.inf, "max_time": 5.0}, "threshold must be finite, got -inf"),
+    ], ids=["max_time-negative", "max_time-negative-no-threshold", "threshold-nan",
+            "threshold-inf", "threshold-minus-inf"])
+    def test_rejected(self, no_work, engine, stop, message):
+        with pytest.raises(ValueError, match=message):
+            ENGINES[engine](**stop)
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_zero_max_time_is_one_sample(self, engine):
+        run = ENGINES[engine](threshold=None, max_time=0.0)
+        assert run.times.tolist() == [0.0]
+        assert run.n_S.tolist() == [1.0]
 
 
 class TestBudget:

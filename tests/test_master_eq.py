@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import weakref
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -239,6 +240,55 @@ class TestBlockwiseScan:
         samples, peak_kib = int(out[0]), int(out[1])
         assert samples < 2_000_000
         assert peak_kib < 200 * 1024
+
+
+@dataclass(frozen=True)
+class NeverHeld:
+    """A SweepSchedule's energies with tau = inf, so that integrate_population
+    takes the per-sample path in every block.  Callers pass dt and max_time,
+    whose defaults read tau."""
+
+    schedule: SweepSchedule
+    tau: float = math.inf
+
+    def energy(self, t):
+        return self.schedule.energy(t)
+
+
+class TestHeldBlocks:
+    """A block that starts at or after tau shares one energy, Fermi factor and
+    running sum; it gives the bits of the per-sample path."""
+
+    @staticmethod
+    def assert_same_bits(schedule, gamma, dt, max_time, **kwargs):
+        held = integrate_population(schedule, gamma, dt=dt, max_time=max_time, **kwargs)
+        swept = integrate_population(NeverHeld(schedule), gamma, dt=dt, max_time=max_time,
+                                     **kwargs)
+        for name in ("times", "n_S", "minus_Q"):
+            assert np.array_equal(getattr(held, name), getattr(swept, name)), name
+        assert (held.t_f, held.minus_Q_tf) == (swept.t_f, swept.minus_Q_tf)
+        return held
+
+    def test_fast_sweep(self):
+        # Gamma*tau = 0.01: 1,000 swept steps in block 0, then blocks 1-28 held,
+        # the crossing at step 115,885 in block 28
+        schedule = SweepSchedule(-5.0, 1.0, 0.5)
+        run = self.assert_same_bits(schedule, 0.02, 0.0005, schedule.tau + 1000.0)
+        assert run.n_S.size - 1 > 28 * master_eq._BLOCK_STEPS
+
+    def test_hold_from_mid_block_crossing_in_partial_block(self):
+        # the hold starts at step 3000.5 of block 0; block 1 is a trailing
+        # partial block (steps 4096-6000) and holds the crossing (step 4502)
+        run = self.assert_same_bits(SweepSchedule(-5.0, 1.0, 30.005), 0.05, 0.01, 60.0)
+        assert master_eq._BLOCK_STEPS < run.n_S.size - 1 < 6000
+
+    def test_threshold_none(self):
+        run = self.assert_same_bits(SweepSchedule(-5.0, 1.0, 0.5), 0.02, 0.0005, 100.5,
+                                    threshold=None)
+        assert run.n_S.size == 201_001
+
+    def test_partial_initial_population(self):
+        self.assert_same_bits(SweepSchedule(-5.0, 1.0, 0.5), 0.02, 0.0005, 1000.5, n0=0.8)
 
 
 class TestHeat:

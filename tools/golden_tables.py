@@ -2,8 +2,8 @@
 
     python3 tools/golden_tables.py OUTDIR
 
-Runs twelve CLI configurations through `fermicool.cli.main` in-process, each
-in csv and json (24 tables), importing fermicool from the `src/` of the
+Runs fourteen CLI configurations through `fermicool.cli.main` in-process, each
+in csv and json (28 tables), importing fermicool from the `src/` of the
 checkout this script sits in.  Run it in two checkouts and compare with
 `diff -r OUT_A OUT_B`; a refactor that keeps its numbers leaves no
 difference.
@@ -37,14 +37,21 @@ from ledger_digest import digest  # noqa: E402
 CUSTOM_SEQUENCE = {"sequence": [
     {"op": "rotate"}, {"op": "relax", "target": 0.5}, {"op": "swap"},
 ]}
+# fast sweeps, almost all hold: at Gamma*tau = 0.001 the rate equation holds
+# for about 1.15 million steps before n_S reaches 1/2
+FAST_FIG1 = {"gamma_tau_min": 0.001, "gamma_tau_max": 0.1, "points": 3}
 
 # name -> (argv, config or None)
 TABLES = {
     "protocol_quasistatic": (["protocol", "--engine", "quasistatic"], None),
     "protocol_master-equation": (["protocol", "--engine", "master-equation"], None),
+    # Gamma*tau = 0.01: a 1,000-step sweep, then about 115,000 held steps
+    "protocol_master-equation_fast": (["protocol", "--engine", "master-equation",
+                                       "--tau", "0.5"], None),
     "protocol_exact-bath": (["protocol", "--engine", "exact-bath"], None),
     "protocol_exact-bath_K50": (["protocol", "--engine", "exact-bath", "--K", "50"], None),
     "fig1": (["fig1"], None),
+    "fig1_fast": (["fig1"], FAST_FIG1),
     "fig2": (["fig2"], None),
     "fig2_K50": (["fig2", "--K", "50"], None),
     # the hold phase: the sweep ends at Gamma*tau = 1, the crossing comes at Gamma*t = 1.908
