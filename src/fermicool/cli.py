@@ -150,6 +150,7 @@ def cmd_fig2(params: dict):
     for key in ("gamma_tau", "gamma_dt"):
         _require_positive(key, params[key])
     _require_probability("n0", params["n0"])
+    master_eq._check_switch_off(params["n0"])
     gamma = params["gamma"]
     spec = exact_bath.ReservoirSpec(K=params["K"], gamma=gamma)
     schedule = SweepSchedule(params["eps1"], params["eps2"], params["gamma_tau"] / gamma)

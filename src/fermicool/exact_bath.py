@@ -26,13 +26,13 @@ import numpy as np
 
 from .gaussian import (_is_pair, _require_finite, _require_integer, _require_positive,
                        _require_probability, fermi_occupation)
-from .master_eq import (GAMMA_DT, Relaxation, SweepSchedule, _check_stop, _first_crossing,
+from .master_eq import (GAMMA_DT, Relaxation, SweepSchedule, _first_crossing, _horizon,
                         integrate_population)
 
 # Budgets of a run, checked before any (K+1)^2 allocation (the memory budget
-# when its ReservoirSpec is built): the work of a run is bounded by
-# ceil(max_time/dt) propagator products of (K+1)^3, and it holds at most
-# _DENSE_MATRICES dense (K+1)^2 complex matrices at once
+# when its ReservoirSpec is built): a run steps on the grid t_k = k*dt up to
+# the first t_k >= max_time, one propagator product of (K+1)^3 a step, and
+# it holds at most _DENSE_MATRICES dense (K+1)^2 complex matrices at once
 # (tracemalloc peaks of 6.74, 6.57 and 6.51 at K = 200, 400 and 1000).
 # Held throughout: W, its two step buffers and the solver's real eigenvector
 # buffer (half a matrix).  At the end come three more: the two factors and
@@ -229,17 +229,6 @@ def initial_state(spec: ReservoirSpec, n_S0: float = 1.0) -> np.ndarray:
     return np.diag(_occupations(spec, n_S0)).astype(complex)
 
 
-def _check_budget(spec: ReservoirSpec, dt: float, max_time: float) -> None:
-    """Reject a run that would exceed the work budget, before allocating."""
-    n = spec.K + 1
-    steps = np.ceil(max_time / dt)
-    if steps > _WORK_BUDGET / n**3:
-        raise ValueError(
-            f"max_time/dt = {max_time}/{dt} needs {steps:.3g} steps of "
-            f"(K+1)^3 = {n**3:.3g}, more than the work budget {_WORK_BUDGET:.0e}"
-        )
-
-
 def simulate(
     spec: ReservoirSpec,
     schedule: SweepSchedule,
@@ -254,7 +243,7 @@ def simulate(
     propagator is U = V e^{i dt w} V^T from the eigendecomposition
     H = V diag(w) V^T of the real arrowhead.  `_SecularSolver` finds it in
     O(K^2) for a block of upcoming steps at once (as many as its element
-    budget allows, never past max_time); a block that holds the last energy
+    budget allows, never past the last step); a block that holds the last energy
     solved reuses its eigenpairs for each of its steps.  The run carries the
     accumulated propagator W <- U W, applied as two real matrix products on
     the float view of W, and reads n_S and the reservoir energy off the
@@ -262,11 +251,13 @@ def simulate(
     -Q are kept per step; C_final is built once, at the end, so C after k
     steps is the C_final of a run with threshold=None and max_time = k*dt.
 
-    The run stops when n_S first reaches `threshold`; t_f and minus_Q_tf
-    follow the rate equation's switch-off rule.  Raises NoCrossingError at
-    max_time.  Raises ValueError, before allocating any (K+1)^2 matrix, when
-    ceil(max_time/dt) * (K+1)^3 exceeds the work budget _WORK_BUDGET (1e11,
-    about a minute on a 2-vCPU host); the spec already fits the memory budget.
+    The samples sit on the rate equation's grid t_k = k*dt, up to the first
+    t_k >= max_time (`master_eq._horizon`).  The run stops when n_S first
+    reaches `threshold`; t_f and minus_Q_tf follow the rate equation's
+    switch-off rule.  Raises NoCrossingError at max_time.  Raises ValueError,
+    before allocating any (K+1)^2 matrix, when steps * (K+1)^3 exceeds the
+    work budget _WORK_BUDGET (1e11, about a minute on a 2-vCPU host); the
+    spec already fits the memory budget.
     """
     if dt is None:
         dt = GAMMA_DT / spec.gamma
@@ -277,10 +268,8 @@ def simulate(
             "error may be visible",
             stacklevel=2,
         )
-    if max_time is None:
-        max_time = schedule.tau + 20.0 / spec.gamma
-    _check_stop(threshold, max_time)
-    _check_budget(spec, dt, max_time)
+    max_time, nsteps = _horizon(schedule, spec.gamma, dt, threshold, max_time,
+                                _WORK_BUDGET / (spec.K + 1) ** 3)
 
     levels, t_amp = build_reservoir(spec)
     c0 = _occupations(spec, n_S0)
@@ -291,46 +280,39 @@ def simulate(
     # step buffers, reused so that no step pays the page faults of fresh arrays
     X, W_next = np.empty_like(W), np.empty_like(W)
 
-    times = [0.0]
     ns = [float(c0[0])]
     minus_Q = [0.0]
 
-    t = 0.0
-    end = max_time - 1e-12 * max(1.0, max_time)
+    stop = -math.inf if threshold is None else threshold
     prev_eps = math.nan
-    crossed = threshold is not None and ns[0] <= threshold
-    while not crossed and t < end:
-        # the next block of step start times, summed exactly as the steps sum them
-        starts = [t]
-        while len(starts) < solve.block and starts[-1] + dt < end:
-            starts.append(starts[-1] + dt)
-        eps_block = schedule.energy(np.array(starts))
+    for k in range(0, nsteps, solve.block):
+        if ns[-1] <= stop:
+            break
+        eps_block = schedule.energy(dt * np.arange(k, min(k + solve.block, nsteps)))
         if (eps_block != prev_eps).any():
             w_block, Vt_block = solve(eps_block)
             pairs = zip(Vt_block, np.exp(1j * dt * w_block)[:, :, None])
         else:  # a held block reuses the eigenpairs of the last energy solved
-            pairs = [(Vt, phase)] * len(starts)
+            pairs = [(Vt, phase)] * len(eps_block)
         prev_eps = eps_block[-1]
         for Vt, phase in pairs:
             np.matmul(Vt, W.view(np.float64), out=X.view(np.float64))
             X *= phase
             np.matmul(Vt.T, X.view(np.float64), out=W_next.view(np.float64))
             W, W_next = W_next, W
-            t += dt
             P = np.square(W.view(np.float64), out=X.view(np.float64)) @ c0_pairs
-            times.append(t)
             ns.append(float(P[0]))
             minus_Q.append(float(P[1:] @ levels) - E_R0)
-            if threshold is not None and ns[-1] <= threshold:
-                crossed = True
+            if ns[-1] <= stop:
                 break
 
-    times, ns, minus_Q = np.array(times), np.array(ns), np.array(minus_Q)
+    ns, minus_Q = np.array(ns), np.array(minus_Q)
+    times = dt * np.arange(ns.size)
     t_f = minus_Q_tf = None
     if threshold is not None:
         _, (t_f, minus_Q_tf) = _first_crossing(ns, threshold, max_time, times, minus_Q)
     C = (W * c0) @ W.conj().T
-    return Relaxation(times, ns, minus_Q, dt, spec.gamma, schedule, t_f, minus_Q_tf,
+    return Relaxation(times, ns, minus_Q, dt, spec.gamma, schedule, threshold, t_f, minus_Q_tf,
                       spec, 0.5 * (C + C.conj().T))
 
 
@@ -357,7 +339,8 @@ def compare_with_master_equation(run: Relaxation) -> DeviationReport:
 
     Population deviations are taken over the exact run's sample times up to
     t_f; the heat deviation compares each description's -Q at its own
-    switch-off time.
+    switch-off time.  The rate equation switches off at the run's threshold,
+    or at 1/2 for a run with none.
     """
     rate_equation = partial(
         integrate_population, run.schedule, run.gamma, n0=float(run.n_S[0]),
@@ -365,7 +348,8 @@ def compare_with_master_equation(run: Relaxation) -> DeviationReport:
     )
     # the free run spans the exact run's times; the stopped one switches off
     # exactly as a rate-equation run of its own does
-    free, stopped = rate_equation(threshold=None), rate_equation()
+    free = rate_equation(threshold=None)
+    stopped = rate_equation(threshold=0.5 if run.threshold is None else run.threshold)
     master = replace(
         stopped,
         times=run.times,

@@ -10,6 +10,10 @@ scan over blocks of the time grid; only the blocks up to the crossing are
 ever built.  A block that starts at or after tau holds eps2 throughout, so
 every held block shares one energy, one Fermi factor and one array of
 running sums, computed once per run.
+
+Both finite-time engines (this one and exact_bath.simulate) sample one time
+grid, t_k = k*dt for k = 0..nsteps, where nsteps is the smallest k with
+k*dt >= max_time; `_horizon` sets it, with the stop and step-budget checks.
 """
 
 from __future__ import annotations
@@ -73,8 +77,9 @@ class SweepSchedule:
 class Relaxation:
     """n_S(t) and -Q(t) of one finite-time relaxation, from either engine.
 
-    t_f and minus_Q_tf are set when the run stopped at its threshold; spec
-    (an exact_bath.ReservoirSpec) and C_final only by the exact bath.
+    threshold is the switch-off level of the run (None: run to max_time); t_f
+    and minus_Q_tf are set when the run stopped at it; spec (an
+    exact_bath.ReservoirSpec) and C_final only by the exact bath.
     """
 
     times: np.ndarray
@@ -83,6 +88,7 @@ class Relaxation:
     dt: float
     gamma: float
     schedule: SweepSchedule
+    threshold: float | None
     t_f: float | None = None
     minus_Q_tf: float | None = None
     spec: object | None = None
@@ -103,14 +109,35 @@ def _check_rate_inputs(gamma: float, n0: float, dt: float | None) -> None:
             raise ValueError(f"dt={dt} too coarse; require dt <= 0.01/gamma = {0.01 / gamma}")
 
 
-def _check_stop(threshold: float | None, max_time: float) -> None:
-    """Reject a stop rule of either engine that no run can keep: a threshold
-    that is not a finite number, or a max_time that is not a finite number >= 0."""
+def _check_switch_off(n0: float) -> None:
+    """Reject a figure run that would switch off at t = 0: n0 at or below 1/2."""
+    if not n0 > 0.5:
+        raise ValueError(f"n0 must be above the switch-off threshold 0.5, got {n0}")
+
+
+def _horizon(schedule: SweepSchedule, gamma: float, dt: float, threshold: float | None,
+             max_time: float | None, max_steps: float) -> tuple[float, int]:
+    """The grid of both engines: max_time (default tau + 20/gamma) and nsteps, the
+    smallest k with k*dt >= max_time.  Rejects, before any work, a threshold or
+    max_time that is not a finite number, a negative max_time and a grid of more
+    than max_steps steps."""
+    if max_time is None:
+        max_time = schedule.tau + 20.0 / gamma
     if threshold is not None:
         _require_finite("threshold", threshold)
     _require_finite("max_time", max_time)
     if max_time < 0:
         raise ValueError(f"max_time must be nonnegative, got {max_time}")
+    # the quotient can round across an integer; the grid's own products decide
+    nsteps = np.ceil(max_time / dt)
+    if nsteps * dt < max_time:
+        nsteps += 1
+    elif nsteps > 0 and (nsteps - 1) * dt >= max_time:
+        nsteps -= 1
+    if nsteps > max_steps:
+        raise ValueError(f"max_time/dt = {max_time}/{dt} needs {nsteps:.3g} steps, "
+                         f"more than the work budget of {max_steps:.3g}")
+    return max_time, int(nsteps)
 
 
 def integrate_population(
@@ -150,16 +177,7 @@ def integrate_population(
         )
     if dt is None:
         dt = min(0.01 / gamma, schedule.tau / 1000.0)
-    if max_time is None:
-        max_time = schedule.tau + 20.0 / gamma
-    _check_stop(threshold, max_time)
-
-    if max_time / dt > _MAX_STEPS:
-        raise ValueError(
-            f"max_time/dt = {max_time}/{dt} needs {max_time / dt:.3g} steps, "
-            f"more than {_MAX_STEPS:.0e}"
-        )
-    nsteps = int(np.ceil(max_time / dt))
+    max_time, nsteps = _horizon(schedule, gamma, dt, threshold, max_time, _MAX_STEPS)
     h = gamma * dt
     a = 1.0 - h + h**2 / 2.0 - h**3 / 6.0 + h**4 / 24.0
     b0 = h / 6.0 * (1.0 - h + h**2 / 2.0 - h**3 / 4.0)
@@ -227,7 +245,7 @@ def integrate_population(
             minus_Q_tf = float(-(areas[: i - 1].sum() + partial))
     np.cumsum(areas, out=areas)
     np.negative(minus_Q, out=minus_Q)
-    return Relaxation(times, n_S, minus_Q, dt, gamma, schedule, t_f, minus_Q_tf)
+    return Relaxation(times, n_S, minus_Q, dt, gamma, schedule, threshold, t_f, minus_Q_tf)
 
 
 def _first_crossing(values, threshold: float, max_time: float, *series) -> tuple[int, list[float]]:
@@ -258,6 +276,7 @@ def _heat_curve(eps1: float, eps2: float, gamma: float, gamma_tau_values,
     run fails (no crossing, the step budget, a non-monotone bracket) is a failure.
     """
     _check_rate_inputs(gamma, n0, dt)
+    _check_switch_off(n0)
     points = [(float(g), SweepSchedule(eps1, eps2, float(g) / gamma)) for g in gamma_tau_values]
     if not points:
         raise ValueError("gamma_tau list must be nonempty")

@@ -314,6 +314,13 @@ class TestProtocolCommand:
                      id="fig2-gamma-dt-0"),
         pytest.param(["fig2", "--n0", "1.5"], None, "n0 must be a number in [0, 1], got 1.5",
                      id="fig2-n0-above-one"),
+        # a start at or below the switch-off level would switch off at t = 0
+        pytest.param(["fig1", "--n0", "0.3"], None,
+                     "n0 must be above the switch-off threshold 0.5, got 0.3", id="fig1-n0-0.3"),
+        pytest.param(["fig1", "--n0", "0.5"], None,
+                     "n0 must be above the switch-off threshold 0.5, got 0.5", id="fig1-n0-0.5"),
+        pytest.param(["fig2", "--n0", "0.4"], None,
+                     "n0 must be above the switch-off threshold 0.5, got 0.4", id="fig2-n0-0.4"),
     ])
     def test_non_finite_parameter_exit_code(self, tmp_path, capsys, argv, config, message):
         if config is not None:

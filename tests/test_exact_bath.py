@@ -28,13 +28,13 @@ def conjugation_loop(spec, schedule, n_S0, dt, threshold, max_time):
     idx = np.arange(1, spec.K + 1)
     E_R0 = float(np.real(C[idx, idx] @ levels))
     times, ns, mq = [0.0], [float(C[0, 0].real)], [0.0]
-    t = 0.0
-    end = max_time - 1e-12 * max(1.0, max_time)
-    while not (threshold is not None and ns[-1] <= threshold) and t < end:
-        H = build_full_hamiltonian(schedule.energy(t), levels, t_amp).astype(complex)
+    # steps start at t_k = k*dt until the first t_k >= max_time
+    k = 0
+    while not (threshold is not None and ns[-1] <= threshold) and k * dt < max_time:
+        H = build_full_hamiltonian(schedule.energy(k * dt), levels, t_amp).astype(complex)
         C = evolve_step(C, H, dt)
-        t += dt
-        times.append(t)
+        k += 1
+        times.append(k * dt)
         ns.append(float(C[0, 0].real))
         mq.append(float(np.real(C[idx, idx] @ levels)) - E_R0)
     t_f = minus_Q_tf = None
@@ -322,14 +322,16 @@ class TestPropagatorAccumulation:
 # one schedule run by either engine; each takes the stop rule as keywords
 STOP_SCHEDULE = SweepSchedule(-5.0, 1.0, 10.0)
 ENGINES = {
-    "master-equation": lambda **stop: integrate_population(STOP_SCHEDULE, 0.05, dt=0.1, **stop),
-    "exact-bath": lambda **stop: simulate(ReservoirSpec(K=10, gamma=0.05), STOP_SCHEDULE,
-                                          dt=1.0, **stop),
+    "master-equation": lambda dt=0.1, **stop: integrate_population(STOP_SCHEDULE, 0.05, dt=dt,
+                                                                   **stop),
+    "exact-bath": lambda dt=1.0, **stop: simulate(ReservoirSpec(K=10, gamma=0.05), STOP_SCHEDULE,
+                                                  dt=dt, **stop),
 }
 
 
 class TestStopRule:
-    """Both engines check threshold and max_time with one rule, before any work."""
+    """Both engines check threshold and max_time with one rule, before any work,
+    and sample one grid t_k = k*dt up to the first grid time at or after max_time."""
 
     @pytest.fixture
     def no_work(self, monkeypatch):
@@ -356,6 +358,20 @@ class TestStopRule:
         run = ENGINES[engine](threshold=None, max_time=0.0)
         assert run.times.tolist() == [0.0]
         assert run.n_S.tolist() == [1.0]
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    # at k = 3, 3*0.1 = 0.30000000000000004, whose quotient by 0.1 rounds up past 3;
+    # at 7, 29 and 100 a running sum of 0.1 misses k*0.1
+    @pytest.mark.parametrize("k", [3, 7, 29, 100])
+    def test_grid_ends_at_max_time(self, engine, k):
+        run = ENGINES[engine](dt=0.1, threshold=None, max_time=k * 0.1)
+        assert np.array_equal(run.times, 0.1 * np.arange(k + 1))
+
+    def test_long_bath_run_keeps_the_grid(self):
+        # a running sum of 1.2 would drift from 1.2*k by about 5e-11 here
+        run = simulate(ReservoirSpec(K=2, gamma=0.05), SweepSchedule(-5.0, 1.0, 200.0), dt=1.2,
+                       threshold=None, max_time=2000 * 1.2)
+        assert np.array_equal(run.times, 1.2 * np.arange(2001))
 
 
 class TestBudget:
@@ -385,8 +401,9 @@ class TestBudget:
 
     def test_published_runs_fit(self):
         # the K=400 convergence run, the largest in the tests, demos and benchmark
-        spec = ReservoirSpec(K=400, gamma=0.02)
-        exact_bath._check_budget(spec, 3.0, 500.0 + 20.0 / 0.02)
+        budget = exact_bath._WORK_BUDGET / 401**3
+        schedule = SweepSchedule(-5.0, 1.0, 500.0)
+        assert master_eq._horizon(schedule, 0.02, 3.0, 0.5, None, budget) == (1500.0, 500)
 
 
 class TestCompareWithMasterEquation:
@@ -414,6 +431,15 @@ class TestCompareWithMasterEquation:
         assert report.master.t_f == own.t_f
         assert report.master.minus_Q_tf == own.minus_Q_tf
         assert np.array_equal(report.master.times, run.times)
+
+    def test_master_switches_off_at_the_runs_threshold(self, fig2_run):
+        schedule, gamma = fig2_run.schedule, fig2_run.gamma
+        run = simulate(ReservoirSpec(K=50, gamma=gamma), schedule, dt=fig2_run.dt, threshold=0.7)
+        report = compare_with_master_equation(run)
+        own = integrate_population(schedule, gamma, threshold=0.7)
+        assert report.master.threshold == run.threshold == 0.7
+        assert report.master.t_f == own.t_f
+        assert report.master.minus_Q_tf == own.minus_Q_tf
 
     def test_reservoir_size_convergence(self, fig2_run):
         spec = ReservoirSpec(K=400, gamma=fig2_run.spec.gamma)

@@ -2,8 +2,8 @@
 
     python3 tools/golden_tables.py OUTDIR
 
-Runs fourteen CLI configurations through `fermicool.cli.main` in-process, each
-in csv and json (28 tables), importing fermicool from the `src/` of the
+Runs fifteen CLI configurations through `fermicool.cli.main` in-process, each
+in csv and json (30 tables), importing fermicool from the `src/` of the
 checkout this script sits in.  Run it in two checkouts and compare with
 `diff -r OUT_A OUT_B`; a refactor that keeps its numbers leaves no
 difference.
@@ -57,6 +57,8 @@ TABLES = {
     # the hold phase: the sweep ends at Gamma*tau = 1, the crossing comes at Gamma*t = 1.908
     "fig2_hold": (["fig2", "--gamma-tau", "1"], None),
     "fig2_hold_K100": (["fig2", "--gamma-tau", "1", "--K", "100"], None),
+    # dt = 1.2, whose multiples k*1.2 differ from a running sum of 1.2
+    "fig2_gamma0.05": (["fig2", "--gamma", "0.05", "--K", "50"], None),
     "witness": (["witness"], None),
     "witness_custom_sequence": (["witness"], CUSTOM_SEQUENCE),
     "invariants": (["invariants", "--samples", "200", "--seed", "0"], None),
