@@ -6,13 +6,14 @@ chosen so that Gamma = 2*pi*T^2*xi holds exactly for the empirical density
 of states xi = K / window_width.  Heat is read off the reservoir energy.
 
 The single-particle Hamiltonian is a real symmetric arrowhead, whose
-eigenpairs `_SecularSolver` finds in O(K^2) from its secular equation, and
-the initial correlation matrix C0 = diag(c0) is diagonal, so the one step
-loop of `simulate` carries the accumulated propagator W instead of C:
-C(t) = W diag(c0) W^dag, and the occupations are the diagonal |W|^2 c0.
-C itself is built once, at the end.  The eigenpairs are solved a block of
-steps at a time; a block that only holds the last energy solved, as in the
-hold after the sweep, solves nothing.
+eigenpairs `_SecularSolver` finds in O(K^2) from its secular equation (a
+call forms its roots' pole differences once and reuses them in every Newton
+iteration and in the eigenvectors), and the initial correlation matrix
+C0 = diag(c0) is diagonal, so the one step loop of `simulate` carries the
+accumulated propagator W instead of C: C(t) = W diag(c0) W^dag, and the
+occupations are the diagonal |W|^2 c0.  C itself is built once, at the end.
+The eigenpairs are solved a block of steps at a time; a block that only
+holds the last energy solved, as in the hold after the sweep, solves nothing.
 """
 
 from __future__ import annotations
@@ -33,10 +34,12 @@ from .master_eq import (GAMMA_DT, Relaxation, SweepSchedule, _first_crossing, _h
 # when its ReservoirSpec is built): a run steps on the grid t_k = k*dt up to
 # the first t_k >= max_time, one propagator product of (K+1)^3 a step, and
 # it holds at most _DENSE_MATRICES dense (K+1)^2 complex matrices at once
-# (tracemalloc peaks of 6.74, 6.57 and 6.51 at K = 200, 400 and 1000).
-# Held throughout: W, its two step buffers and the solver's real eigenvector
-# buffer (half a matrix).  At the end come three more: the two factors and
-# the product while C_final = W diag(c0) W^dag is built.
+# (tracemalloc peaks of 6.22, 6.06 and 6.01 at K = 200, 400 and 1000).
+# Held throughout: W and its two step buffers.  While stepping, the solver
+# adds three real buffers of about half a matrix each: its level differences,
+# a call's pole differences and its eigenvectors.  They are freed before the
+# end, where three more come: the two factors and the product while
+# C_final = W diag(c0) W^dag is built.
 _WORK_BUDGET = 1e11
 _MEMORY_BUDGET = 2 * 2**30
 _DENSE_MATRICES = 7
@@ -129,19 +132,27 @@ class _SecularSolver:
     S_j = sum_{k != j} 1/(d_j - d_k) (its mu^2 term matters only next to
     eps), and falls back to bisection when it leaves the bracket.  A root
     leaves the active set once |F| is within its rounding noise, or once a
-    Newton step is so short that the next would be below rounding.  S_j and
-    the midpoint sums depend only on the reservoir and are computed once.
+    Newton step is so short that the next would be below rounding.  S_j, the
+    midpoint sums and the level differences d_j - d_k depend only on the
+    reservoir and are computed once.  A call forms its roots' pole
+    differences once, as rows of the level differences, and each Newton
+    iteration and the eigenvectors take lam - d_k from them in one addition.
+    Until the first root is done, the iterations read and write the roots'
+    arrays in place, with no gathers.
 
     A call takes up to `block` energies, as many as fit in _BLOCK_ELEMENTS
     per temporary, and returns a view of one eigenvector buffer that the
-    next call overwrites; reusing it spares the page faults of fresh arrays.
+    next call overwrites; reusing it, and the pole-difference buffer, spares
+    the page faults of fresh arrays.
     """
 
     def __init__(self, levels: np.ndarray, t_amp: float):
         d = np.asarray(levels, dtype=float)
         K, n = d.size, d.size + 1
         self.levels, self.t, self.t2 = d, t_amp, t_amp * t_amp
-        inv = d[:, None] - d
+        # d_j - d_k, exactly 0 for k = j; a call gathers the rows of its roots' poles
+        self.diffs = d[:, None] - d
+        inv = self.diffs.copy()
         np.fill_diagonal(inv, 1.0)
         np.reciprocal(inv, out=inv)
         np.fill_diagonal(inv, 0.0)
@@ -151,6 +162,7 @@ class _SecularSolver:
         self.gap = np.diff(d)
         self.block = max(1, _BLOCK_ELEMENTS // (n * K))
         self._Vt = np.empty((self.block, n, n))
+        self._D = np.empty((self.block * n, K))
 
     def __call__(self, eps) -> tuple[np.ndarray, np.ndarray]:
         """Return (w, Vt) with w[i] ascending and H(eps[i]) = Vt[i].T diag(w[i]) Vt[i]."""
@@ -177,19 +189,20 @@ class _SecularSolver:
         b = c - t2 * self.S[pole]
         q = -0.5 * (b + np.copysign(np.sqrt(b * b + 4.0 * t2), b))
         mu = np.where(hi > 0, np.maximum(q, -t2 / q), np.minimum(q, -t2 / q))
-        outside = ~((lo < mu) & (mu < hi))
-        mu[outside] = 0.5 * (lo[outside] + hi[outside])
+        mu = np.where((lo < mu) & (mu < hi), mu, 0.5 * (lo + hi))
 
+        # o - d; "clip" never acts on these indices, and "raise" would copy the output
+        D = np.take(self.diffs, pole, axis=0, out=self._D[: m * n], mode="clip")
         # Newton's temporaries borrow the eigenvector buffer, filled only after it
         work = self._Vt.reshape(-1)
-        active = np.arange(m * n)
+        # a slice, so that the roots are views, until the first root is done
+        active = slice(None)
         for _ in range(_MAX_ITERATIONS):
-            if not active.size:
-                break
             mu_a, c_a = mu[active], c[active]
-            X = work[: active.size * K].reshape(active.size, K)
-            np.subtract(o[active, None], d, out=X)  # d_j - d_k, exactly 0 for k = j
-            X += mu_a[:, None]
+            if not mu_a.size:
+                break
+            X = work[: mu_a.size * K].reshape(mu_a.size, K)
+            np.add(D[active], mu_a[:, None], out=X)
             np.reciprocal(X, out=X)  # 1/(lam - d_k)
             F = c_a + mu_a - t2 * X.sum(axis=1)
             newton = F / (1.0 + t2 * np.einsum("ij,ij->i", X, X))
@@ -199,20 +212,21 @@ class _SecularSolver:
             lo[active], hi[active] = lo_a, hi_a
             step = mu_a - newton
             inside = (lo_a < step) & (step < hi_a)
-            step[~inside] = 0.5 * (lo_a[~inside] + hi_a[~inside])
+            step = np.where(inside, step, 0.5 * (lo_a + hi_a))
             # F'' / 2F' < 1/|mu|, so after a step this short the error is below eps*|mu|/100
             short = inside & (np.abs(newton) <= 0.1 * math.sqrt(_EPS) * np.abs(mu_a))
             # an exact root (F == 0) is final, and so is a bracket shrunk to adjacent floats
             final = (np.abs(F) <= noise) | (hi_a - lo_a <= 2.0 * _EPS * np.abs(mu_a))
             mu[active] = np.where(final, mu_a, step)
-            active = active[~(final | short)]
+            keep = ~(final | short)
+            if not keep.all():
+                active = np.arange(m * n)[active][keep]
 
         Vt = self._Vt[:m].reshape(m * n, n)
         X = Vt[:, 1:]
-        np.subtract(o[:, None], d, out=X)
-        X += mu[:, None]
-        np.divide(self.t, X, out=X)  # t/(lam - d_k)
-        Vt[:, 0] = 1.0
+        np.add(D, mu[:, None], out=X)
+        Vt[:, 0] = self.t
+        np.divide(self.t, Vt, out=Vt)  # 1 (t/t is exact), then t/(lam - d_k)
         Vt /= np.sqrt(1.0 + np.einsum("ij,ij->i", X, X))[:, None]
         return (o + mu).reshape(m, n), self._Vt[:m]
 
@@ -305,6 +319,8 @@ def simulate(
             minus_Q.append(float(P[1:] @ levels) - E_R0)
             if ns[-1] <= stop:
                 break
+    # free the solver's buffers, held also through their views, before C's three matrices
+    solve = Vt_block = pairs = Vt = None
 
     ns, minus_Q = np.array(ns), np.array(minus_Q)
     times = dt * np.arange(ns.size)
@@ -338,9 +354,10 @@ def compare_with_master_equation(run: Relaxation) -> DeviationReport:
     """Integrate the rate equation on the run's schedule and report deviations.
 
     Population deviations are taken over the exact run's sample times up to
-    t_f; the heat deviation compares each description's -Q at its own
-    switch-off time.  The rate equation switches off at the run's threshold,
-    or at 1/2 for a run with none.
+    t_f.  The heat deviation compares each description's -Q at its own
+    switch-off time, and for a run with no threshold both descriptions' -Q
+    at the run's last sample.  The rate equation switches off at the run's
+    threshold, or at 1/2 for a run with none.
     """
     rate_equation = partial(
         integrate_population, run.schedule, run.gamma, n0=float(run.n_S[0]),
@@ -358,8 +375,10 @@ def compare_with_master_equation(run: Relaxation) -> DeviationReport:
     )
     mask = run.times <= (run.t_f if run.t_f is not None else run.times[-1])
     dev = np.abs(run.n_S[mask] - master.n_S[mask])
-    heat_dev = abs((run.minus_Q_tf if run.minus_Q_tf is not None else run.minus_Q[-1])
-                   - master.minus_Q_tf)
+    if run.minus_Q_tf is None:
+        heat_dev = abs(run.minus_Q[-1] - master.minus_Q[-1])
+    else:
+        heat_dev = abs(run.minus_Q_tf - master.minus_Q_tf)
     return DeviationReport(
         max_population_deviation=float(dev.max()),
         heat_deviation_at_tf=float(heat_dev),

@@ -1,10 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from fermicool import exact_bath, master_eq
 from fermicool.exact_bath import (
+    _EPS,
+    _MAX_ITERATIONS,
     ReservoirSpec,
     build_full_hamiltonian,
     build_reservoir,
@@ -44,6 +47,83 @@ def conjugation_loop(spec, schedule, n_S0, dt, threshold, max_time):
         t_f = times[i - 1] + frac * dt
         minus_Q_tf = mq[i - 1] + frac * (mq[i] - mq[i - 1])
     return np.array(times), np.array(ns), np.array(mq), t_f, minus_Q_tf, C
+
+
+def secular_reference(self, eps):
+    """Reference: the secular solver's call before its pole differences were kept.
+
+    Each Newton iteration subtracts d_j - d_k again and gathers every root
+    through an index array.  `self` is a solver of its own, whose
+    eigenvector buffer the result views.
+    """
+    eps = np.asarray(eps, dtype=float)
+    d, t2 = self.levels, self.t2
+    K = d.size
+    m, n = eps.size, K + 1
+    # F(midpoint) > 0 puts the root of that interval nearer the level below
+    below = self.mid - eps[:, None] - self.mid_sums >= 0
+    pole = np.empty((m, n), dtype=np.intp)
+    pole[:, 0], pole[:, -1] = 0, K - 1
+    pole[:, 1:-1] = np.arange(1, K) - below
+    # open brackets on mu; Weyl bounds the outer roots by t*sqrt(K)
+    lo, hi = np.zeros((m, n)), np.zeros((m, n))
+    spread = self.t * math.sqrt(K)
+    lo[:, 0] = np.minimum(eps - d[0], 0.0) - spread
+    hi[:, -1] = np.maximum(eps - d[-1], 0.0) + spread
+    hi[:, 1:-1] = np.where(below, self.gap, 0.0)
+    lo[:, 1:-1] = np.where(below, 0.0, -self.gap)
+    pole, lo, hi = pole.ravel(), lo.ravel(), hi.ravel()
+    o = d[pole]
+    c = o - np.repeat(eps, n)
+    # the quadratic's roots are q and -t^2/q, one of each sign
+    b = c - t2 * self.S[pole]
+    q = -0.5 * (b + np.copysign(np.sqrt(b * b + 4.0 * t2), b))
+    mu = np.where(hi > 0, np.maximum(q, -t2 / q), np.minimum(q, -t2 / q))
+    outside = ~((lo < mu) & (mu < hi))
+    mu[outside] = 0.5 * (lo[outside] + hi[outside])
+
+    # Newton's temporaries borrow the eigenvector buffer, filled only after it
+    work = self._Vt.reshape(-1)
+    active = np.arange(m * n)
+    for _ in range(_MAX_ITERATIONS):
+        if not active.size:
+            break
+        mu_a, c_a = mu[active], c[active]
+        X = work[: active.size * K].reshape(active.size, K)
+        np.subtract(o[active, None], d, out=X)  # d_j - d_k, exactly 0 for k = j
+        X += mu_a[:, None]
+        np.reciprocal(X, out=X)  # 1/(lam - d_k)
+        F = c_a + mu_a - t2 * X.sum(axis=1)
+        newton = F / (1.0 + t2 * np.einsum("ij,ij->i", X, X))
+        noise = 4.0 * _EPS * (np.abs(c_a) + np.abs(mu_a) + t2 * np.abs(X, out=X).sum(axis=1))
+        lo_a = np.where(F < 0, mu_a, lo[active])
+        hi_a = np.where(F > 0, mu_a, hi[active])
+        lo[active], hi[active] = lo_a, hi_a
+        step = mu_a - newton
+        inside = (lo_a < step) & (step < hi_a)
+        step[~inside] = 0.5 * (lo_a[~inside] + hi_a[~inside])
+        # F'' / 2F' < 1/|mu|, so after a step this short the error is below eps*|mu|/100
+        short = inside & (np.abs(newton) <= 0.1 * math.sqrt(_EPS) * np.abs(mu_a))
+        # an exact root (F == 0) is final, and so is a bracket shrunk to adjacent floats
+        final = (np.abs(F) <= noise) | (hi_a - lo_a <= 2.0 * _EPS * np.abs(mu_a))
+        mu[active] = np.where(final, mu_a, step)
+        active = active[~(final | short)]
+
+    Vt = self._Vt[:m].reshape(m * n, n)
+    X = Vt[:, 1:]
+    np.subtract(o[:, None], d, out=X)
+    X += mu[:, None]
+    np.divide(self.t, X, out=X)  # t/(lam - d_k)
+    Vt[:, 0] = 1.0
+    Vt /= np.sqrt(1.0 + np.einsum("ij,ij->i", X, X))[:, None]
+    return (o + mu).reshape(m, n), self._Vt[:m]
+
+
+def solver_energies(levels):
+    """Energies across and beyond the level window (-7, 3), on a level and on a midpoint."""
+    K = levels.size
+    return np.concatenate([np.linspace(-12.0, 8.0, 21),
+                           [levels[K // 3], 0.5 * (levels[0] + levels[1])]])
 
 
 class TestReservoirSpec:
@@ -137,9 +217,7 @@ class TestSecularSolver:
     def test_matches_eigh(self, K):
         levels, t_amp = build_reservoir(ReservoirSpec(K=K, gamma=0.02))
         solve = exact_bath._SecularSolver(levels, t_amp)
-        # across and beyond the level window (-7, 3), on a level and on a midpoint
-        eps = np.concatenate([np.linspace(-12.0, 8.0, 21),
-                              [levels[K // 3], 0.5 * (levels[0] + levels[1])]])
+        eps = solver_energies(levels)
         for start in range(0, eps.size, solve.block):
             chunk = eps[start:start + solve.block]
             w, Vt = solve(chunk)
@@ -149,6 +227,20 @@ class TestSecularSolver:
                 assert np.abs(w_e - np.linalg.eigvalsh(H)).max() <= 1e-13
                 assert np.abs(V.T @ V - np.eye(K + 1)).max() <= 1e-13
                 assert np.abs(H @ V - V * w_e).max() <= 1e-13
+
+    @pytest.mark.parametrize("K", [2, 50, 100, 200, 400])
+    def test_same_bits_as_reference(self, K):
+        # a whole block of energies, and one at a time, where roots finish unevenly
+        levels, t_amp = build_reservoir(ReservoirSpec(K=K, gamma=0.02))
+        solve, reference = (exact_bath._SecularSolver(levels, t_amp) for _ in range(2))
+        eps = solver_energies(levels)
+        for size in sorted({solve.block, 1}):
+            for start in range(0, eps.size, size):
+                chunk = eps[start:start + size]
+                w, Vt = solve(chunk)
+                w_ref, Vt_ref = secular_reference(reference, chunk)
+                assert w.tobytes() == w_ref.tobytes(), (size, start)
+                assert Vt.tobytes() == Vt_ref.tobytes(), (size, start)
 
     def test_block_size_from_element_budget(self):
         for K, block in [(50, 25), (200, 1), (400, 1)]:
@@ -393,6 +485,19 @@ class TestBudget:
         with pytest.raises(ValueError, match="K=4378 needs 7 dense 4379x4379 complex matrices"):
             ReservoirSpec(K=4378, gamma=0.02)
 
+    @pytest.mark.parametrize("max_time", [0.0, 9.0], ids=["no-step", "three-steps"])
+    def test_peak_memory_within_budget(self, max_time):
+        # the solver's buffers are freed before C_final's three matrices are formed
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            simulate(ReservoirSpec(K=200, gamma=0.02), SweepSchedule(-5.0, 1.0, 500.0), dt=3.0,
+                     threshold=None, max_time=max_time)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak <= exact_bath._DENSE_MATRICES * 16 * 201**2
+
     @pytest.mark.parametrize("dt", [0.3, 1e-300, 5e-324])
     def test_work_budget(self, no_allocation, dt):
         spec = ReservoirSpec(K=400, gamma=0.02)
@@ -440,6 +545,18 @@ class TestCompareWithMasterEquation:
         assert report.master.threshold == run.threshold == 0.7
         assert report.master.t_f == own.t_f
         assert report.master.minus_Q_tf == own.minus_Q_tf
+
+    def test_run_without_threshold_compares_heat_at_its_last_sample(self, fig2_run):
+        # no switch-off: both descriptions' -Q are read at the run's last sample, t = 1500
+        run = simulate(ReservoirSpec(K=50, gamma=fig2_run.gamma), fig2_run.schedule,
+                       dt=fig2_run.dt, threshold=None)
+        report = compare_with_master_equation(run)
+        own = integrate_population(run.schedule, run.gamma, threshold=None,
+                                   max_time=run.times[-1])
+        assert own.times[-1] == run.times[-1] == 1500.0
+        assert report.master.minus_Q[-1] == pytest.approx(own.minus_Q[-1], abs=1e-12)
+        assert report.heat_deviation_at_tf == abs(run.minus_Q[-1] - report.master.minus_Q[-1])
+        assert report.heat_deviation_at_tf == pytest.approx(0.0809, abs=1e-4)
 
     def test_reservoir_size_convergence(self, fig2_run):
         spec = ReservoirSpec(K=400, gamma=fig2_run.spec.gamma)

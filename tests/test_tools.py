@@ -1,6 +1,7 @@
 """The tools/ scripts: the line counter classifies every line of src/ exactly once,
-the ledger digest repeats, the golden tables match their committed manifest and
-the line tracer reports what a test run missed."""
+the ledger digest repeats, the golden tables match their committed manifest, the
+line tracer reports what a test run missed and the benchmark pair summary reads
+canned perfbench results."""
 
 import importlib.util
 import json
@@ -92,3 +93,37 @@ def test_src_coverage_reports_lines_never_run(tmp_path):
     report = proc.stdout.split("gaussian.py:", 1)[1].split(".py:", 1)[0]
     assert 'raise ValueError(f"probability {x} outside [0, 1]")' in report
     assert "return -_xlogx(x) - _xlogx(1.0 - x)" not in report
+
+
+def test_bench_pairs_summary():
+    bench_pairs = _tool("bench_pairs")
+
+    def result(op_s, rss, setup_s, failed=0, correct=True):
+        # a perfbench run's output: text lines, then its JSON result
+        return bench_pairs.last_json("metric op_s = ...\n" + json.dumps({
+            "correct": correct, "attempted": 40, "failed": failed,
+            "metrics": {"op_s": {"value": op_s, "unit": "s"},
+                        "peak_rss_mb": {"value": rss, "unit": "MB"},
+                        "setup_s": {"value": setup_s, "unit": "s"}},
+        }) + "\n")
+
+    metrics = [{"name": "op_s", "unit": "s", "better": "lower", "bound": 0.25},
+               {"name": "peak_rss_mb", "unit": "MB", "better": "lower", "bound": 0.05},
+               {"name": "setup_s", "unit": "s", "better": "lower", "bound": 0.25}]
+    parent_op = [1.00, 1.02, 0.98, 1.01, 0.99, 1.00, 1.03, 0.97, 1.00, 1.01]
+    change_op = [0.90, 0.91, 0.89, 0.92, 0.90, 0.88, 0.91, 0.90, 1.05, 0.90]
+    pairs = [(result(p, 100.0, 0.2), result(c, 112.0 if i < 5 else 100.0, 0.22,
+                                            failed=i % 2, correct=i != 3))
+             for i, (p, c) in enumerate(zip(parent_op, change_op))]
+    header, op_line, rss_line, setup_line, parent, change = bench_pairs.summarize(metrics, pairs)
+    assert header.split()[:2] == ["metric", "unit"]
+    # the change wins 9 of 10 and its median, 0.9, is 0.1 below the parent's, past the
+    # parent's quartile spread of 1.01 - 0.9925
+    assert op_line.split() == ["op_s", "s", "1", "[0.9925,", "1.01]", "0.9", "[0.9,", "0.91]",
+                               "9/10", "gain"]
+    # a median of 106 against 100 is past the 5% bound; a tie is no win
+    assert rss_line.split()[-2:] == ["0/10", "worse"]
+    # 10% worse against a 25% bound
+    assert setup_line.split()[-3:] == ["0/10", "within", "bound"]
+    assert parent == "parent: 400 operations attempted, 0 failed; 0 of 10 runs failed a check"
+    assert change == "change: 400 operations attempted, 5 failed; 1 of 10 runs failed a check"
