@@ -5,19 +5,21 @@ and computes the dissipated heat -Q = -int eps_S(t) n_S'(t) dt up to the
 time t_f at which the population first reaches 1/2.
 
 The integrator is classical fixed-step RK4.  Because the ODE is linear, one
-RK4 step is an affine map of n_S, so the steps are evaluated as a vectorised
-scan over blocks of the time grid; only the blocks up to the crossing are
-ever built.  A block that starts at or after tau holds eps2 throughout, so
-every held block shares one energy, one Fermi factor and one array of
-running sums, computed once per run.
+RK4 step is an affine map of n_S, so the steps of the sweep are evaluated as
+a vectorised scan over blocks of the time grid.  From the first grid point
+at or after tau the energy is held at eps2, and the steps have a closed form
+that is evaluated in one pass, as is the hold's heat, -eps2 times the change
+in n_S.  Only the samples up to the crossing are ever built.
 
 Both finite-time engines (this one and exact_bath.simulate) sample one time
 grid, t_k = k*dt for k = 0..nsteps, where nsteps is the smallest k with
-k*dt >= max_time; `_horizon` sets it, with the stop and step-budget checks.
+k*dt >= max_time; `_horizon` sets it, with the stop and step-budget checks,
+and `_grid_index` is the rule for the smallest such k.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -115,6 +117,17 @@ def _check_switch_off(n0: float) -> None:
         raise ValueError(f"n0 must be above the switch-off threshold 0.5, got {n0}")
 
 
+def _grid_index(t: float, dt: float) -> float:
+    """The smallest k with k*dt >= t, as a float (inf for t = inf).  The quotient
+    can round across an integer, so the grid's own products decide."""
+    k = np.ceil(t / dt)
+    if k * dt < t:
+        k += 1
+    elif k > 0 and (k - 1) * dt >= t:
+        k -= 1
+    return k
+
+
 def _horizon(schedule: SweepSchedule, gamma: float, dt: float, threshold: float | None,
              max_time: float | None, max_steps: float) -> tuple[float, int]:
     """The grid of both engines: max_time (default tau + 20/gamma) and nsteps, the
@@ -128,12 +141,7 @@ def _horizon(schedule: SweepSchedule, gamma: float, dt: float, threshold: float 
     _require_finite("max_time", max_time)
     if max_time < 0:
         raise ValueError(f"max_time must be nonnegative, got {max_time}")
-    # the quotient can round across an integer; the grid's own products decide
-    nsteps = np.ceil(max_time / dt)
-    if nsteps * dt < max_time:
-        nsteps += 1
-    elif nsteps > 0 and (nsteps - 1) * dt >= max_time:
-        nsteps -= 1
+    nsteps = _grid_index(max_time, dt)
     if nsteps > max_steps:
         raise ValueError(f"max_time/dt = {max_time}/{dt} needs {nsteps:.3g} steps, "
                          f"more than the work budget of {max_steps:.3g}")
@@ -155,18 +163,20 @@ def integrate_population(
     Pass threshold=None to integrate to max_time unconditionally.
 
     For n' = -Gamma (n - f(t)) one RK4 step is exactly affine, with h = Gamma*dt:
-    n_{k+1} = A n_k + B0 f_k + Bm f_{k+1/2} + B1 f_{k+1}.  The steps are
-    evaluated block by block as n_j = A^j (n_start + sum_{i<j} b_i / A^{i+1}),
-    with the Fermi factors built for one block at a time, so memory is bounded
-    by the samples kept up to the crossing.  A held block (one that starts at
-    or after tau) has one energy, one Fermi factor and so one drive b; its
-    running sums are a prefix of cumsum(b / A^{i+1}), built by the first held
-    block and shared by the rest, with the bits of the per-sample scan.
+    n_{k+1} = A n_k + B0 f_k + Bm f_{k+1/2} + B1 f_{k+1}.  Up to j, the first
+    grid index with j*dt >= tau, the steps are evaluated block by block as
+    n_j = A^j (n_start + sum_{i<j} b_i / A^{i+1}), with the Fermi factors built
+    for one block at a time, so memory is bounded by the samples kept up to the
+    crossing.  From j on eps = eps2, B0 + Bm + B1 = 1 - A, and the samples are
+    the closed form n_k = f2 + (n_j - f2) A^(k-j) of those steps, built only up
+    to the crossing that the closed form locates.
 
-    -Q(t) = -int eps_S n_S' dt is the cumulative trapezoid of the integrand
-    eps_S n_S', with n_S' taken from the ODE right-hand side at each sample.
-    At switch-off, -Q(t_f) adds to the whole steps before the crossing a
-    partial step with the integrand linearly interpolated to t_f.
+    -Q(t) = -int eps_S n_S' dt is, up to j, the cumulative trapezoid of the
+    integrand eps_S n_S', with n_S' taken from the ODE right-hand side at each
+    sample; at switch-off -Q(t_f) adds to the whole steps before the crossing a
+    partial step with the integrand linearly interpolated to t_f.  In the hold
+    the heat is a state function, -Q_k = -Q_j - eps2 (n_k - n_j), and at a
+    crossing there -Q(t_f) = -Q_j - eps2 (threshold - n_j).
     """
     _check_rate_inputs(gamma, n0, dt)
     if gamma > 0.1:
@@ -178,65 +188,84 @@ def integrate_population(
     if dt is None:
         dt = min(0.01 / gamma, schedule.tau / 1000.0)
     max_time, nsteps = _horizon(schedule, gamma, dt, threshold, max_time, _MAX_STEPS)
+    level = -np.inf if threshold is None else threshold
+    # the scan's last step ends at the hold's start, the first grid point at or after tau
+    j_tau = int(min(nsteps, _grid_index(schedule.tau, dt)))
     h = gamma * dt
     a = 1.0 - h + h**2 / 2.0 - h**3 / 6.0 + h**4 / 24.0
     b0 = h / 6.0 * (1.0 - h + h**2 / 2.0 - h**3 / 4.0)
     bm = h / 6.0 * (4.0 - 2.0 * h + h**2 / 2.0)
     b1 = h / 6.0
-    powers = a ** np.arange(1, min(_BLOCK_STEPS, nsteps) + 1)
-    held_sums = None  # the running sums of a held block, built by the first one
+    powers = a ** np.arange(1, min(_BLOCK_STEPS, j_tau) + 1)
 
     n = float(n0)
     chunks = [np.array([n])]
     areas = [np.zeros(0)]  # trapezoid areas of the heat integrand, step by step
     k = 0
-    while k < nsteps and not (threshold is not None and n <= threshold):
-        m = min(_BLOCK_STEPS, nsteps - k)
+    while k < j_tau and n > level:
+        m = min(_BLOCK_STEPS, j_tau - k)
         t = dt * np.arange(k, k + m + 1)
         pw = powers[:m]
-        if t[0] >= schedule.tau:
-            # held: every sample sits at eps2, so e and f are one element each
-            # (broadcast below) and the drive is one number; the cumsum of a
-            # prefix is the prefix of the cumsum, bit for bit
-            if held_sums is None:
-                e = np.array([schedule.energy(schedule.tau)])
-                f = fermi_occupation(e)
-                held_sums = np.cumsum((b0 * f + bm * f + b1 * f) / powers)
-            ns = pw * (n + held_sums[:m])
-        else:
-            e = schedule.energy(t)
-            f = fermi_occupation(e)
-            f_half = fermi_occupation(schedule.energy(t[:-1] + 0.5 * dt))
-            drive = b0 * f[:-1] + bm * f_half + b1 * f[1:]
-            ns = pw * (n + np.cumsum(drive / pw))
-        if threshold is not None:
-            below = np.flatnonzero(ns <= threshold)
-            if below.size:
-                ns = ns[: below[0] + 1]
+        e = schedule.energy(t)
+        f = fermi_occupation(e)
+        f_half = fermi_occupation(schedule.energy(t[:-1] + 0.5 * dt))
+        drive = b0 * f[:-1] + bm * f_half + b1 * f[1:]
+        ns = pw * (n + np.cumsum(drive / pw))
+        below = np.flatnonzero(ns <= level)
+        if below.size:
+            ns = ns[: below[0] + 1]
         # the integrand g = eps_S n_S' = eps_S * (-Gamma (n_S - f)) at the
         # block's samples from its start, with n_S clipped as it is kept, and
         # the trapezoid areas diff(t) * (g[1:] + g[:-1]) / 2 of its steps
-        j = ns.size + 1
+        kept = ns.size + 1
         nb = np.clip(np.concatenate(([n], ns)), 0.0, 1.0)
-        g = e[:j] * (-gamma * (nb - f[:j]))
-        areas.append(np.subtract(t[1:j], t[: j - 1]) * (g[1:] + g[:-1]) / 2.0)
+        g = e[:kept] * (-gamma * (nb - f[:kept]))
+        areas.append(np.subtract(t[1:kept], t[: kept - 1]) * (g[1:] + g[:-1]) / 2.0)
         chunks.append(nb[1:])
         n = float(ns[-1])
         k += m
+    j = sum(c.size for c in chunks) - 1  # the last scanned sample
+
+    count = 0  # hold samples to build
+    if k < nsteps and n > level:
+        e2 = schedule.energy(schedule.tau)
+        f2 = fermi_occupation(e2)
+        count = nsteps - k
+        if threshold is not None:
+            # the closed form's first step at or below the threshold (inf if the
+            # hold never gets there); with one step of slack the computed
+            # samples decide, and past that the run fails at max_time unbuilt
+            cross = (math.ceil(math.log((threshold - f2) / (n - f2)) / math.log(a))
+                     if f2 < threshold and a < 1.0 else math.inf)
+            if cross > count + 1:
+                _first_crossing([f2 + (n - f2) * a**count], threshold, max_time)
+            count = min(count, cross + 1)
 
     # in place where it can be, as on a long run every fresh array costs its
-    # page faults: the areas are laid out in the buffer of -Q, summed for the
+    # page faults: the hold is built in the buffer of n_S from its grid
+    # indices, and the areas are laid out in the buffer of -Q, summed for the
     # switch-off, then accumulated there
-    n_S = np.concatenate(chunks)
+    n_S = np.empty(j + 1 + count)
+    np.concatenate(chunks, out=n_S[: j + 1])
     times = np.arange(n_S.size, dtype=float)
+    if count:
+        hold = n_S[j + 1 :]
+        np.subtract(times[j + 1 :], j, out=hold)
+        np.power(a, hold, out=hold)
+        hold *= n - f2
+        hold += f2
+        below = np.flatnonzero(hold <= level)
+        if below.size:
+            n_S, times = n_S[: j + 2 + below[0]], times[: j + 2 + below[0]]
+        np.clip(n_S[j + 1 :], 0.0, 1.0, out=n_S[j + 1 :])
     times *= dt
     minus_Q = np.zeros(n_S.size)
-    areas = np.concatenate(areas, out=minus_Q[1:])
+    areas = np.concatenate(areas, out=minus_Q[1 : j + 1])
     t_f = minus_Q_tf = None
     if threshold is not None:
         i, (t_f,) = _first_crossing(n_S, threshold, max_time, times)
         minus_Q_tf = 0.0
-        if i > 0:
+        if 0 < i <= j:
             # i is the last sample, so g ends at it; the partial-step fraction
             # is recomputed from t_f: the crossing's own can differ in the last bit
             frac = (t_f - times[i - 1]) / (times[i] - times[i - 1])
@@ -244,7 +273,16 @@ def integrate_population(
             partial = (t_f - times[i - 1]) * 0.5 * (g[-2] + g_tf)
             minus_Q_tf = float(-(areas[: i - 1].sum() + partial))
     np.cumsum(areas, out=areas)
-    np.negative(minus_Q, out=minus_Q)
+    np.negative(minus_Q[: j + 1], out=minus_Q[: j + 1])
+    if count:
+        # eps = eps2 throughout the hold, so -Q_k = -Q_j - eps2 (n_k - n_j);
+        # a run with a threshold that got here crossed it in the hold
+        heat = minus_Q[j + 1 :]
+        np.subtract(n_S[j + 1 :], n_S[j], out=heat)
+        heat *= -e2
+        heat += minus_Q[j]
+        if threshold is not None:
+            minus_Q_tf = float(minus_Q[j] - e2 * (threshold - n_S[j]))
     return Relaxation(times, n_S, minus_Q, dt, gamma, schedule, threshold, t_f, minus_Q_tf)
 
 

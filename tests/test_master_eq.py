@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import weakref
 from dataclasses import dataclass
 from pathlib import Path
@@ -245,8 +246,8 @@ class TestBlockwiseScan:
 @dataclass(frozen=True)
 class NeverHeld:
     """A SweepSchedule's energies with tau = inf, so that integrate_population
-    takes the per-sample path in every block.  Callers pass dt and max_time,
-    whose defaults read tau."""
+    scans every step sample by sample and builds no hold.  Callers pass dt and
+    max_time, whose defaults read tau."""
 
     schedule: SweepSchedule
     tau: float = math.inf
@@ -255,40 +256,102 @@ class NeverHeld:
         return self.schedule.energy(t)
 
 
-class TestHeldBlocks:
-    """A block that starts at or after tau shares one energy, Fermi factor and
-    running sum; it gives the bits of the per-sample path."""
+class TestHold:
+    """From j, the first grid index with j*dt >= tau, the samples are the closed
+    form f2 + (n_j - f2) A^(k-j) of the RK4 steps at eps2, and the heat is
+    -Q_j - eps2 (n_k - n_j)."""
 
     @staticmethod
-    def assert_same_bits(schedule, gamma, dt, max_time, **kwargs):
-        held = integrate_population(schedule, gamma, dt=dt, max_time=max_time, **kwargs)
-        swept = integrate_population(NeverHeld(schedule), gamma, dt=dt, max_time=max_time,
-                                     **kwargs)
-        for name in ("times", "n_S", "minus_Q"):
-            assert np.array_equal(getattr(held, name), getattr(swept, name)), name
-        assert (held.t_f, held.minus_Q_tf) == (swept.t_f, swept.minus_Q_tf)
-        return held
+    def assert_hold(schedule, gamma, dt, max_time, **kwargs):
+        """The run against the per-sample scan: the same grid and crossing, the
+        scan's bits up to j and the closed form after it.  Returns (run, j)."""
+        run = integrate_population(schedule, gamma, dt=dt, max_time=max_time, **kwargs)
+        scan = integrate_population(NeverHeld(schedule), gamma, dt=dt, max_time=max_time,
+                                    **kwargs)
+        assert run.n_S.size == scan.n_S.size
+        assert np.array_equal(run.times, scan.times)
+        if run.threshold is None:
+            assert run.t_f is None and scan.t_f is None
+        else:
+            assert run.t_f == pytest.approx(scan.t_f, rel=1e-12)
+        j = int(np.flatnonzero(run.times >= schedule.tau)[0])
+        for name in ("n_S", "minus_Q"):
+            assert np.array_equal(getattr(run, name)[: j + 1], getattr(scan, name)[: j + 1]), name
+        assert np.abs(run.n_S - scan.n_S).max() <= 1e-12
+        hold_heat = run.minus_Q[j] - schedule.eps2 * (run.n_S[j + 1 :] - run.n_S[j])
+        assert np.array_equal(run.minus_Q[j + 1 :], hold_heat)
+        return run, j
 
     def test_fast_sweep(self):
-        # Gamma*tau = 0.01: 1,000 swept steps in block 0, then blocks 1-28 held,
-        # the crossing at step 115,885 in block 28
+        # Gamma*tau = 0.01: 1,000 swept steps, then the hold to the crossing at
+        # step 115,885; the scan is checked against the RK4 loop on this run
+        # in TestBlockwiseScan
         schedule = SweepSchedule(-5.0, 1.0, 0.5)
-        run = self.assert_same_bits(schedule, 0.02, 0.0005, schedule.tau + 1000.0)
-        assert run.n_S.size - 1 > 28 * master_eq._BLOCK_STEPS
+        run, j = self.assert_hold(schedule, 0.02, 0.0005, schedule.tau + 1000.0)
+        assert (j, run.n_S.size - 1) == (1000, 115_885)
+        assert run.minus_Q_tf == run.minus_Q[j] - 1.0 * (0.5 - run.n_S[j])
 
-    def test_hold_from_mid_block_crossing_in_partial_block(self):
-        # the hold starts at step 3000.5 of block 0; block 1 is a trailing
-        # partial block (steps 4096-6000) and holds the crossing (step 4502)
-        run = self.assert_same_bits(SweepSchedule(-5.0, 1.0, 30.005), 0.05, 0.01, 60.0)
-        assert master_eq._BLOCK_STEPS < run.n_S.size - 1 < 6000
+    @pytest.mark.parametrize("tau,j", [(30.005, 3001), (55.965, 5597)])
+    def test_hold_starts_mid_step(self, tau, j):
+        # tau falls mid-step, so the hold starts at the next grid point; at
+        # 55.965 the scan ends in a partial second block (steps 4096-5597)
+        schedule = SweepSchedule(-5.0, 1.0, tau)
+        run, start = self.assert_hold(schedule, 0.05, 0.01, 60.0 + tau)
+        assert start == j < run.n_S.size - 1
+        ref = rk4_loop(schedule, 0.05, 0.01, 60.0 + tau)
+        assert run.n_S.size == ref.size
+        assert np.abs(run.n_S - ref).max() <= 1e-12
+
+    def test_crossing_at_the_hold_start(self):
+        # a threshold equal to one sample makes it the crossing: at j the
+        # scan's switch-off rule holds, from j + 1 on the hold's
+        schedule = SweepSchedule(-5.0, 1.0, 30.005)
+        full, j = self.assert_hold(schedule, 0.05, 0.01, 100.0, threshold=None)
+        for i in (j - 1, j, j + 1, j + 2):
+            run = integrate_population(schedule, 0.05, dt=0.01, threshold=full.n_S[i],
+                                       max_time=100.0)
+            assert run.n_S.size == i + 1
+            assert np.array_equal(run.n_S, full.n_S[: i + 1])
+            assert np.array_equal(run.minus_Q, full.minus_Q[: i + 1])
+            assert run.t_f == pytest.approx(full.times[i], abs=1e-12)
+            if i > j:
+                assert run.minus_Q_tf == full.minus_Q[i]
+            else:
+                assert run.minus_Q_tf == pytest.approx(full.minus_Q[i], abs=1e-15)
 
     def test_threshold_none(self):
-        run = self.assert_same_bits(SweepSchedule(-5.0, 1.0, 0.5), 0.02, 0.0005, 100.5,
-                                    threshold=None)
+        run, _ = self.assert_hold(SweepSchedule(-5.0, 1.0, 0.5), 0.02, 0.0005, 100.5,
+                                  threshold=None)
         assert run.n_S.size == 201_001
 
     def test_partial_initial_population(self):
-        self.assert_same_bits(SweepSchedule(-5.0, 1.0, 0.5), 0.02, 0.0005, 1000.5, n0=0.8)
+        schedule = SweepSchedule(-5.0, 1.0, 0.5)
+        run, _ = self.assert_hold(schedule, 0.02, 0.0005, 1000.5, n0=0.8)
+        ref = rk4_loop(schedule, 0.02, 0.0005, 1000.5, n0=0.8)
+        assert run.n_S.size == ref.size
+        assert np.abs(run.n_S - ref).max() <= 1e-12
+
+    def test_unreachable_threshold_fails_at_the_hold(self):
+        # f(-0.5) = 0.622 > 1/2: the hold can never cross, so the run fails
+        # with the closed-form n_S at max_time, before any hold sample is built
+        tracemalloc.start()
+        try:
+            rows, failures = master_eq._heat_curve(-5.0, -0.5, 0.02, [0.01])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rows == [] and len(failures) == 1
+        exc = failures[0][1]
+        assert type(exc) is NoCrossingError
+        assert str(exc) == "n_S never reached 0.5 before t=1000.5 (final n_S=0.622459)"
+        # the 1,000 swept samples; the horizon's 2,001,000 would take 16 MB apiece
+        assert peak < 1_000_000
+
+    def test_hold_without_decay(self):
+        # Gamma*dt = 1e-20 rounds the step factor A to 1, so the closed form
+        # never reaches the threshold
+        with pytest.raises(NoCrossingError, match=r"final n_S=1\.000000"):
+            integrate_population(SweepSchedule(-5.0, 1.0, 1.0), 1e-20, dt=1.0, max_time=100.0)
 
 
 class TestHeat:
@@ -321,14 +384,50 @@ class TestHeat:
     @pytest.mark.parametrize("gamma_tau", [0.01, 10.0])
     def test_heat_integrand_from_the_scan(self, gamma_tau):
         # the integrand reuses the scan's energies and Fermi factors, block by
-        # block (Gamma*tau = 0.01 spans 29 blocks); recomputing them on the
-        # whole grid gives the same bits
+        # block; recomputing them on the whole grid gives the same bits, up to
+        # the hold start at tau (Gamma*tau = 10 crosses before it)
         schedule = SweepSchedule(-5.0, 1.0, gamma_tau / 0.02)
         run = integrate_population(schedule, 0.02)
-        e = schedule.energy(run.times)
-        g = e * (-0.02 * (run.n_S - fermi_occupation(e)))
-        areas = np.diff(run.times) * (g[1:] + g[:-1]) / 2.0
-        assert np.array_equal(run.minus_Q, -np.concatenate(([0.0], np.cumsum(areas))))
+        times, n_S = run.times[run.times <= schedule.tau], run.n_S[run.times <= schedule.tau]
+        e = schedule.energy(times)
+        g = e * (-0.02 * (n_S - fermi_occupation(e)))
+        areas = np.diff(times) * (g[1:] + g[:-1]) / 2.0
+        assert np.array_equal(run.minus_Q[: times.size],
+                              -np.concatenate(([0.0], np.cumsum(areas))))
+
+    def test_constant_energy_heat_exact(self):
+        # after one step the energy is held, so -Q(t_f) = -eps (1/2 - n0) = 0.5
+        # up to that first step's trapezoid error
+        traj = integrate_population(constant_schedule(1.0), 0.05, dt=0.1)
+        assert traj.minus_Q_tf == pytest.approx(0.5, abs=1e-8)
+
+    # Fig. 1 points that cross in the hold, with the error of -Q(t_f) against
+    # DOP853 when the hold's heat was a trapezoid sum on the grid
+    @pytest.mark.parametrize("eps1,eps2,index,trapezoid_error", [
+        (-10.0, 1.0, 30, 3.4e-6), (-5.0, 3.0, 21, 1.0e-6), (-5.0, 1.0, 27, 9.7e-7)])
+    def test_hold_heat_against_dop853(self, eps1, eps2, index, trapezoid_error):
+        from scipy.integrate import solve_ivp
+
+        gamma, gamma_tau = 0.02, np.geomspace(0.1, 100.0, 50)[index]
+        schedule = SweepSchedule(eps1, eps2, gamma_tau / gamma)
+        run = integrate_population(schedule, gamma)
+        assert run.t_f > schedule.tau
+
+        def rhs(t, y):
+            eps = schedule.energy(t)
+            dn = -gamma * (y[0] - fermi_occupation(eps))
+            return [dn, -eps * dn]
+
+        def half(t, y):
+            return y[0] - 0.5
+
+        half.terminal, half.direction = True, -1
+        # the kink of the energy at tau is a segment boundary for the solver
+        sweep = solve_ivp(rhs, (0.0, schedule.tau), [1.0, 0.0], method="DOP853",
+                          rtol=1e-11, atol=1e-13)
+        hold = solve_ivp(rhs, (schedule.tau, 2.0 * run.t_f), sweep.y[:, -1], method="DOP853",
+                         rtol=1e-11, atol=1e-13, events=half)
+        assert abs(run.minus_Q_tf - hold.y_events[0][0][1]) < trapezoid_error
 
     def test_minus_Q_series_consistent_with_total(self):
         traj = integrate_population(constant_schedule(1.0), 0.05, dt=0.1)
