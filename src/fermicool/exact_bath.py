@@ -6,14 +6,9 @@ chosen so that Gamma = 2*pi*T^2*xi holds exactly for the empirical density
 of states xi = K / window_width.  Heat is read off the reservoir energy.
 
 The single-particle Hamiltonian is a real symmetric arrowhead, whose
-eigenpairs `_SecularSolver` finds in O(K^2) from its secular equation (a
-call forms its roots' pole differences once and reuses them in every Newton
-iteration and in the eigenvectors), and the initial correlation matrix
-C0 = diag(c0) is diagonal, so the one step loop of `simulate` carries the
-accumulated propagator W instead of C: C(t) = W diag(c0) W^dag, and the
-occupations are the diagonal |W|^2 c0.  C itself is built once, at the end.
-The eigenpairs are solved a block of steps at a time; a block that only
-holds the last energy solved, as in the hold after the sweep, solves nothing.
+eigenpairs `_SecularSolver` finds in O(K^2) from its secular equation, and
+the initial correlation matrix C0 = diag(c0) is diagonal, so `simulate`
+carries the accumulated propagator W instead of C = W diag(c0) W^dag.
 """
 
 from __future__ import annotations
@@ -21,14 +16,13 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field, replace
-from functools import partial
 
 import numpy as np
 
 from .gaussian import (_is_pair, _require_finite, _require_integer, _require_positive,
                        _require_probability, fermi_occupation)
-from .master_eq import (GAMMA_DT, Relaxation, SweepSchedule, _first_crossing, _horizon,
-                        integrate_population)
+from .master_eq import (GAMMA_DT, Relaxation, SweepSchedule, _first_crossing, _horizon, _scan,
+                        _switch_off, integrate_population)
 
 # Budgets of a run, checked before any (K+1)^2 allocation (the memory budget
 # when its ReservoirSpec is built): a run steps on the grid t_k = k*dt up to
@@ -333,7 +327,9 @@ def simulate(
 
 
 def interaction_energy(run: Relaxation) -> float:
-    """Residual system-reservoir coupling energy in the final state."""
+    """Residual system-reservoir coupling energy in the final state of an exact-bath run."""
+    if run.C_final is None:
+        raise ValueError("run has no C_final: it is not an exact-bath run")
     return float(2.0 * run.spec.t_amp * np.sum(np.real(run.C_final[0, 1:])))
 
 
@@ -359,20 +355,15 @@ def compare_with_master_equation(run: Relaxation) -> DeviationReport:
     at the run's last sample.  The rate equation switches off at the run's
     threshold, or at 1/2 for a run with none.
     """
-    rate_equation = partial(
-        integrate_population, run.schedule, run.gamma, n0=float(run.n_S[0]),
-        max_time=run.times[-1] + 5.0 / run.gamma,
-    )
-    # the free run spans the exact run's times; the stopped one switches off
-    # exactly as a rate-equation run of its own does
-    free = rate_equation(threshold=None)
-    stopped = rate_equation(threshold=0.5 if run.threshold is None else run.threshold)
-    master = replace(
-        stopped,
-        times=run.times,
-        n_S=np.interp(run.times, free.times, free.n_S),
-        minus_Q=np.interp(run.times, free.times, free.minus_Q),
-    )
+    n0, max_time = float(run.n_S[0]), run.times[-1] + 5.0 / run.gamma
+    threshold = 0.5 if run.threshold is None else run.threshold
+    # the free run spans the exact run's times; the switch-off is a rate-equation run's own
+    free = integrate_population(run.schedule, run.gamma, n0=n0, threshold=None, max_time=max_time)
+    _, t_f, minus_Q_tf = _switch_off(_scan(run.schedule, run.gamma, n0=n0, threshold=threshold,
+                                           max_time=max_time))
+    master = replace(free, times=run.times, n_S=np.interp(run.times, free.times, free.n_S),
+                     minus_Q=np.interp(run.times, free.times, free.minus_Q),
+                     threshold=threshold, t_f=t_f, minus_Q_tf=minus_Q_tf)
     mask = run.times <= (run.t_f if run.t_f is not None else run.times[-1])
     dev = np.abs(run.n_S[mask] - master.n_S[mask])
     if run.minus_Q_tf is None:

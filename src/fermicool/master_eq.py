@@ -4,12 +4,11 @@ Integrates n_S' = -Gamma * [n_S - f(eps_S(t))] for a linear energy sweep
 and computes the dissipated heat -Q = -int eps_S(t) n_S'(t) dt up to the
 time t_f at which the population first reaches 1/2.
 
-The integrator is classical fixed-step RK4.  Because the ODE is linear, one
-RK4 step is an affine map of n_S, so the steps of the sweep are evaluated as
-a vectorised scan over blocks of the time grid.  From the first grid point
-at or after tau the energy is held at eps2, and the steps have a closed form
-that is evaluated in one pass, as is the hold's heat, -eps2 times the change
-in n_S.  Only the samples up to the crossing are ever built.
+The integrator is classical fixed-step RK4.  A run is one scan and two
+readouts: `_scan` steps the sweep, `_switch_off` reads t_f and -Q(t_f) off it,
+and `integrate_population` builds the samples up to the crossing.  From the
+first grid point at or after tau the steps have a closed form, which only the
+grid evaluates beyond the crossing's bracket.
 
 Both finite-time engines (this one and exact_bath.simulate) sample one time
 grid, t_k = k*dt for k = 0..nsteps, where nsteps is the smallest k with
@@ -21,6 +20,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -148,42 +148,27 @@ def _horizon(schedule: SweepSchedule, gamma: float, dt: float, threshold: float 
     return max_time, int(nsteps)
 
 
-def integrate_population(
-    schedule: SweepSchedule,
-    gamma: float,
-    n0: float = 1.0,
-    dt: float | None = None,
-    threshold: float | None = 0.5,
-    max_time: float | None = None,
-) -> Relaxation:
-    """Fixed-step RK4 integration of the linear relaxation ODE, with its heat.
+# one run up to j: the samples n_S, the heat integrand's trapezoid areas, the
+# last block's integrand g, and the hold's n_S = f2 + (n - f2) a^m at offset m
+_Scan = namedtuple("_Scan", "threshold max_time nsteps dt n_S areas g n f2 e2 a")
 
-    Stops at the first sample with n_S <= threshold (that sample is kept so
-    the crossing is bracketed), or raises NoCrossingError at max_time.
-    Pass threshold=None to integrate to max_time unconditionally.
+
+def _scan(schedule: SweepSchedule, gamma: float, n0: float = 1.0, dt: float | None = None,
+          threshold: float | None = 0.5, max_time: float | None = None) -> _Scan:
+    """The checks and RK4 steps of a run up to j, the first grid index with
+    j*dt >= tau, or to its first sample at or below threshold.
 
     For n' = -Gamma (n - f(t)) one RK4 step is exactly affine, with h = Gamma*dt:
-    n_{k+1} = A n_k + B0 f_k + Bm f_{k+1/2} + B1 f_{k+1}.  Up to j, the first
-    grid index with j*dt >= tau, the steps are evaluated block by block as
-    n_j = A^j (n_start + sum_{i<j} b_i / A^{i+1}), with the Fermi factors built
-    for one block at a time, so memory is bounded by the samples kept up to the
-    crossing.  From j on eps = eps2, B0 + Bm + B1 = 1 - A, and the samples are
-    the closed form n_k = f2 + (n_j - f2) A^(k-j) of those steps, built only up
-    to the crossing that the closed form locates.
-
-    -Q(t) = -int eps_S n_S' dt is, up to j, the cumulative trapezoid of the
-    integrand eps_S n_S', with n_S' taken from the ODE right-hand side at each
-    sample; at switch-off -Q(t_f) adds to the whole steps before the crossing a
-    partial step with the integrand linearly interpolated to t_f.  In the hold
-    the heat is a state function, -Q_k = -Q_j - eps2 (n_k - n_j), and at a
-    crossing there -Q(t_f) = -Q_j - eps2 (threshold - n_j).
+    n_{k+1} = A n_k + B0 f_k + Bm f_{k+1/2} + B1 f_{k+1}, evaluated block by block
+    as n_k = A^k (n_start + sum_{i<k} b_i / A^{i+1}).  From j on eps = eps2 and
+    B0 + Bm + B1 = 1 - A, so the steps have the closed form f2 + (n_j - f2) A^m.
     """
     _check_rate_inputs(gamma, n0, dt)
     if gamma > 0.1:
         warnings.warn(
             f"gamma={gamma} is not small compared to k_B*T; the rate equation "
             "assumes weak system-reservoir coupling",
-            stacklevel=2,
+            stacklevel=3,
         )
     if dt is None:
         dt = min(0.01 / gamma, schedule.tau / 1000.0)
@@ -200,7 +185,7 @@ def integrate_population(
 
     n = float(n0)
     chunks = [np.array([n])]
-    areas = [np.zeros(0)]  # trapezoid areas of the heat integrand, step by step
+    areas, g = [np.zeros(0)], None  # trapezoid areas of the heat integrand g, step by step
     k = 0
     while k < j_tau and n > level:
         m = min(_BLOCK_STEPS, j_tau - k)
@@ -224,66 +209,74 @@ def integrate_population(
         chunks.append(nb[1:])
         n = float(ns[-1])
         k += m
-    j = sum(c.size for c in chunks) - 1  # the last scanned sample
+    e2 = schedule.energy(schedule.tau)
+    return _Scan(threshold, max_time, nsteps, dt, np.concatenate(chunks), np.concatenate(areas),
+                 g, n, fermi_occupation(e2), e2, a)
 
-    count = 0  # hold samples to build
-    if k < nsteps and n > level:
-        e2 = schedule.energy(schedule.tau)
-        f2 = fermi_occupation(e2)
-        count = nsteps - k
-        if threshold is not None:
-            # the closed form's first step at or below the threshold (inf if the
-            # hold never gets there); with one step of slack the computed
-            # samples decide, and past that the run fails at max_time unbuilt
-            cross = (math.ceil(math.log((threshold - f2) / (n - f2)) / math.log(a))
-                     if f2 < threshold and a < 1.0 else math.inf)
-            if cross > count + 1:
-                _first_crossing([f2 + (n - f2) * a**count], threshold, max_time)
-            count = min(count, cross + 1)
 
-    # in place where it can be, as on a long run every fresh array costs its
-    # page faults: the hold is built in the buffer of n_S from its grid
-    # indices, and the areas are laid out in the buffer of -Q, summed for the
-    # switch-off, then accumulated there
-    n_S = np.empty(j + 1 + count)
-    np.concatenate(chunks, out=n_S[: j + 1])
-    times = np.arange(n_S.size, dtype=float)
-    if count:
-        hold = n_S[j + 1 :]
-        np.subtract(times[j + 1 :], j, out=hold)
-        np.power(a, hold, out=hold)
-        hold *= n - f2
-        hold += f2
-        below = np.flatnonzero(hold <= level)
-        if below.size:
-            n_S, times = n_S[: j + 2 + below[0]], times[: j + 2 + below[0]]
-        np.clip(n_S[j + 1 :], 0.0, 1.0, out=n_S[j + 1 :])
-    times *= dt
-    minus_Q = np.zeros(n_S.size)
-    areas = np.concatenate(areas, out=minus_Q[1 : j + 1])
-    t_f = minus_Q_tf = None
-    if threshold is not None:
-        i, (t_f,) = _first_crossing(n_S, threshold, max_time, times)
-        minus_Q_tf = 0.0
-        if 0 < i <= j:
-            # i is the last sample, so g ends at it; the partial-step fraction
-            # is recomputed from t_f: the crossing's own can differ in the last bit
-            frac = (t_f - times[i - 1]) / (times[i] - times[i - 1])
-            g_tf = g[-2] + (g[-1] - g[-2]) * frac
-            partial = (t_f - times[i - 1]) * 0.5 * (g[-2] + g_tf)
-            minus_Q_tf = float(-(areas[: i - 1].sum() + partial))
-    np.cumsum(areas, out=areas)
-    np.negative(minus_Q[: j + 1], out=minus_Q[: j + 1])
-    if count:
-        # eps = eps2 throughout the hold, so -Q_k = -Q_j - eps2 (n_k - n_j);
-        # a run with a threshold that got here crossed it in the hold
-        heat = minus_Q[j + 1 :]
-        np.subtract(n_S[j + 1 :], n_S[j], out=heat)
-        heat *= -e2
-        heat += minus_Q[j]
-        if threshold is not None:
-            minus_Q_tf = float(minus_Q[j] - e2 * (threshold - n_S[j]))
-    return Relaxation(times, n_S, minus_Q, dt, gamma, schedule, threshold, t_f, minus_Q_tf)
+def _hold(scan: _Scan, m: np.ndarray) -> np.ndarray:
+    """The hold's samples, clipped, at float offsets m from j."""
+    return np.clip(np.power(scan.a, m) * (scan.n - scan.f2) + scan.f2, 0.0, 1.0)
+
+
+def _switch_off(scan: _Scan) -> tuple[int, float, float]:
+    """The crossing's grid index i, `_first_crossing`'s t_f and -Q(t_f) of a scan.
+
+    Up to j, -Q(t_f) adds to the areas of the steps before the crossing a
+    partial step with the integrand linearly interpolated to t_f.  In the hold,
+    evaluated only on the crossing's bracket, the heat is the state function
+    -Q_j - eps2 (n_S - n_j), and -Q(t_f) = -Q_j - eps2 (threshold - n_j).
+    """
+    threshold, max_time, dt, n_S = scan.threshold, scan.max_time, scan.dt, scan.n_S
+    j = n_S.size - 1
+    count = scan.nsteps - j if scan.n > threshold else 0  # hold steps to max_time
+    if not count:
+        i, (t_f,) = _first_crossing(n_S, threshold, max_time, dt * np.arange(j + 1.0))
+        if i == 0:
+            return 0, t_f, 0.0
+        # i is the last sample, so g ends at it; the partial-step fraction
+        # is recomputed from t_f: the crossing's own can differ in the last bit
+        g, t0 = scan.g, dt * (i - 1.0)
+        g_tf = g[-2] + (g[-1] - g[-2]) * ((t_f - t0) / (dt * i - t0))
+        return i, t_f, float(-(scan.areas[: i - 1].sum() + (t_f - t0) * 0.5 * (g[-2] + g_tf)))
+    f2, a = scan.f2, scan.a
+    # the closed form's first step at or below the threshold (inf if the hold
+    # never gets there); past the hold's end the run fails at max_time unbuilt,
+    # unless its last sample crosses and the whole hold is searched.  Else the
+    # computed samples decide on [cross - 2, cross + 1]: a step of slack either
+    # side, and the step before the crossing
+    cross = (math.ceil(math.log((threshold - f2) / (scan.n - f2)) / math.log(a))
+             if f2 < threshold and a < 1.0 else math.inf)
+    if cross > count + 1:
+        _first_crossing([f2 + (scan.n - f2) * a**count], threshold, max_time)
+    lo, hi = (1, count) if cross > count + 1 else (max(1, cross - 2), min(count, cross + 1))
+    m = np.concatenate(([0.0], np.arange(lo, hi + 1.0)))
+    values = np.concatenate((n_S[j:], _hold(scan, m[1:])))
+    below = np.flatnonzero(values <= threshold)
+    i, (t_f,) = _first_crossing(values[: below[0] + 1] if below.size else values, threshold,
+                                max_time, (j + m) * dt)
+    minus_Q_j = -np.cumsum(scan.areas)[-1]
+    return j + int(m[i]), t_f, float(minus_Q_j - scan.e2 * (threshold - n_S[j]))
+
+
+def integrate_population(schedule: SweepSchedule, gamma: float, n0: float = 1.0,
+                         dt: float | None = None, threshold: float | None = 0.5,
+                         max_time: float | None = None) -> Relaxation:
+    """Fixed-step RK4 integration of the linear relaxation ODE, with its heat.
+
+    Stops at the first sample with n_S <= threshold (that sample is kept so
+    the crossing is bracketed), or raises NoCrossingError at max_time.
+    Pass threshold=None to integrate to max_time unconditionally.  -Q(t) is
+    the cumulative trapezoid of eps_S n_S', with n_S' from the ODE right-hand
+    side at each sample, up to `_scan`'s j, then the hold's state function.
+    """
+    scan = _scan(schedule, gamma, n0, dt, threshold, max_time)
+    last, t_f, minus_Q_tf = (scan.nsteps, None, None) if threshold is None else _switch_off(scan)
+    hold = _hold(scan, np.arange(1.0, last + 2 - scan.n_S.size))  # offsets 1..last - j
+    minus_Q = -np.concatenate(([0.0], np.cumsum(scan.areas)))
+    minus_Q = np.concatenate((minus_Q, (hold - scan.n_S[-1]) * -scan.e2 + minus_Q[-1]))
+    return Relaxation(np.arange(last + 1.0) * scan.dt, np.concatenate((scan.n_S, hold)), minus_Q,
+                      scan.dt, gamma, schedule, threshold, t_f, minus_Q_tf)
 
 
 def _first_crossing(values, threshold: float, max_time: float, *series) -> tuple[int, list[float]]:
@@ -321,7 +314,7 @@ def _heat_curve(eps1: float, eps2: float, gamma: float, gamma_tau_values,
     rows, failures = [], []
     for gtau, schedule in points:
         try:
-            rows.append((gtau, integrate_population(schedule, gamma, n0=n0, dt=dt).minus_Q_tf))
+            rows.append((gtau, _switch_off(_scan(schedule, gamma, n0=n0, dt=dt))[2]))
         except (NoCrossingError, ValueError) as exc:
             # without its traceback, which would keep the failed run's arrays alive
             failures.append((gtau, exc.with_traceback(None)))

@@ -276,14 +276,12 @@ def _run_engine(config: ProtocolConfig, n0: float, target: float):
             f"population {n0:.4f} already below target {target}; the sweep only lowers it"
         )
     if config.engine == "master-equation":
-        run = master_eq.integrate_population(
-            schedule, config.gamma, n0=n0, dt=config.dt, threshold=target
-        )
-    else:
-        spec = exact_bath.ReservoirSpec(K=config.K, gamma=config.gamma)
-        run = exact_bath.simulate(spec, schedule, n_S0=n0, dt=config.dt, threshold=target)
-    residual = 0.0 if run.C_final is None else exact_bath.interaction_energy(run)
-    return -run.minus_Q_tf, schedule.energy(run.t_f), residual
+        _, t_f, minus_Q_tf = master_eq._switch_off(
+            master_eq._scan(schedule, config.gamma, n0=n0, dt=config.dt, threshold=target))
+        return -minus_Q_tf, schedule.energy(t_f), 0.0
+    spec = exact_bath.ReservoirSpec(K=config.K, gamma=config.gamma)
+    run = exact_bath.simulate(spec, schedule, n_S0=n0, dt=config.dt, threshold=target)
+    return -run.minus_Q_tf, schedule.energy(run.t_f), exact_bath.interaction_energy(run)
 
 
 def _run_operations(C, operations, config: ProtocolConfig, ledger: ThermoLedger | None = None):

@@ -394,14 +394,14 @@ class TestFig1Command:
         assert "every grid point failed" in capsys.readouterr().err
 
     def test_failed_point_skipped(self, tmp_path, monkeypatch):
-        integrate = master_eq.integrate_population
+        integrate = master_eq._scan
 
         def fail_at_gamma_tau_2(schedule, gamma, **kwargs):
             if schedule.tau * gamma == pytest.approx(2.0):
                 raise NoCrossingError("no crossing")
             return integrate(schedule, gamma, **kwargs)
 
-        monkeypatch.setattr(master_eq, "integrate_population", fail_at_gamma_tau_2)
+        monkeypatch.setattr(master_eq, "_scan", fail_at_gamma_tau_2)
         out = tmp_path / "fig1.csv"
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"points": 3, "gamma_tau_min": 1.0, "gamma_tau_max": 4.0}))

@@ -565,3 +565,8 @@ class TestCompareWithMasterEquation:
 
     def test_interaction_energy_small_at_switch_off(self, fig2_run):
         assert abs(interaction_energy(fig2_run)) < 0.05
+
+    def test_interaction_energy_of_a_rate_equation_run_rejected(self):
+        run = integrate_population(SweepSchedule(-5.0, 1.0, 10.0), 0.05)
+        with pytest.raises(ValueError, match="no C_final: it is not an exact-bath run"):
+            interaction_energy(run)

@@ -314,6 +314,8 @@ class TestHold:
             assert np.array_equal(run.n_S, full.n_S[: i + 1])
             assert np.array_equal(run.minus_Q, full.minus_Q[: i + 1])
             assert run.t_f == pytest.approx(full.times[i], abs=1e-12)
+            assert heat_only(schedule, 0.05, dt=0.01, threshold=full.n_S[i],
+                             max_time=100.0) == (run.t_f, run.minus_Q_tf)
             if i > j:
                 assert run.minus_Q_tf == full.minus_Q[i]
             else:
@@ -352,6 +354,59 @@ class TestHold:
         # never reaches the threshold
         with pytest.raises(NoCrossingError, match=r"final n_S=1\.000000"):
             integrate_population(SweepSchedule(-5.0, 1.0, 1.0), 1e-20, dt=1.0, max_time=100.0)
+
+
+def heat_only(schedule, gamma, **kwargs):
+    """(t_f, -Q(t_f)) of a run read off its scan, with no grid built."""
+    _, t_f, minus_Q_tf = master_eq._switch_off(master_eq._scan(schedule, gamma, **kwargs))
+    return t_f, minus_Q_tf
+
+
+class TestHeatOnly:
+    """The switch-off read off a scan is integrate_population's, bit for bit."""
+
+    @pytest.mark.parametrize("eps1,eps2", PAIRS)
+    @pytest.mark.parametrize("n0", [1.0, 0.8])
+    def test_matches_integrate_population(self, eps1, eps2, n0):
+        gamma = 0.02
+        for gtau in [*np.geomspace(0.1, 100.0, 50), 0.001, 0.01, 0.03]:
+            schedule = SweepSchedule(eps1, eps2, gtau / gamma)
+            run = integrate_population(schedule, gamma, n0=n0)
+            assert heat_only(schedule, gamma, n0=n0) == (run.t_f, run.minus_Q_tf)
+
+    def test_thresholds_along_the_hold(self):
+        # at and just below the hold's samples the closed form's crossing can
+        # land a step from the samples' own, which still decide it
+        schedule = SweepSchedule(-5.0, 2.0, 30.005)
+        full = integrate_population(schedule, 0.05, dt=0.01, threshold=None, max_time=100.0)
+        for i in range(3002, full.n_S.size - 1, 13):
+            for threshold, k in ((full.n_S[i], i), (np.nextafter(full.n_S[i], 0.0), i + 1)):
+                _, (t_f,) = master_eq._first_crossing(full.n_S[: k + 1], threshold, 100.0,
+                                                      full.times)
+                t_f_scan, _ = heat_only(schedule, 0.05, dt=0.01, threshold=threshold,
+                                        max_time=100.0)
+                assert t_f_scan == t_f
+
+    @pytest.mark.parametrize("kwargs", [dict(threshold=0.2), dict(max_time=20.0)])
+    def test_no_crossing_same_error(self, kwargs):
+        # f(1) = 0.269 > 0.2: the hold never gets there; by t = 20 the sweep is not over
+        schedule = SweepSchedule(-5.0, 1.0, 30.0)
+        with pytest.raises(NoCrossingError) as grid:
+            integrate_population(schedule, 0.05, **kwargs)
+        with pytest.raises(NoCrossingError) as scan:
+            heat_only(schedule, 0.05, **kwargs)
+        assert str(scan.value) == str(grid.value)
+
+    def test_fig1_point_builds_no_grid(self):
+        # Gamma*tau = 0.001 crosses 1,152,526 samples in, 9 MB per grid array
+        tracemalloc.start()
+        try:
+            rows, failures = master_eq._heat_curve(-5.0, 1.0, 0.02, [0.001])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(rows) == 1 and failures == []
+        assert peak < 1_000_000
 
 
 class TestHeat:
@@ -451,7 +506,7 @@ class TestSweepHeatCurve:
             sweep_heat_curve(-5.0, 1.0, 0.02, [])
 
     def test_first_failure_reraised_after_every_point(self, monkeypatch):
-        integrate = master_eq.integrate_population
+        integrate = master_eq._scan
         errors = {2.0: NoCrossingError("first"), 4.0: ValueError("second")}
         ran = []
 
@@ -462,7 +517,7 @@ class TestSweepHeatCurve:
                 raise errors[gtau]
             return integrate(schedule, gamma, **kwargs)
 
-        monkeypatch.setattr(master_eq, "integrate_population", fail_at_2_and_4)
+        monkeypatch.setattr(master_eq, "_scan", fail_at_2_and_4)
         with pytest.raises(NoCrossingError) as info:
             sweep_heat_curve(-5.0, 1.0, 0.02, [1.0, 2.0, 4.0, 8.0])
         # the point's own exception, raised once the later points have run
@@ -481,7 +536,7 @@ class TestSweepHeatCurve:
             runs.append(weakref.ref(run))
             raise NoCrossingError(f"no crossing for {run}")
 
-        monkeypatch.setattr(master_eq, "integrate_population", fail)
+        monkeypatch.setattr(master_eq, "_scan", fail)
         rows, failures = master_eq._heat_curve(-5.0, 1.0, 0.02, [1.0, 2.0, 4.0])
         assert rows == [] and len(failures) == 3
         assert [ref() for ref in runs] == [None, None, None]
