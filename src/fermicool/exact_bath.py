@@ -27,21 +27,22 @@ from .master_eq import (GAMMA_DT, Relaxation, SweepSchedule, _first_crossing, _h
 # Budgets of a run, checked before any (K+1)^2 allocation (the memory budget
 # when its ReservoirSpec is built): a run steps on the grid t_k = k*dt up to
 # the first t_k >= max_time, one propagator product of (K+1)^3 a step, and
-# it holds at most _DENSE_MATRICES dense (K+1)^2 complex matrices at once
-# (tracemalloc peaks of 6.22, 6.06 and 6.01 at K = 200, 400 and 1000).
-# Held throughout: W and its two step buffers.  While stepping, the solver
-# adds three real buffers of about half a matrix each: its level differences,
-# a call's pole differences and its eigenvectors.  They are freed before the
-# end, where three more come: the two factors and the product while
-# C_final = W diag(c0) W^dag is built.
+# from K = 150 up it holds at most _DENSE_MATRICES dense (K+1)^2 complex
+# matrices at once (tracemalloc peaks of 6.18, 6.04 and 5.88 at K = 150, 200
+# and 400): W and its step buffer, the solver's level differences and a call's
+# temporaries (half a matrix each) and, per energy of a block, about one matrix
+# of pole differences and eigenvectors, freed before C_final's three matrices.
 _WORK_BUDGET = 1e11
 _MEMORY_BUDGET = 2 * 2**30
 _DENSE_MATRICES = 7
 
-# float64 values per temporary of one block of secular solves: the block
-# takes as many sweep steps as fit, one at K=200 and 25 at K=50, so that
-# short steps share the per-call overhead without growing the footprint.
+# float64 values per temporary of a block of secular solves (512 KB), which
+# sets the block below K = 150: 25 sweep steps at K=50 (about 31 matrices,
+# 1.3 MB) and 6 at K=100, so that short steps share the per-call cost.
 _BLOCK_ELEMENTS = 2**16
+# energies a block takes at least: W, its step buffer, the level differences and a call's
+# temporaries hold 3 matrices, and 3 energies make 6 of the 7 (4 would peak at 7.2)
+_BLOCK_FLOOR = 3
 # Newton iterations per root before giving up; the published coupling
 # needs at most 6, and gamma = 1 (a level width of a tenth of the window) 17
 _MAX_ITERATIONS = 100
@@ -134,8 +135,8 @@ class _SecularSolver:
     Until the first root is done, the iterations read and write the roots'
     arrays in place, with no gathers.
 
-    A call takes up to `block` energies, as many as fit in _BLOCK_ELEMENTS
-    per temporary, and returns a view of one eigenvector buffer that the
+    A call takes up to `block` energies, _BLOCK_ELEMENTS per temporary but at
+    least _BLOCK_FLOOR, and returns a view of one eigenvector buffer that the
     next call overwrites; reusing it, and the pole-difference buffer, spares
     the page faults of fresh arrays.
     """
@@ -154,7 +155,7 @@ class _SecularSolver:
         self.mid = 0.5 * (d[:-1] + d[1:])
         self.mid_sums = self.t2 * (1.0 / (self.mid[:, None] - d)).sum(axis=1)
         self.gap = np.diff(d)
-        self.block = max(1, _BLOCK_ELEMENTS // (n * K))
+        self.block = max(_BLOCK_FLOOR, _BLOCK_ELEMENTS // (n * K))
         self._Vt = np.empty((self.block, n, n))
         self._D = np.empty((self.block * n, K))
 
@@ -250,8 +251,8 @@ def simulate(
     eps_S is held constant over each [t, t+dt) interval, whose exact
     propagator is U = V e^{i dt w} V^T from the eigendecomposition
     H = V diag(w) V^T of the real arrowhead.  `_SecularSolver` finds it in
-    O(K^2) for a block of upcoming steps at once (as many as its element
-    budget allows, never past the last step); a block that holds the last energy
+    O(K^2) for a block of upcoming steps at once (`_SecularSolver.block`,
+    never past the last step); a block that holds the last energy
     solved reuses its eigenpairs for each of its steps.  The run carries the
     accumulated propagator W <- U W, applied as two real matrix products on
     the float view of W, and reads n_S and the reservoir energy off the
@@ -285,8 +286,8 @@ def simulate(
     E_R0 = float(c0[1:] @ levels)
     solve = _SecularSolver(levels, t_amp)
     W = np.eye(spec.K + 1, dtype=complex)
-    # step buffers, reused so that no step pays the page faults of fresh arrays
-    X, W_next = np.empty_like(W), np.empty_like(W)
+    # a step buffer, reused so that no step pays the page faults of a fresh array
+    X = np.empty_like(W)
 
     ns = [float(c0[0])]
     minus_Q = [0.0]
@@ -306,8 +307,7 @@ def simulate(
         for Vt, phase in pairs:
             np.matmul(Vt, W.view(np.float64), out=X.view(np.float64))
             X *= phase
-            np.matmul(Vt.T, X.view(np.float64), out=W_next.view(np.float64))
-            W, W_next = W_next, W
+            np.matmul(Vt.T, X.view(np.float64), out=W.view(np.float64))  # X has consumed W
             P = np.square(W.view(np.float64), out=X.view(np.float64)) @ c0_pairs
             ns.append(float(P[0]))
             minus_Q.append(float(P[1:] @ levels) - E_R0)

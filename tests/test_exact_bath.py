@@ -243,7 +243,8 @@ class TestSecularSolver:
                 assert Vt.tobytes() == Vt_ref.tobytes(), (size, start)
 
     def test_block_size_from_element_budget(self):
-        for K, block in [(50, 25), (200, 1), (400, 1)]:
+        # the element budget sets the block below K = 150, _BLOCK_FLOOR from there up
+        for K, block in [(50, 25), (100, 6), (150, 3), (200, 3), (400, 3)]:
             levels, t_amp = build_reservoir(ReservoirSpec(K=K, gamma=0.02))
             assert exact_bath._SecularSolver(levels, t_amp).block == block
 
@@ -294,10 +295,10 @@ class TestSimulate:
         assert run.times.tolist() == [0.0]
         assert run.n_S.tolist() == [0.4]
 
-    @pytest.mark.parametrize("K,calls,energies", [(200, 18, 18), (100, 3, 18)])
+    @pytest.mark.parametrize("K,calls,energies", [(200, 6, 18), (100, 3, 18)])
     def test_held_steps_make_no_solve(self, monkeypatch, K, calls, energies):
         # Gamma*tau = 1 at dt = 3 to Gamma*t = 4: 17 sweep steps, then 50 held
-        # steps of which only the first is solved; a call takes one step at
+        # steps of which only the first is solved; a call takes three steps at
         # K = 200 and six at K = 100
         solved = []
         solve = exact_bath._SecularSolver.__call__
@@ -311,6 +312,28 @@ class TestSimulate:
                        threshold=None, max_time=200.0)
         assert run.times.size == 68
         assert (len(solved), sum(solved)) == (calls, energies)
+
+    @pytest.mark.parametrize("K,tau,threshold,max_time", [
+        pytest.param(200, 500.0, 0.5, None, id="K200-published"),
+        pytest.param(200, 50.0, None, 200.0, id="K200-held"),
+        pytest.param(150, 500.0, 0.7, None, id="K150-mid-block"),
+    ])
+    def test_bytes_do_not_depend_on_block_size(self, monkeypatch, K, tau, threshold, max_time):
+        # the published run crosses at the last step of its 52nd three-step
+        # block; the K = 150 run at its 131st step, inside a block either way
+        def run():
+            return simulate(ReservoirSpec(K=K, gamma=0.02), SweepSchedule(-5.0, 1.0, tau),
+                            dt=3.0, threshold=threshold, max_time=max_time)
+
+        default = run()
+        monkeypatch.setattr(exact_bath, "_BLOCK_FLOOR", 1)
+        levels, t_amp = build_reservoir(ReservoirSpec(K=K, gamma=0.02))
+        assert exact_bath._SecularSolver(levels, t_amp).block == {200: 1, 150: 2}[K]
+        one_per_call = run()
+        for name in ("times", "n_S", "minus_Q", "C_final", "t_f", "minus_Q_tf"):
+            a, b = getattr(default, name), getattr(one_per_call, name)
+            # a run with no threshold has neither t_f nor minus_Q_tf
+            assert a is b is None or np.asarray(a).tobytes() == np.asarray(b).tobytes(), name
 
     def test_no_crossing_raises(self):
         spec = ReservoirSpec(K=20, gamma=0.05)
@@ -485,18 +508,20 @@ class TestBudget:
         with pytest.raises(ValueError, match="K=4378 needs 7 dense 4379x4379 complex matrices"):
             ReservoirSpec(K=4378, gamma=0.02)
 
+    @pytest.mark.parametrize("K", [150, 200, 400], ids=lambda K: f"K{K}")
     @pytest.mark.parametrize("max_time", [0.0, 9.0], ids=["no-step", "three-steps"])
-    def test_peak_memory_within_budget(self, max_time):
-        # the solver's buffers are freed before C_final's three matrices are formed
+    def test_peak_memory_within_budget(self, K, max_time):
+        # from K = 150 up a block holds _BLOCK_FLOOR energies; the solver's
+        # buffers are freed before C_final's three matrices are formed
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
-            simulate(ReservoirSpec(K=200, gamma=0.02), SweepSchedule(-5.0, 1.0, 500.0), dt=3.0,
+            simulate(ReservoirSpec(K=K, gamma=0.02), SweepSchedule(-5.0, 1.0, 500.0), dt=3.0,
                      threshold=None, max_time=max_time)
             peak = tracemalloc.get_traced_memory()[1] - start
         finally:
             tracemalloc.stop()
-        assert peak <= exact_bath._DENSE_MATRICES * 16 * 201**2
+        assert peak <= exact_bath._DENSE_MATRICES * 16 * (K + 1)**2
 
     @pytest.mark.parametrize("dt", [0.3, 1e-300, 5e-324])
     def test_work_budget(self, no_allocation, dt):

@@ -127,3 +127,24 @@ def test_bench_pairs_summary():
     assert setup_line.split()[-3:] == ["0/10", "within", "bound"]
     assert parent == "parent: 400 operations attempted, 0 failed; 0 of 10 runs failed a check"
     assert change == "change: 400 operations attempted, 5 failed; 1 of 10 runs failed a check"
+
+
+def test_bench_pairs_ratios():
+    bench_pairs = _tool("bench_pairs")
+
+    def result(op_s, rss):
+        return {"metrics": {"op_s": {"value": op_s, "unit": "s"},
+                            "peak_rss_mb": {"value": rss, "unit": "MB"}}}
+
+    metrics = [{"name": "op_s", "unit": "s", "better": "lower", "bound": 0.25},
+               {"name": "peak_rss_mb", "unit": "MB", "better": "lower", "bound": 0.05}]
+    # per-pair ratios 0.9, 0.95, 1.1, 0.8 and 1.0: their median, 0.95, is not the
+    # ratio of the medians, 0.8/1.0
+    parent_op = [1.00, 1.20, 0.50, 1.00, 0.80]
+    change_op = [0.90, 1.14, 0.55, 0.80, 0.80]
+    pairs = [(result(p, 100.0), result(c, 90.0)) for p, c in zip(parent_op, change_op)]
+    op_line, rss_line = bench_pairs.ratios(metrics, pairs)
+    assert op_line.split() == ["op_s", "change/parent", "0.9500", "(-5.0%)", "of", "parent",
+                               "median", "1", "s"]
+    assert rss_line.split() == ["peak_rss_mb", "change/parent", "0.9000", "(-10.0%)", "of",
+                                "parent", "median", "100", "MB"]

@@ -16,7 +16,8 @@ neither) and a verdict:
   metric's bound;
 - "within bound" otherwise.
 Then, per side, the operations attempted and failed and the runs whose
-checks failed.
+checks failed.  Last, per metric, the median over pairs of the change/parent
+ratio, with the parent median as its base.
 """
 
 from __future__ import annotations
@@ -75,6 +76,19 @@ def summarize(metrics: list[dict], pairs: list[tuple[dict, dict]]) -> list[str]:
     return lines
 
 
+def ratios(metrics: list[dict], pairs: list[tuple[dict, dict]]) -> list[str]:
+    """One line per metric: the median per-pair change/parent ratio and its base, the parent median."""
+    lines = []
+    for metric in metrics:
+        name = metric["name"]
+        parent = np.array([p["metrics"][name]["value"] for p, _ in pairs])
+        change = np.array([c["metrics"][name]["value"] for _, c in pairs])
+        ratio = float(np.median(change / parent))
+        lines.append(f"{name:<12} change/parent {ratio:.4f} ({ratio - 1:+.1%}) "
+                     f"of parent median {np.median(parent):.5g} {metric['unit']}")
+    return lines
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path)
@@ -93,7 +107,7 @@ def main(argv=None) -> int:
         print(f"pair {i + 1}/{args.pairs} done", file=sys.stderr, flush=True)
     print(f"workload {args.workload}, {args.pairs} pairs of {args.seconds:g} s runs, "
           f"seed {args.seed}")
-    print("\n".join(summarize(metrics, pairs)))
+    print("\n".join(summarize(metrics, pairs) + ratios(metrics, pairs)))
     return 0
 
 
