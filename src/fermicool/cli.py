@@ -19,27 +19,17 @@ import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from . import exact_bath, master_eq, protocol
-from .gaussian import (
-    _require_integer,
-    _require_positive,
-    _require_probability,
-    binary_entropy,
-    energy_expectation,
-    evolve_step,
-    subsystem_entropy,
-)
-from .master_eq import EngineError, SweepSchedule, find_zero_crossing
-from .protocol import ProtocolConfig
+# the checks; numpy and an engine are imported by a handler after its checks have passed
+from .params import (EPS1, EPS2, GAMMA, GAMMA_DT, GAMMA_TAU, RESERVOIR_MODES, EngineError,
+                     ProtocolConfig, ReservoirSpec, SweepSchedule, _check_switch_off,
+                     _require_integer, _require_positive, _require_probability)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_ENGINE = 3
 
-# the largest fig1 grid or invariants sample count: about 40 s of fig1 at
-# ~0.4 ms a point, or 90 s of invariants at ~0.9 ms a sample (2-vCPU host)
+# the largest fig1 grid or invariants sample count: about 30 s of fig1 at
+# <= 0.3 ms a point, or 60 s of invariants at <= 0.6 ms a sample (2-vCPU host)
 _MAX_COUNT = 10**5
 
 
@@ -47,18 +37,17 @@ _MAX_COUNT = 10**5
 # output
 
 
-def _fmt(x) -> str:
-    if isinstance(x, (float, np.floating)):
-        return repr(float(x))
-    return str(x)
-
-
 def write_table(path: Path, fmt: str, meta: dict, columns: list[str], rows: list[tuple]):
+    import numpy as np
+
+    def cell(x) -> str:
+        return repr(float(x)) if isinstance(x, (float, np.floating)) else str(x)
+
     if fmt == "csv":
-        lines = [f"# {k} = {_fmt(v)}" for k, v in sorted(meta.items())]
+        lines = [f"# {k} = {cell(v)}" for k, v in sorted(meta.items())]
         lines.append(",".join(columns))
         for row in rows:
-            lines.append(",".join(_fmt(v) for v in row))
+            lines.append(",".join(cell(v) for v in row))
         text = "\n".join(lines)
     else:
         # np.float64 is a float subclass, which json writes through float.__repr__
@@ -107,9 +96,11 @@ def cmd_protocol(params: dict):
     config = ProtocolConfig(**params)
     # the finite-time parameters, and the reservoir's memory, are checked whichever engine runs
     SweepSchedule(config.eps1, config.eps2, config.tau)
-    exact_bath.ReservoirSpec(K=config.K, gamma=config.gamma)
+    ReservoirSpec(K=config.K, gamma=config.gamma)
     if config.dt is not None:
         _require_positive("dt", config.dt)
+    from . import protocol
+
     ledger = protocol.run_purification(config)
     rows = [dataclasses.astuple(s) for s in ledger.steps]
     # the total row repeats the last step's state and cumulative heat, work, sigma
@@ -129,13 +120,17 @@ def cmd_fig1(params: dict):
     _check_count("points", params["points"])
     for key in ("gamma_tau_min", "gamma_tau_max"):
         _require_positive(key, params[key])
+    import numpy as np
+
+    from . import master_eq
+
     grid = np.geomspace(params["gamma_tau_min"], params["gamma_tau_max"], params["points"])
     rows, failures = master_eq._heat_curve(params["eps1"], params["eps2"], params["gamma"],
                                            grid, params["n0"], params["dt"])
     skipped = [f"gamma_tau={gtau:g}: {exc}" for gtau, exc in failures]
     if not rows:
         raise EngineError("every grid point failed: " + "; ".join(skipped))
-    crossing = find_zero_crossing(rows)
+    crossing = master_eq.find_zero_crossing(rows)
     meta = {
         "eps1": params["eps1"],
         "eps2": params["eps2"],
@@ -150,10 +145,12 @@ def cmd_fig2(params: dict):
     for key in ("gamma_tau", "gamma_dt"):
         _require_positive(key, params[key])
     _require_probability("n0", params["n0"])
-    master_eq._check_switch_off(params["n0"])
+    _check_switch_off(params["n0"])
     gamma = params["gamma"]
-    spec = exact_bath.ReservoirSpec(K=params["K"], gamma=gamma)
+    spec = ReservoirSpec(K=params["K"], gamma=gamma)
     schedule = SweepSchedule(params["eps1"], params["eps2"], params["gamma_tau"] / gamma)
+    from . import exact_bath
+
     run = exact_bath.simulate(
         spec, schedule, n_S0=params["n0"], dt=params["gamma_dt"] / gamma
     )
@@ -179,6 +176,8 @@ def cmd_fig2(params: dict):
 def cmd_witness(params: dict):
     sequence = params.pop("sequence")
     config = ProtocolConfig(**params)
+    from . import protocol
+
     report = protocol.run_witness_sequence(
         protocol._initial_state(config), sequence, omega=config.omega
     )
@@ -189,14 +188,16 @@ def cmd_witness(params: dict):
     return meta, columns, rows
 
 
-def _random_correlation(rng, dim: int) -> np.ndarray:
+def _random_correlation(rng, dim: int):
+    import numpy as np
+
     z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     q, _ = np.linalg.qr(z)
     nu = rng.uniform(0.0, 1.0, size=dim)
     return (q * nu) @ q.conj().T
 
 
-def _random_hermitian(rng, dim: int) -> np.ndarray:
+def _random_hermitian(rng, dim: int):
     z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     return 0.5 * (z + z.conj().T)
 
@@ -206,6 +207,11 @@ def cmd_invariants(params: dict):
     _require_integer("seed", params["seed"])
     if params["seed"] < 0:
         raise ValueError(f"seed must be nonnegative, got {params['seed']}")
+    import numpy as np
+
+    from . import master_eq, protocol
+    from .gaussian import binary_entropy, energy_expectation, evolve_step, subsystem_entropy
+
     rng = np.random.default_rng(params["seed"])
     rows: list[tuple] = []
 
@@ -268,8 +274,7 @@ def cmd_invariants(params: dict):
     check("separable_run_witness_violation", worst_witness, 1e-9)
 
     # second law along a finite-time sweep
-    schedule = SweepSchedule(master_eq.EPS1, master_eq.EPS2, master_eq.GAMMA_TAU / master_eq.GAMMA)
-    run = master_eq.integrate_population(schedule, master_eq.GAMMA)
+    run = master_eq.integrate_population(SweepSchedule(EPS1, EPS2, GAMMA_TAU / GAMMA), GAMMA)
     sigma = np.array([binary_entropy(n) for n in run.n_S]) \
         - binary_entropy(run.n_S[0]) + run.minus_Q
     check("master_eq_entropy_production_violation", -sigma.min(), 1e-6)
@@ -314,14 +319,13 @@ _COMMANDS = {
                  cmd_protocol),
     "fig1": ("heat dissipation vs sweep time (rate equation)",
              ("gamma", "eps1", "eps2", "dt", "n0", "points"),
-             dict(eps1=master_eq.EPS1, eps2=master_eq.EPS2, gamma=master_eq.GAMMA, n0=1.0,
+             dict(eps1=EPS1, eps2=EPS2, gamma=GAMMA, n0=1.0,
                   points=50, gamma_tau_min=0.1, gamma_tau_max=100.0, dt=None),
              cmd_fig1),
     "fig2": ("exact bath dynamics vs rate equation time series",
              ("gamma", "eps1", "eps2", "K", "n0", "gamma_tau", "gamma_dt"),
-             dict(gamma=master_eq.GAMMA, gamma_tau=master_eq.GAMMA_TAU,
-                  gamma_dt=master_eq.GAMMA_DT, K=master_eq.RESERVOIR_MODES,
-                  eps1=master_eq.EPS1, eps2=master_eq.EPS2, n0=1.0),
+             dict(gamma=GAMMA, gamma_tau=GAMMA_TAU, gamma_dt=GAMMA_DT, K=RESERVOIR_MODES,
+                  eps1=EPS1, eps2=EPS2, n0=1.0),
              cmd_fig2),
     "witness": ("entanglement detection from occupancies and heat",
                 ("p", "phi"),

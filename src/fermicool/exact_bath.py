@@ -5,9 +5,8 @@ a fixed energy window, tunnel-coupled to the system with a uniform amplitude
 chosen so that Gamma = 2*pi*T^2*xi holds exactly for the empirical density
 of states xi = K / window_width.  Heat is read off the reservoir energy.
 
-The single-particle Hamiltonian is a real symmetric arrowhead, whose
-eigenpairs `_SecularSolver` finds in O(K^2) from its secular equation, and
-the initial correlation matrix C0 = diag(c0) is diagonal, so `simulate`
+The single-particle Hamiltonian is a real symmetric arrowhead, solved in
+O(K^2) by `_SecularSolver`, and C0 = diag(c0) is diagonal, so `simulate`
 carries the accumulated propagator W instead of C = W diag(c0) W^dag.
 """
 
@@ -19,22 +18,13 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .gaussian import (_is_pair, _require_finite, _require_integer, _require_positive,
-                       _require_probability, fermi_occupation)
-from .master_eq import (GAMMA_DT, Relaxation, SweepSchedule, _first_crossing, _horizon, _scan,
-                        _switch_off, integrate_population)
-
-# Budgets of a run, checked before any (K+1)^2 allocation (the memory budget
-# when its ReservoirSpec is built): a run steps on the grid t_k = k*dt up to
-# the first t_k >= max_time, one propagator product of (K+1)^3 a step, and
-# from K = 150 up it holds at most _DENSE_MATRICES dense (K+1)^2 complex
-# matrices at once (tracemalloc peaks of 6.18, 6.04 and 5.88 at K = 150, 200
-# and 400): W and its step buffer, the solver's level differences and a call's
-# temporaries (half a matrix each) and, per energy of a block, about one matrix
-# of pole differences and eigenvectors, freed before C_final's three matrices.
-_WORK_BUDGET = 1e11
-_MEMORY_BUDGET = 2 * 2**30
-_DENSE_MATRICES = 7
+from .gaussian import fermi_occupation
+from .master_eq import (Relaxation, _first_crossing, _horizon, _scan, _switch_off,
+                        integrate_population)
+# ReservoirSpec and the run's budgets (see their comment) live in params, which the
+# CLI loads without numpy
+from .params import (_DENSE_MATRICES, _MEMORY_BUDGET, _WORK_BUDGET, GAMMA_DT, ReservoirSpec,
+                     SweepSchedule, _require_positive, _require_probability)
 
 # float64 values per temporary of a block of secular solves (512 KB), which
 # sets the block below K = 150: 25 sweep steps at K=50 (about 31 matrices,
@@ -47,48 +37,6 @@ _BLOCK_FLOOR = 3
 # needs at most 6, and gamma = 1 (a level width of a tenth of the window) 17
 _MAX_ITERATIONS = 100
 _EPS = np.finfo(float).eps
-
-
-@dataclass(frozen=True)
-class ReservoirSpec:
-    """Discretized thermal reservoir: K levels on `window`, coupling rate gamma.
-
-    A K whose run would exceed the memory budget (K > 4377) is rejected when built.
-    """
-
-    K: int
-    gamma: float
-    window: tuple[float, float] = (-7.0, 3.0)
-
-    def __post_init__(self):
-        _require_integer("K", self.K)
-        if self.K < 2:
-            raise ValueError(f"need at least 2 reservoir modes, got K={self.K}")
-        _require_positive("gamma", self.gamma)
-        w = self.window
-        if not (_is_pair(w, of_numbers=True) and w[0] < w[1]):
-            raise ValueError(f"window must be two increasing numbers, got {w!r}")
-        _require_finite("window width", self.width)
-        n = self.K + 1
-        if _DENSE_MATRICES * 16 * n**2 > _MEMORY_BUDGET:
-            raise ValueError(
-                f"K={self.K} needs {_DENSE_MATRICES} dense {n}x{n} complex matrices, "
-                f"more than the {_MEMORY_BUDGET / 2**30:g} GiB memory budget"
-            )
-
-    @property
-    def width(self) -> float:
-        return self.window[1] - self.window[0]
-
-    @property
-    def xi(self) -> float:
-        """Density of states (levels per unit energy)."""
-        return self.K / self.width
-
-    @property
-    def t_amp(self) -> float:
-        """Tunnel amplitude solving gamma = 2*pi*t_amp^2*xi."""
-        return math.sqrt(self.gamma / (2.0 * math.pi * self.xi))
 
 
 def build_reservoir(spec: ReservoirSpec) -> tuple[np.ndarray, float]:
@@ -132,13 +80,10 @@ class _SecularSolver:
     reservoir and are computed once.  A call forms its roots' pole
     differences once, as rows of the level differences, and each Newton
     iteration and the eigenvectors take lam - d_k from them in one addition.
-    Until the first root is done, the iterations read and write the roots'
-    arrays in place, with no gathers.
 
-    A call takes up to `block` energies, _BLOCK_ELEMENTS per temporary but at
-    least _BLOCK_FLOOR, and returns a view of one eigenvector buffer that the
-    next call overwrites; reusing it, and the pole-difference buffer, spares
-    the page faults of fresh arrays.
+    A call takes up to `block` energies and returns a view of one eigenvector
+    buffer that the next call overwrites; reusing it, and the pole-difference
+    buffer, spares the page faults of fresh arrays.
     """
 
     def __init__(self, levels: np.ndarray, t_amp: float):
@@ -252,21 +197,20 @@ def simulate(
     propagator is U = V e^{i dt w} V^T from the eigendecomposition
     H = V diag(w) V^T of the real arrowhead.  `_SecularSolver` finds it in
     O(K^2) for a block of upcoming steps at once (`_SecularSolver.block`,
-    never past the last step); a block that holds the last energy
-    solved reuses its eigenpairs for each of its steps.  The run carries the
-    accumulated propagator W <- U W, applied as two real matrix products on
-    the float view of W, and reads n_S and the reservoir energy off the
-    diagonal |W|^2 c0 of C = W diag(c0) W^dag.  Only n_S and
-    -Q are kept per step; C_final is built once, at the end, so C after k
-    steps is the C_final of a run with threshold=None and max_time = k*dt.
+    never past the last step).  The run carries the accumulated propagator
+    W <- U W, applied as two real matrix products on the float view of W,
+    and reads n_S and the reservoir energy off the diagonal |W|^2 c0 of
+    C = W diag(c0) W^dag.  Only n_S and -Q are kept per step; C_final is
+    built once, at the end, so C after k steps is the C_final of a run with
+    threshold=None and max_time = k*dt.
 
     The samples sit on the rate equation's grid t_k = k*dt, up to the first
     t_k >= max_time (`master_eq._horizon`).  The run stops when n_S first
     reaches `threshold`; t_f and minus_Q_tf follow the rate equation's
     switch-off rule.  Raises NoCrossingError at max_time.  Raises ValueError,
     before allocating any (K+1)^2 matrix, when steps * (K+1)^3 exceeds the
-    work budget _WORK_BUDGET (1e11, about a minute on a 2-vCPU host); the
-    spec already fits the memory budget.
+    work budget _WORK_BUDGET (1e11, about 25 s on a 2-vCPU host); the spec
+    already fits the memory budget.
     """
     if dt is None:
         dt = GAMMA_DT / spec.gamma

@@ -8,49 +8,15 @@ energies are in units of k_B*T, times in 1/(k_B*T), entropies in nats.
 from __future__ import annotations
 
 import math
-import numbers
-import sys
 
 import numpy as np
 
+# the validators live in params, which the CLI loads without numpy
+from .params import (_is_number, _is_pair, _require_finite, _require_integer, _require_positive,
+                     _require_probability)
+
 HERMITIAN_TOL = 1e-12
 PROB_TOL = 1e-12
-
-
-def _require_finite(name: str, value) -> None:
-    if not _is_number(value):
-        raise ValueError(f"{name} must be a number, got {value!r}")
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value}")
-
-
-def _require_positive(name: str, value) -> None:
-    _require_finite(name, value)
-    if not value > 0:
-        raise ValueError(f"{name} must be positive, got {value}")
-
-
-def _is_number(value) -> bool:
-    """A real other than a bool; an integer too large for a float is not one."""
-    if isinstance(value, numbers.Integral):
-        return not isinstance(value, bool) and abs(value) <= sys.float_info.max
-    return isinstance(value, (float, numbers.Real))  # float first skips the ABC check
-
-
-def _is_pair(value, of_numbers: bool = False) -> bool:
-    """A tuple, list or 1-D array of two entries, both numbers if of_numbers."""
-    ok = isinstance(value, (tuple, list)) or isinstance(value, np.ndarray) and value.ndim == 1
-    return ok and len(value) == 2 and (not of_numbers or all(map(_is_number, value)))
-
-
-def _require_integer(name: str, value) -> None:
-    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-
-
-def _require_probability(name: str, value) -> None:
-    if not (_is_number(value) and 0.0 <= value <= 1.0):
-        raise ValueError(f"{name} must be a number in [0, 1], got {value}")
 
 
 def require_hermitian(a, name: str) -> np.ndarray:

@@ -4,16 +4,11 @@ Integrates n_S' = -Gamma * [n_S - f(eps_S(t))] for a linear energy sweep
 and computes the dissipated heat -Q = -int eps_S(t) n_S'(t) dt up to the
 time t_f at which the population first reaches 1/2.
 
-The integrator is classical fixed-step RK4.  A run is one scan and two
-readouts: `_scan` steps the sweep, `_switch_off` reads t_f and -Q(t_f) off it,
-and `integrate_population` builds the samples up to the crossing.  From the
-first grid point at or after tau the steps have a closed form, which only the
-grid evaluates beyond the crossing's bracket.
-
-Both finite-time engines (this one and exact_bath.simulate) sample one time
-grid, t_k = k*dt for k = 0..nsteps, where nsteps is the smallest k with
-k*dt >= max_time; `_horizon` sets it, with the stop and step-budget checks,
-and `_grid_index` is the rule for the smallest such k.
+The integrator is classical fixed-step RK4 on the time grid that `_horizon`
+sets for both finite-time engines (this one and exact_bath.simulate).  A run
+is one scan and two readouts: `_scan` steps the sweep, `_switch_off` reads t_f
+and -Q(t_f) off it, and `integrate_population` builds the samples up to the
+crossing.
 """
 
 from __future__ import annotations
@@ -25,54 +20,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussian import _require_finite, _require_positive, _require_probability, fermi_occupation
-
-# the published parameters of Figs. 1 and 2 (units of k_B*T), the only place they are set
-EPS1 = -5.0
-EPS2 = 1.0
-GAMMA = 0.02
-GAMMA_TAU = 10.0
-RESERVOIR_MODES = 200
-GAMMA_DT = 0.06
+from .gaussian import fermi_occupation
+# the published parameters, the errors and SweepSchedule live in params, which the
+# CLI loads without numpy
+from .params import (EPS1, EPS2, GAMMA, GAMMA_DT, GAMMA_TAU, RESERVOIR_MODES,
+                     EngineError, NoCrossingError, SweepSchedule, _check_switch_off,
+                     _require_finite, _require_positive, _require_probability)
 
 # steps per scan block; since Gamma*dt <= 0.01, A**-m stays below about e**41
 _BLOCK_STEPS = 4096
 # longest time grid accepted; a grid this long already takes seconds and gigabytes
 _MAX_STEPS = 10**8
-
-
-class EngineError(RuntimeError):
-    """A finite-time engine did not finish (e.g. an unreachable target, no crossing)."""
-
-
-class NoCrossingError(EngineError):
-    """Population never reached the switch-off threshold."""
-
-
-@dataclass(frozen=True)
-class SweepSchedule:
-    """Piecewise-linear system energy: eps1 -> eps2 over [0, tau], then held."""
-
-    eps1: float
-    eps2: float
-    tau: float
-
-    def __post_init__(self):
-        for name in ("eps1", "eps2"):
-            _require_finite(name, getattr(self, name))
-        _require_positive("tau", self.tau)
-        if not self.eps1 < self.eps2:
-            raise ValueError(f"require eps1 < eps2, got {self.eps1} >= {self.eps2}")
-        # finite ends can span more than the largest float, which makes every energy NaN
-        _require_finite("eps2 - eps1", self.eps2 - self.eps1)
-
-    def energy(self, t):
-        t = np.asarray(t, dtype=float)
-        frac = np.clip(t / self.tau, 0.0, 1.0)
-        e = self.eps1 + (self.eps2 - self.eps1) * frac
-        if e.ndim == 0:
-            return float(e)
-        return e
 
 
 @dataclass
@@ -109,12 +67,6 @@ def _check_rate_inputs(gamma: float, n0: float, dt: float | None) -> None:
         _require_positive("dt", dt)
         if dt > 0.01 / gamma * (1 + 1e-12):
             raise ValueError(f"dt={dt} too coarse; require dt <= 0.01/gamma = {0.01 / gamma}")
-
-
-def _check_switch_off(n0: float) -> None:
-    """Reject a figure run that would switch off at t = 0: n0 at or below 1/2."""
-    if not n0 > 0.5:
-        raise ValueError(f"n0 must be above the switch-off threshold 0.5, got {n0}")
 
 
 def _grid_index(t: float, dt: float) -> float:

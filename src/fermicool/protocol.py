@@ -20,19 +20,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import exact_bath, master_eq
-from .gaussian import (
-    _entropy_sum,
-    _is_pair,
-    _propagate,
-    _require_deviation,
-    _require_finite,
-    _require_positive,
-    _require_probability,
-    binary_entropy,
-    fermi_occupation,
-    require_hermitian,
-)
-from .master_eq import EngineError
+from .gaussian import (_entropy_sum, _propagate, _require_deviation, binary_entropy,
+                       fermi_occupation, require_hermitian)
+# EngineError and ProtocolConfig live in params, which the CLI loads without numpy
+from .params import (EngineError, ProtocolConfig, _require_finite, _require_positive,
+                     _require_probability)
 
 MEMORY = 0
 SYSTEM = 1
@@ -208,49 +200,6 @@ class ThermoLedger:
 def witness_from_ledger(ledger: ThermoLedger) -> float:
     first, last = ledger.steps[0], ledger.steps[-1]
     return witness_value(first.n_S, first.n_M, last.n_S, last.n_M, last.heat)
-
-
-@dataclass(frozen=True)
-class ProtocolConfig:
-    """Initial state, step-2 engine selection and finite-time engine parameters.
-
-    p, phi, diagonal, omega, engine and step2_target are checked when built:
-    p, both diagonal populations and step2_target must be numbers in [0, 1],
-    p even when a diagonal (a tuple, list or 1-D array of two) overrides it.
-    eps1, eps2, gamma, tau, dt and K are checked by the engine that uses
-    them, and by `fermicool protocol` whichever engine runs.
-    """
-
-    p: float = 0.5
-    phi: float = math.pi / 2.0
-    diagonal: tuple[float, float] | None = None  # (n_M, n_S); overrides (p, phi)
-    omega: float = 1.0
-    engine: str = "quasistatic"  # quasistatic | master-equation | exact-bath
-    step2_target: float | None = None  # default: initial memory population
-    # finite-time engine parameters; the defaults are the published ones
-    eps1: float = master_eq.EPS1
-    eps2: float = master_eq.EPS2
-    gamma: float = master_eq.GAMMA
-    tau: float = master_eq.GAMMA_TAU / master_eq.GAMMA
-    dt: float | None = None
-    K: int = master_eq.RESERVOIR_MODES
-
-    ENGINES = ("quasistatic", "master-equation", "exact-bath")
-
-    def __post_init__(self):
-        if self.engine not in self.ENGINES:
-            raise ValueError(f"unknown engine {self.engine!r}; choose from {self.ENGINES}")
-        d = self.diagonal
-        if d is not None:
-            if not _is_pair(d):
-                raise ValueError(f"diagonal must hold two populations, got {d!r}")
-            _require_probability("diagonal n_M", d[0])
-            _require_probability("diagonal n_S", d[1])
-        _require_probability("p", self.p)
-        _require_finite("phi", self.phi)
-        _require_positive("omega", self.omega)
-        if self.step2_target is not None:
-            _require_probability("step2_target", self.step2_target)
 
 
 def _initial_state(config: ProtocolConfig) -> np.ndarray:

@@ -1,5 +1,6 @@
 import argparse
 import csv
+import importlib
 import json
 import math
 import os
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 import fermicool
-from fermicool import cli, master_eq
+from fermicool import cli, gaussian, master_eq, params
 from fermicool.cli import build_parser, main, write_table
 from fermicool.master_eq import NoCrossingError
 from fermicool.protocol import ProtocolConfig, run_purification
@@ -512,12 +513,13 @@ class TestInvariantsCommand:
         assert "evolution_spectrum_drift" in names
 
     def test_failed_battery_written_exit_code(self, tmp_path, monkeypatch):
-        evolve_step = cli.evolve_step
+        # the battery imports evolve_step from gaussian when it runs
+        evolve_step = gaussian.evolve_step
 
         def drifting(C, H, dt):
             return evolve_step(C, H, dt) + 1e-6 * np.eye(len(C))
 
-        monkeypatch.setattr(cli, "evolve_step", drifting)
+        monkeypatch.setattr(gaussian, "evolve_step", drifting)
         out = tmp_path / "inv.csv"
         assert main(["invariants", "--samples", "3", "--out", str(out)]) == 3
         meta, rows = read_csv(out)
@@ -587,13 +589,41 @@ class TestParser:
                                 config=None, out=Path(f"{name}.csv"), format="csv")
 
 
+def _fresh_stdout(code: str, cwd=None) -> str:
+    """What a fresh interpreter that imports this checkout's fermicool prints for `code`."""
+    src = str(Path(fermicool.__file__).resolve().parents[1])
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, cwd=cwd, check=True).stdout
+
+
 def _modules_after_fresh_import(module: str) -> set[str]:
     """Names in sys.modules once a fresh interpreter has imported `module`."""
-    src = str(Path(fermicool.__file__).resolve().parents[1])
-    code = f"import sys, {module}\nprint('\\n'.join(sys.modules))\n"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env={**os.environ, "PYTHONPATH": src}, check=True).stdout
-    return set(out.split())
+    return set(_fresh_stdout(f"import sys, {module}\nprint('\\n'.join(sys.modules))\n").split())
+
+
+# runs `python -m fermicool.cli ARGV`, then prints its exit code and whether numpy loaded
+_RUN_CLI = """\
+import runpy, sys
+sys.argv = ["fermicool", *{argv!r}]
+try:
+    runpy.run_module("fermicool.cli", run_name="__main__")
+except SystemExit as exc:
+    print(exc.code, "numpy" in sys.modules)
+"""
+
+# the names that live in fermicool.params, by each module that also exports them
+_MOVED = {
+    "fermicool": ["EngineError", "NoCrossingError", "ProtocolConfig", "ReservoirSpec",
+                  "SweepSchedule"],
+    "fermicool.gaussian": ["_is_number", "_is_pair", "_require_finite", "_require_integer",
+                           "_require_positive", "_require_probability"],
+    "fermicool.master_eq": ["EPS1", "EPS2", "GAMMA", "GAMMA_TAU", "RESERVOIR_MODES", "GAMMA_DT",
+                            "EngineError", "NoCrossingError", "SweepSchedule",
+                            "_check_switch_off"],
+    "fermicool.exact_bath": ["ReservoirSpec", "_WORK_BUDGET", "_MEMORY_BUDGET",
+                             "_DENSE_MATRICES"],
+    "fermicool.protocol": ["EngineError", "ProtocolConfig"],
+}
 
 
 class TestStartup:
@@ -610,3 +640,45 @@ class TestStartup:
         # scipy.special alone costs more start-up time than any command's work
         loaded = _modules_after_fresh_import(module)
         assert sorted(m for m in loaded if m.split(".")[0] == "scipy") == []
+
+    @pytest.mark.parametrize("module", ["fermicool", "fermicool.cli"])
+    def test_import_loads_no_numpy(self, module):
+        assert "numpy" not in _modules_after_fresh_import(module)
+
+    @pytest.mark.parametrize("argv,code", [
+        (["protocol", "--engine", "master-equation", "--gamma", "nan"], 2),
+        (["protocol", "--p", "1.5"], 2),
+        (["protocol", "--engine", "master-equation", "--tau", "inf"], 2),
+        (["fig1", "--points", "0"], 2),
+        (["invariants", "--samples", "0"], 2),
+        (["fig2", "--config", "config.json"], 2),
+        (["--help"], 0),
+    ], ids=["gamma-nan", "p-1.5", "tau-inf", "points-0", "samples-0", "config-key", "help"])
+    def test_rejection_loads_no_numpy(self, tmp_path, argv, code):
+        # the checks run before numpy or an engine is imported, and nothing is written
+        (tmp_path / "config.json").write_text('{"no_such_key": 1}')
+        last = _fresh_stdout(_RUN_CLI.format(argv=argv), cwd=tmp_path).splitlines()[-1]
+        assert last == f"{code} False"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+    def test_exports_resolve_lazily(self):
+        code = """\
+import fermicool, json
+names = [n for n in fermicool.__all__ if getattr(fermicool, n) is vars(fermicool)[n]]
+try:
+    fermicool.no_such_name
+    missing = "resolved"
+except AttributeError as exc:
+    missing = str(exc)
+print(json.dumps([names, sorted(dir(fermicool)), missing]))
+"""
+        names, listed, missing = json.loads(_fresh_stdout(code))
+        # each name resolves once and is then cached in the namespace perfbench's tracer reads
+        assert names == fermicool.__all__
+        assert "__all__" in listed and set(fermicool.__all__) <= set(listed)
+        assert missing == "module 'fermicool' has no attribute 'no_such_name'"
+
+    @pytest.mark.parametrize("module,name",
+                             [(m, n) for m, names in _MOVED.items() for n in names])
+    def test_moved_names_are_the_params_objects(self, module, name):
+        assert getattr(importlib.import_module(module), name) is getattr(params, name)
