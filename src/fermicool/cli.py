@@ -21,8 +21,8 @@ from pathlib import Path
 
 # the checks; numpy and an engine are imported by a handler after its checks have passed
 from .params import (EPS1, EPS2, GAMMA, GAMMA_DT, GAMMA_TAU, RESERVOIR_MODES, EngineError,
-                     ProtocolConfig, ReservoirSpec, SweepSchedule, _check_switch_off,
-                     _require_integer, _require_positive, _require_probability)
+                     ProtocolConfig, ReservoirSpec, SweepSchedule, _check_rate_inputs,
+                     _check_switch_off, _require_integer, _require_positive, _require_probability)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -120,6 +120,10 @@ def cmd_fig1(params: dict):
     _check_count("points", params["points"])
     for key in ("gamma_tau_min", "gamma_tau_max"):
         _require_positive(key, params[key])
+    _check_rate_inputs(params["gamma"], params["n0"], params["dt"])
+    _check_switch_off(params["n0"])
+    for key in ("gamma_tau_min", "gamma_tau_max"):  # each grid tau lies between these two
+        SweepSchedule(params["eps1"], params["eps2"], params[key] / params["gamma"])
     import numpy as np
 
     from . import master_eq

@@ -76,10 +76,9 @@ class _SecularSolver:
     eps), and falls back to bisection when it leaves the bracket.  A root
     leaves the active set once |F| is within its rounding noise, or once a
     Newton step is so short that the next would be below rounding.  S_j, the
-    midpoint sums and the level differences d_j - d_k depend only on the
-    reservoir and are computed once.  A call forms its roots' pole
-    differences once, as rows of the level differences, and each Newton
-    iteration and the eigenvectors take lam - d_k from them in one addition.
+    midpoint sums and d_j - d_k are computed once per reservoir; a call
+    gathers its roots' rows of d_j - d_k once, so each Newton iteration and
+    the eigenvectors take lam - d_k from them in one addition.
 
     A call takes up to `block` energies and returns a view of one eigenvector
     buffer that the next call overwrites; reusing it, and the pole-difference
@@ -193,11 +192,9 @@ def simulate(
 ) -> Relaxation:
     """Stepwise-quenched exact evolution of the system-reservoir correlation matrix.
 
-    eps_S is held constant over each [t, t+dt) interval, whose exact
-    propagator is U = V e^{i dt w} V^T from the eigendecomposition
-    H = V diag(w) V^T of the real arrowhead.  `_SecularSolver` finds it in
-    O(K^2) for a block of upcoming steps at once (`_SecularSolver.block`,
-    never past the last step).  The run carries the accumulated propagator
+    eps_S is held constant over each [t, t+dt) interval; `_SecularSolver`
+    finds its exact propagator U = V e^{i dt w} V^T in O(K^2), a block of
+    upcoming steps at once.  The run carries the accumulated propagator
     W <- U W, applied as two real matrix products on the float view of W,
     and reads n_S and the reservoir energy off the diagonal |W|^2 c0 of
     C = W diag(c0) W^dag.  Only n_S and -Q are kept per step; C_final is

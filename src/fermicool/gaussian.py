@@ -63,20 +63,24 @@ def evolve_step(C, H, dt: float) -> np.ndarray:
 
 
 def _propagate(C: np.ndarray, dt: float, eigh, H) -> np.ndarray:
-    """U C U^dag, symmetrised, with U = exp(+i*dt*H) = (V e^{i dt w}) V^dag.
-
-    (w, V) = eigh(H) is the eigendecomposition of H, asked for only when
-    dt > 0; dt = 0 returns a copy of C.  Only dt is checked: callers pass a
-    validated C and H.
-    """
+    """`_conjugate` by exp(+i*dt*H), from eigh(H) if dt > 0 (dt = 0 copies C); checks dt alone."""
     _require_finite("dt", dt)
     if dt < 0:
         raise ValueError(f"dt must be nonnegative, got {dt}")
     if dt == 0:
         return C.copy()
-    w, V = eigh(H)
+    return _conjugate(C, *_propagator(*eigh(H), dt))
+
+
+def _propagator(w: np.ndarray, V: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """U = exp(+i*dt*H) and U^dag from (w, V) = eigh(H)."""
     U = (V * np.exp(1j * dt * w)) @ V.conj().T
-    out = U @ C @ U.conj().T
+    return U, U.conj().T
+
+
+def _conjugate(C: np.ndarray, U: np.ndarray, U_dag: np.ndarray) -> np.ndarray:
+    """U C U^dag, symmetrised."""
+    out = U @ C @ U_dag
     return 0.5 * (out + out.conj().T)
 
 

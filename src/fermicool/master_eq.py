@@ -21,11 +21,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gaussian import fermi_occupation
-# the published parameters, the errors and SweepSchedule live in params, which the
-# CLI loads without numpy
+# the published parameters, the errors, SweepSchedule and the input checks live in
+# params, which the CLI loads without numpy
 from .params import (EPS1, EPS2, GAMMA, GAMMA_DT, GAMMA_TAU, RESERVOIR_MODES,
-                     EngineError, NoCrossingError, SweepSchedule, _check_switch_off,
-                     _require_finite, _require_positive, _require_probability)
+                     EngineError, NoCrossingError, SweepSchedule, _check_rate_inputs,
+                     _check_switch_off, _require_finite)
 
 # steps per scan block; since Gamma*dt <= 0.01, A**-m stays below about e**41
 _BLOCK_STEPS = 4096
@@ -57,16 +57,6 @@ class Relaxation:
     @property
     def gamma_t_f(self) -> float | None:
         return None if self.t_f is None else self.gamma * self.t_f
-
-
-def _check_rate_inputs(gamma: float, n0: float, dt: float | None) -> None:
-    """Reject the rate-equation inputs that do not depend on the sweep schedule."""
-    _require_positive("gamma", gamma)
-    _require_probability("n0", n0)
-    if dt is not None:
-        _require_positive("dt", dt)
-        if dt > 0.01 / gamma * (1 + 1e-12):
-            raise ValueError(f"dt={dt} too coarse; require dt <= 0.01/gamma = {0.01 / gamma}")
 
 
 def _grid_index(t: float, dt: float) -> float:

@@ -36,9 +36,9 @@ def _require_positive(name: str, value) -> None:
 
 def _is_number(value) -> bool:
     """A real other than a bool; an integer too large for a float is not one."""
-    if isinstance(value, numbers.Integral):
+    if not isinstance(value, float) and isinstance(value, numbers.Integral):
         return not isinstance(value, bool) and abs(value) <= sys.float_info.max
-    return isinstance(value, (float, numbers.Real))  # float first skips the ABC check
+    return isinstance(value, (float, numbers.Real))  # a float skips both ABC checks
 
 
 def _is_pair(value, of_numbers: bool = False) -> bool:
@@ -63,6 +63,16 @@ def _check_switch_off(n0: float) -> None:
     """Reject a figure run that would switch off at t = 0: n0 at or below 1/2."""
     if not n0 > 0.5:
         raise ValueError(f"n0 must be above the switch-off threshold 0.5, got {n0}")
+
+
+def _check_rate_inputs(gamma: float, n0: float, dt: float | None) -> None:
+    """Reject the rate-equation inputs that do not depend on the sweep schedule."""
+    _require_positive("gamma", gamma)
+    _require_probability("n0", n0)
+    if dt is not None:
+        _require_positive("dt", dt)
+        if dt > 0.01 / gamma * (1 + 1e-12):
+            raise ValueError(f"dt={dt} too coarse; require dt <= 0.01/gamma = {0.01 / gamma}")
 
 
 class EngineError(RuntimeError):

@@ -19,25 +19,26 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import exact_bath, master_eq
-from .gaussian import (_entropy_sum, _propagate, _require_deviation, binary_entropy,
-                       fermi_occupation, require_hermitian)
+from . import master_eq
+from .gaussian import (_conjugate, _entropy_sum, _propagate, _propagator, _require_deviation,
+                       binary_entropy, fermi_occupation, require_hermitian)
 # EngineError and ProtocolConfig live in params, which the CLI loads without numpy
-from .params import (EngineError, ProtocolConfig, _require_finite, _require_positive,
-                     _require_probability)
+from .params import (EngineError, ProtocolConfig, ReservoirSpec, _require_finite,
+                     _require_positive, _require_probability)
 
 MEMORY = 0
 SYSTEM = 1
 
 _COHERENCE_TOL = 1e-12
+# LAPACK's gufunc behind np.linalg.eigvalsh; record's own checks make the wrapper redundant
+_eigvalsh = np.linalg._umath_linalg.eigvalsh_lo
 
 
 def prepare_one_body_state(p: float, phi: float) -> np.ndarray:
     """Pure one-particle state with weight p on the memory and relative phase phi.
 
-    The coherence phase is placed so that for phi = pi/2 the quarter-period
-    tunnel rotation maps the p = 1/2 state exactly onto the particle sitting
-    in the system mode (test_step1_lands_on_system_mode checks the sign).
+    The phase is placed so that for phi = pi/2 the quarter-period tunnel rotation
+    maps the p = 1/2 state onto the system mode (test_step1_lands_on_system_mode).
     """
     _require_probability("p", p)
     z = math.sqrt(p * (1.0 - p)) * np.exp(-1j * phi)
@@ -72,7 +73,7 @@ def step3_swap(C, omega: float) -> np.ndarray:
     """Half-period tunnel rotation: exchanges system and memory populations."""
     C = _two_mode_state(C)
     _require_positive("omega", omega)
-    return _rotate(C, omega, math.pi / (2.0 * omega))
+    return _conjugate(C, *_swap_propagator(float(omega)))
 
 
 def _two_mode_state(C) -> np.ndarray:
@@ -89,6 +90,16 @@ def _tunnel_eigenbasis(omega: float) -> tuple[np.ndarray, np.ndarray]:
     w.flags.writeable = False
     V.flags.writeable = False
     return w, V
+
+
+@functools.lru_cache(maxsize=16)
+def _swap_propagator(omega: float) -> tuple[np.ndarray, np.ndarray]:
+    """U and U^dag of the half-period swap, as _rotate builds them, read-only and shared."""
+    dt = math.pi / (2.0 * omega)
+    _require_finite("dt", dt)  # a subnormal omega overflows it, as it does _rotate's
+    U, U_dag = _propagator(*_tunnel_eigenbasis(omega), dt)
+    U.flags.writeable = U_dag.flags.writeable = False
+    return U, U_dag
 
 
 def _rotate(C: np.ndarray, omega: float, duration: float | None) -> np.ndarray:
@@ -129,10 +140,9 @@ class StepRecord:
 
 @dataclass
 class ThermoLedger:
-    """Per-step thermodynamic record of one protocol run.
+    """Per-step thermodynamic record of one protocol run; heat into the two modes counts positive.
 
-    `heat`, `work` and `entropy_production` entries are cumulative; heat into
-    the two-mode system counts positive.
+    `heat`, `work` and `entropy_production` entries are cumulative.
     """
 
     engine: str
@@ -153,14 +163,8 @@ class ThermoLedger:
     def record(self, label: str, C, eps_S: float, heat: float):
         """Append the step that leaves the two-mode state C, with the system mode at eps_S.
 
-        The entropies are those of `gaussian.subsystem_entropy`, bit for bit,
-        read from at most one 2x2 eigensolve: S_M and S_S are the binary
-        entropies of the diagonal entries (the eigenvalue of a 1x1 block is
-        its entry) and S_MS sums them over the eigenvalues of C.  A C with
-        zero coherences and a real diagonal has its diagonal entries as
-        eigenvalues (LAPACK returns them bit for bit), so its S_MS is
-        S_M + S_S with no eigensolve.  A C whose Hermiticity deviation
-        exceeds HERMITIAN_TOL, or is NaN, raises ValueError.
+        S_M, S_S and S_MS carry `subsystem_entropy`'s bits from one 2x2 eigensolve, none for a
+        real diagonal C.  A Hermiticity deviation over HERMITIAN_TOL, or NaN, raises ValueError.
         """
         (c_MM, c_MS), (c_SM, c_SS) = C.tolist()
         terms = (abs(c_MS - c_SM.conjugate()), 2.0 * abs(c_MM.imag), 2.0 * abs(c_SS.imag))
@@ -173,7 +177,7 @@ class ThermoLedger:
         if c_MS == 0 and c_SM == 0 and c_MM.imag == 0 and c_SS.imag == 0:
             S_MS = S_M + S_S
         else:
-            S_MS = _entropy_sum(np.linalg.eigvalsh(C).tolist())
+            S_MS = _entropy_sum(_eigvalsh(C, signature="D->d").tolist())
         # the memory mode is never detuned, so E = eps_S * n_S; 0.0 + keeps -0.0 out of E
         energy = 0.0 + eps_S * n_S
         if self.steps:
@@ -228,8 +232,9 @@ def _run_engine(config: ProtocolConfig, n0: float, target: float):
         _, t_f, minus_Q_tf = master_eq._switch_off(
             master_eq._scan(schedule, config.gamma, n0=n0, dt=config.dt, threshold=target))
         return -minus_Q_tf, schedule.energy(t_f), 0.0
-    spec = exact_bath.ReservoirSpec(K=config.K, gamma=config.gamma)
-    run = exact_bath.simulate(spec, schedule, n_S0=n0, dt=config.dt, threshold=target)
+    from . import exact_bath  # loaded by this engine alone
+    run = exact_bath.simulate(ReservoirSpec(K=config.K, gamma=config.gamma),
+                              schedule, n_S0=n0, dt=config.dt, threshold=target)
     return -run.minus_Q_tf, schedule.energy(run.t_f), exact_bath.interaction_energy(run)
 
 
@@ -248,13 +253,13 @@ def _run_operations(C, operations, config: ProtocolConfig, ledger: ThermoLedger 
         if kind == "rotate":
             C = _rotate(C, config.omega, op.get("duration"))
         elif kind == "swap":
-            C = _rotate(C, config.omega, math.pi / (2.0 * config.omega))
+            C = _conjugate(C, *_swap_propagator(float(config.omega)))
         else:
             target = float(op.get("target", 0.5))
             q, eps_end, residual = _run_engine(config, float(C[SYSTEM, SYSTEM].real), target)
             heat += q
             # bath contact destroys any residual memory-system coherence
-            C = np.diag([C[MEMORY, MEMORY].real, target]).astype(complex)
+            C = np.array([[C[MEMORY, MEMORY].real, 0.0], [0.0, target]], dtype=complex)
             if ledger is not None:
                 ledger.interaction_residual = residual
         if ledger is not None:
@@ -271,9 +276,9 @@ def run_purification(config: ProtocolConfig) -> ThermoLedger:
     A coherent initial state goes through rotate -> relax -> swap; a diagonal
     one skips the rotation (there is no coherence to concentrate).  The
     default relaxation target is the initial memory population, so the final
-    swap hands the memory back its original marginal; an explicit pure
-    target (0 or 1) instead purifies the system in place, in which case the
-    swap is skipped so the memory stays untouched.
+    swap hands the memory back its original marginal.  An explicit target
+    still swaps a coherent state, so its memory ends at the target; a diagonal
+    state whose target is not its memory population skips the swap.
     """
     C0 = _initial_state(config)
     ledger = ThermoLedger(engine=config.engine)

@@ -619,7 +619,7 @@ _MOVED = {
                            "_require_positive", "_require_probability"],
     "fermicool.master_eq": ["EPS1", "EPS2", "GAMMA", "GAMMA_TAU", "RESERVOIR_MODES", "GAMMA_DT",
                             "EngineError", "NoCrossingError", "SweepSchedule",
-                            "_check_switch_off"],
+                            "_check_switch_off", "_check_rate_inputs"],
     "fermicool.exact_bath": ["ReservoirSpec", "_WORK_BUDGET", "_MEMORY_BUDGET",
                              "_DENSE_MATRICES"],
     "fermicool.protocol": ["EngineError", "ProtocolConfig"],
@@ -650,16 +650,32 @@ class TestStartup:
         (["protocol", "--p", "1.5"], 2),
         (["protocol", "--engine", "master-equation", "--tau", "inf"], 2),
         (["fig1", "--points", "0"], 2),
+        (["fig1", "--gamma", "nan"], 2),
+        (["fig1", "--n0", "0.4"], 2),
+        (["fig1", "--dt", "1"], 2),
+        (["fig1", "--eps1", "2", "--eps2", "1"], 2),
         (["invariants", "--samples", "0"], 2),
         (["fig2", "--config", "config.json"], 2),
         (["--help"], 0),
-    ], ids=["gamma-nan", "p-1.5", "tau-inf", "points-0", "samples-0", "config-key", "help"])
+    ], ids=["gamma-nan", "p-1.5", "tau-inf", "points-0", "fig1-gamma-nan", "fig1-n0-0.4",
+            "fig1-dt-1", "fig1-eps1-above-eps2", "samples-0", "config-key", "help"])
     def test_rejection_loads_no_numpy(self, tmp_path, argv, code):
         # the checks run before numpy or an engine is imported, and nothing is written
         (tmp_path / "config.json").write_text('{"no_such_key": 1}')
         last = _fresh_stdout(_RUN_CLI.format(argv=argv), cwd=tmp_path).splitlines()[-1]
         assert last == f"{code} False"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+    @pytest.mark.parametrize("argv,loaded", [
+        (["protocol", "--engine", "quasistatic"], False),
+        (["protocol", "--engine", "master-equation"], False),
+        (["witness"], False),
+        (["protocol", "--engine", "exact-bath", "--K", "20"], True),
+    ], ids=["quasistatic", "master-equation", "witness", "exact-bath"])
+    def test_exact_bath_loaded_by_its_engine_alone(self, tmp_path, argv, loaded):
+        code = _RUN_CLI.format(argv=argv).replace(
+            '"numpy" in sys.modules', '"fermicool.exact_bath" in sys.modules')
+        assert _fresh_stdout(code, cwd=tmp_path).splitlines()[-1] == f"0 {loaded}"
 
     def test_exports_resolve_lazily(self):
         code = """\

@@ -119,6 +119,16 @@ class TestProtocolSteps:
                 call()
 
 
+    def test_subnormal_omega_overflows_the_half_period(self):
+        # pi/(2 omega) is inf: the cached swap raises _rotate's error, not a NaN state
+        C0 = prepare_one_body_state(0.5, math.pi / 2)
+        for call in (lambda: run_witness_sequence(C0, [{"op": "swap"}], omega=5e-324),
+                     lambda: run_purification(ProtocolConfig(diagonal=(0.3, 0.8), omega=5e-324)),
+                     lambda: step3_swap(C0, 5e-324)):
+            with pytest.raises(ValueError, match=r"^dt must be finite, got inf$"):
+                call()
+
+
 class TestInitialCoherentInformation:
     """The ledger reads I = S_M - S_MS off its initial row, with coherent_information's bits."""
 
@@ -151,19 +161,23 @@ class TestInitialCoherentInformation:
         # the relax row is diagonal) and no subsystem_entropy call, through protocol
         # or gaussian (coherent_information)
         entropy_calls, eigensolves = [], []
-        inner_entropy, inner_eigvalsh = gaussian.subsystem_entropy, np.linalg.eigvalsh
+        inner_entropy = gaussian.subsystem_entropy
 
         def counting_entropy(C, modes):
             entropy_calls.append(tuple(modes))
             return inner_entropy(C, modes)
 
-        def counting_eigvalsh(a, *args, **kwargs):
-            eigensolves.append(np.shape(a))
-            return inner_eigvalsh(a, *args, **kwargs)
+        def counting(inner):
+            def count(a, *args, **kwargs):
+                eigensolves.append(np.shape(a))
+                return inner(a, *args, **kwargs)
+            return count
 
         monkeypatch.setattr(protocol, "subsystem_entropy", counting_entropy, raising=False)
         monkeypatch.setattr(gaussian, "subsystem_entropy", counting_entropy)
-        monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+        # record calls LAPACK's gufunc through protocol's alias; np.linalg.eigvalsh wraps it
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting(np.linalg.eigvalsh))
+        monkeypatch.setattr(protocol, "_eigvalsh", counting(protocol._eigvalsh))
         run_purification(ProtocolConfig())
         assert entropy_calls == []
         assert eigensolves == [(2, 2)] * 3
@@ -179,6 +193,7 @@ class TestInitialCoherentInformation:
 
         monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
         protocol._tunnel_eigenbasis.cache_clear()
+        protocol._swap_propagator.cache_clear()
         run_purification(ProtocolConfig())
         run_purification(ProtocolConfig())
         assert eighs == [(2, 2)]
@@ -281,6 +296,22 @@ class TestRecordEntropies:
                 "x", np.array(C, dtype=complex), 0.0, 0.0
             )
 
+    def test_eigensolve_is_numpys(self):
+        # the private gufunc record calls returns np.linalg.eigvalsh's bits on pure,
+        # mixed and clamped states; a numpy that changes the gufunc fails here
+        rng = np.random.default_rng(23)
+        ps, phis = rng.uniform(0.0, 1.0, 100), rng.uniform(-math.pi, math.pi, 100)
+        states = [prepare_one_body_state(float(p), float(phi)) for p, phi in zip(ps, phis)]
+        for lam in rng.uniform(-1e-11, 1.0 + 1e-11, (200, 2)):
+            V = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0]
+            C = (V * lam) @ V.conj().T
+            states.append(0.5 * (C + C.conj().T))
+        states += [np.array(C, dtype=complex) for C in (np.diag([-1e-11, 1.0 + 1e-11]),
+                   [[0.5, 0.5 + 1e-11], [0.5 + 1e-11, 0.5]], [[0.0, 0.0], [0.0, 1.0]])]
+        for C in states:
+            got, want = protocol._eigvalsh(C, signature="D->d"), np.linalg.eigvalsh(C)
+            assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes()), C
+
     def test_nan_population_rejected(self):
         # the clamp keeps a NaN; the entropy sum raises binary_entropy's error for it
         with pytest.raises(ValueError, match=r"probability nan outside \[0, 1\]"):
@@ -318,6 +349,30 @@ class TestTunnelRotation:
         for a in (w, V):
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = 0.0
+
+    @pytest.mark.parametrize("omega", [0.3, 1.0, 7.5])
+    def test_cached_swap_matches_rotation(self, omega):
+        # the swap of ledgers and witness sequences carries the half-period rotation's bits
+        H = np.array([[0.0, omega], [omega, 0.0]], dtype=complex)
+        duration = math.pi / (2.0 * omega)
+        rng = np.random.default_rng(32)
+        states = [prepare_one_body_state(float(p), float(phi))
+                  for p, phi in zip(rng.uniform(0.0, 1.0, 40), rng.uniform(-math.pi, math.pi, 40))]
+        states += [np.diag(d).astype(complex) for d in rng.uniform(0.0, 1.0, (40, 2))]
+        for C in states:
+            want = protocol._rotate(C, omega, duration)
+            assert want.tobytes() == gaussian.evolve_step(C, H, duration).tobytes()
+            for got in (protocol._conjugate(C, *protocol._swap_propagator(omega)),
+                        step3_swap(C, omega)):
+                assert got.tobytes() == want.tobytes(), (omega, C)
+
+    def test_cached_swap_is_read_only(self):
+        U, U_dag = protocol._swap_propagator(1.0)
+        assert U is protocol._swap_propagator(1.0)[0]
+        assert np.array_equal(U_dag, U.conj().T)
+        for a in (U, U_dag):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0, 0] = 0.0
 
     def test_zero_duration_copies_without_eigensolve(self, monkeypatch):
         def no_eigh(*args, **kwargs):
@@ -378,6 +433,23 @@ class TestRunPurificationQuasistatic:
         assert ledger.total_minus_q == pytest.approx(
             -ledger.initial_coherent_information, abs=1e-12
         )
+
+    @pytest.mark.parametrize("config,labels,final", [
+        (ProtocolConfig(), ["initial", "rotate", "relax", "swap"], (0.5, 0.0)),
+        (ProtocolConfig(step2_target=1.0), ["initial", "rotate", "relax", "swap"], (1.0, 0.0)),
+        (ProtocolConfig(step2_target=0.0), ["initial", "rotate", "relax", "swap"], (0.0, 0.0)),
+        (ProtocolConfig(diagonal=(0.3, 0.8)), ["initial", "relax", "swap"], (0.3, 0.3)),
+        (ProtocolConfig(diagonal=(0.3, 0.8), step2_target=1.0), ["initial", "relax"], (0.3, 1.0)),
+        (ProtocolConfig(diagonal=(0.3, 0.8), step2_target=0.0), ["initial", "relax"], (0.3, 0.0)),
+    ], ids=["coherent", "coherent-target-1", "coherent-target-0", "diagonal",
+            "diagonal-target-1", "diagonal-target-0"])
+    def test_steps_and_final_populations(self, config, labels, final):
+        # a pure target still swaps a coherent state, so its memory ends at the
+        # target; a diagonal state skips the swap unless the target is its n_M
+        ledger = run_purification(config)
+        assert [step.label for step in ledger.steps] == labels
+        assert (ledger.steps[-1].n_M, ledger.steps[-1].n_S) == pytest.approx(final, abs=1e-12)
+        assert ledger.memory_restored == (final[0] == ledger.steps[0].n_M)
 
     def test_unitary_only_ledger_is_all_zero(self):
         ledger = run_purification(ProtocolConfig(diagonal=(0.5, 0.5)))

@@ -129,6 +129,20 @@ def test_bench_pairs_summary():
     assert change == "change: 400 operations attempted, 5 failed; 1 of 10 runs failed a check"
 
 
+def test_bench_pairs_gain_needs_ten_pairs():
+    bench_pairs = _tool("bench_pairs")
+
+    def result(op_s):
+        return {"correct": True, "attempted": 40, "failed": 0,
+                "metrics": {"op_s": {"value": op_s, "unit": "s"}}}
+
+    metrics = [{"name": "op_s", "unit": "s", "better": "lower", "bound": 0.25}]
+    # 4 of 4 wins by a margin far past the parent's spread is still no gain from 4 pairs
+    pairs = [(result(p), result(0.8 * p)) for p in (1.00, 1.02, 0.98, 1.01)]
+    _, op_line, _, _ = bench_pairs.summarize(metrics, pairs)
+    assert op_line.split()[-7:] == ["4/4", "short", "of", "pairs", "(4", "<", "10)"]
+
+
 def test_bench_pairs_ratios():
     bench_pairs = _tool("bench_pairs")
 

@@ -11,7 +11,8 @@ For each end-to-end metric of CHANGE/BENCHMARK.json it prints both medians,
 both sides' quartiles, the change's wins out of the pairs (ties count for
 neither) and a verdict:
 - "gain" when the change wins at least nine tenths of the pairs and its
-  median beats the parent's by more than the parent's quartile spread;
+  median beats the parent's by more than the parent's quartile spread, read
+  as "short of pairs" when fewer than MIN_PAIRS (ten) pairs ran;
 - "worse" when its median is worse than the parent's by more than the
   metric's bound;
 - "within bound" otherwise.
@@ -29,6 +30,9 @@ import sys
 from pathlib import Path
 
 import numpy as np
+
+# the fewest pairs that can back a gain
+MIN_PAIRS = 10
 
 
 def last_json(stdout: str) -> dict:
@@ -62,7 +66,7 @@ def summarize(metrics: list[dict], pairs: list[tuple[dict, dict]]) -> list[str]:
         c25, c50, c75 = np.percentile(change, [25, 50, 75])
         wins = int(np.sum(sign * (parent - change) > 0))
         if wins >= 0.9 * n and sign * (p50 - c50) > p75 - p25:
-            verdict = "gain"
+            verdict = "gain" if n >= MIN_PAIRS else f"short of pairs ({n} < {MIN_PAIRS})"
         elif sign * (c50 - p50) > metric["bound"] * abs(p50):
             verdict = "worse"
         else:
