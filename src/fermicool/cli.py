@@ -21,8 +21,9 @@ from pathlib import Path
 
 # the checks; numpy and an engine are imported by a handler after its checks have passed
 from .params import (EPS1, EPS2, GAMMA, GAMMA_DT, GAMMA_TAU, RESERVOIR_MODES, EngineError,
-                     ProtocolConfig, ReservoirSpec, SweepSchedule, _check_rate_inputs,
-                     _check_switch_off, _require_integer, _require_positive, _require_probability)
+                     ProtocolConfig, ReservoirSpec, SweepSchedule, _check_rate_dt,
+                     _check_rate_inputs, _check_switch_off, _require_integer, _require_positive,
+                     _require_probability)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -97,7 +98,9 @@ def cmd_protocol(params: dict):
     # the finite-time parameters, and the reservoir's memory, are checked whichever engine runs
     SweepSchedule(config.eps1, config.eps2, config.tau)
     ReservoirSpec(K=config.K, gamma=config.gamma)
-    if config.dt is not None:
+    if config.engine == "master-equation":
+        _check_rate_dt(config.gamma, config.dt)
+    elif config.dt is not None:  # the exact bath only warns about a coarse step
         _require_positive("dt", config.dt)
     from . import protocol
 

@@ -101,14 +101,14 @@ def _entropy_sum(values) -> float:
     """Sum of binary entropies of values clamped to [0, 1], with binary_entropy's bits.
 
     The sum starts from 0.0 because h(0) is -0.0 and a pure state must read
-    +0.0.  Clamping leaves only NaN outside [0, 1]; it raises
-    binary_entropy's ValueError.
+    +0.0.  A non-finite value, which the clamp would keep (NaN) or move into
+    [0, 1] (+-inf), raises binary_entropy's ValueError first.
     """
     total = 0.0
     for x in values:
-        x = min(max(x, 0.0), 1.0)
-        if x != x:
+        if not math.isfinite(x):
             raise ValueError(f"probability {x} outside [0, 1]")
+        x = min(max(x, 0.0), 1.0)
         total += -_xlogx(x) - _xlogx(1.0 - x)
     return total
 

@@ -13,6 +13,7 @@ crossing.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from collections import namedtuple
@@ -90,6 +91,14 @@ def _horizon(schedule: SweepSchedule, gamma: float, dt: float, threshold: float 
     return max_time, int(nsteps)
 
 
+@functools.lru_cache(maxsize=64)  # 64 arrays of at most 4,096 powers: 2 MB
+def _step_powers(a: float, m: int) -> np.ndarray:
+    """a^1..a^m, read-only and shared by every scan with this step factor and block."""
+    powers = a ** np.arange(1, m + 1)
+    powers.flags.writeable = False
+    return powers
+
+
 # one run up to j: the samples n_S, the heat integrand's trapezoid areas, the
 # last block's integrand g, and the hold's n_S = f2 + (n - f2) a^m at offset m
 _Scan = namedtuple("_Scan", "threshold max_time nsteps dt n_S areas g n f2 e2 a")
@@ -123,7 +132,7 @@ def _scan(schedule: SweepSchedule, gamma: float, n0: float = 1.0, dt: float | No
     b0 = h / 6.0 * (1.0 - h + h**2 / 2.0 - h**3 / 4.0)
     bm = h / 6.0 * (4.0 - 2.0 * h + h**2 / 2.0)
     b1 = h / 6.0
-    powers = a ** np.arange(1, min(_BLOCK_STEPS, j_tau) + 1)
+    powers = _step_powers(a, min(_BLOCK_STEPS, j_tau))
 
     n = float(n0)
     chunks = [np.array([n])]
@@ -133,12 +142,12 @@ def _scan(schedule: SweepSchedule, gamma: float, n0: float = 1.0, dt: float | No
         m = min(_BLOCK_STEPS, j_tau - k)
         t = dt * np.arange(k, k + m + 1)
         pw = powers[:m]
-        e = schedule.energy(t)
+        # one energy and Fermi call on the block's grid, its midpoints and tau
+        e = schedule.energy(np.concatenate((t, t[:-1] + 0.5 * dt, (schedule.tau,))))
         f = fermi_occupation(e)
-        f_half = fermi_occupation(schedule.energy(t[:-1] + 0.5 * dt))
-        drive = b0 * f[:-1] + bm * f_half + b1 * f[1:]
-        ns = pw * (n + np.cumsum(drive / pw))
-        below = np.flatnonzero(ns <= level)
+        drive = b0 * f[:m] + bm * f[m + 1:-1] + b1 * f[1:m + 1]
+        ns = pw * (n + (drive / pw).cumsum())
+        below = (ns <= level).nonzero()[0]
         if below.size:
             ns = ns[: below[0] + 1]
         # the integrand g = eps_S n_S' = eps_S * (-Gamma (n_S - f)) at the
@@ -151,9 +160,10 @@ def _scan(schedule: SweepSchedule, gamma: float, n0: float = 1.0, dt: float | No
         chunks.append(nb[1:])
         n = float(ns[-1])
         k += m
-    e2 = schedule.energy(schedule.tau)
+    e2 = schedule.energy(schedule.tau) if g is None else float(e[-1])
+    f2 = fermi_occupation(e2) if g is None else float(f[-1])
     return _Scan(threshold, max_time, nsteps, dt, np.concatenate(chunks), np.concatenate(areas),
-                 g, n, fermi_occupation(e2), e2, a)
+                 g, n, f2, e2, a)
 
 
 def _hold(scan: _Scan, m: np.ndarray) -> np.ndarray:
@@ -173,14 +183,15 @@ def _switch_off(scan: _Scan) -> tuple[int, float, float]:
     j = n_S.size - 1
     count = scan.nsteps - j if scan.n > threshold else 0  # hold steps to max_time
     if not count:
-        i, (t_f,) = _first_crossing(n_S, threshold, max_time, dt * np.arange(j + 1.0))
-        if i == 0:
+        t0 = dt * max(j - 1, 0)  # t_{j-1} (t_0 if j == 0); the last sample j is the crossing
+        _, (t_f,) = _first_crossing(n_S[-2:], threshold, max_time, (t0, dt * j))
+        if j == 0:
             return 0, t_f, 0.0
-        # i is the last sample, so g ends at it; the partial-step fraction
-        # is recomputed from t_f: the crossing's own can differ in the last bit
-        g, t0 = scan.g, dt * (i - 1.0)
-        g_tf = g[-2] + (g[-1] - g[-2]) * ((t_f - t0) / (dt * i - t0))
-        return i, t_f, float(-(scan.areas[: i - 1].sum() + (t_f - t0) * 0.5 * (g[-2] + g_tf)))
+        # g ends at j; the partial-step fraction is recomputed from t_f: the
+        # crossing's own can differ in the last bit
+        g = scan.g
+        g_tf = g[-2] + (g[-1] - g[-2]) * ((t_f - t0) / (dt * j - t0))
+        return j, t_f, float(-(scan.areas[: j - 1].sum() + (t_f - t0) * 0.5 * (g[-2] + g_tf)))
     f2, a = scan.f2, scan.a
     # the closed form's first step at or below the threshold (inf if the hold
     # never gets there); past the hold's end the run fails at max_time unbuilt,
@@ -194,10 +205,10 @@ def _switch_off(scan: _Scan) -> tuple[int, float, float]:
     lo, hi = (1, count) if cross > count + 1 else (max(1, cross - 2), min(count, cross + 1))
     m = np.concatenate(([0.0], np.arange(lo, hi + 1.0)))
     values = np.concatenate((n_S[j:], _hold(scan, m[1:])))
-    below = np.flatnonzero(values <= threshold)
+    below = (values <= threshold).nonzero()[0]
     i, (t_f,) = _first_crossing(values[: below[0] + 1] if below.size else values, threshold,
                                 max_time, (j + m) * dt)
-    minus_Q_j = -np.cumsum(scan.areas)[-1]
+    minus_Q_j = -scan.areas.cumsum()[-1]
     return j + int(m[i]), t_f, float(minus_Q_j - scan.e2 * (threshold - n_S[j]))
 
 

@@ -69,6 +69,11 @@ def _check_rate_inputs(gamma: float, n0: float, dt: float | None) -> None:
     """Reject the rate-equation inputs that do not depend on the sweep schedule."""
     _require_positive("gamma", gamma)
     _require_probability("n0", n0)
+    _check_rate_dt(gamma, dt)
+
+
+def _check_rate_dt(gamma: float, dt: float | None) -> None:
+    """Reject a rate-equation step dt (None: the default) for a positive gamma."""
     if dt is not None:
         _require_positive("dt", dt)
         if dt > 0.01 / gamma * (1 + 1e-12):

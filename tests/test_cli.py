@@ -649,6 +649,7 @@ class TestStartup:
         (["protocol", "--engine", "master-equation", "--gamma", "nan"], 2),
         (["protocol", "--p", "1.5"], 2),
         (["protocol", "--engine", "master-equation", "--tau", "inf"], 2),
+        (["protocol", "--engine", "master-equation", "--dt", "1"], 2),
         (["fig1", "--points", "0"], 2),
         (["fig1", "--gamma", "nan"], 2),
         (["fig1", "--n0", "0.4"], 2),
@@ -657,7 +658,7 @@ class TestStartup:
         (["invariants", "--samples", "0"], 2),
         (["fig2", "--config", "config.json"], 2),
         (["--help"], 0),
-    ], ids=["gamma-nan", "p-1.5", "tau-inf", "points-0", "fig1-gamma-nan", "fig1-n0-0.4",
+    ], ids=["gamma-nan", "p-1.5", "tau-inf", "dt-1", "points-0", "fig1-gamma-nan", "fig1-n0-0.4",
             "fig1-dt-1", "fig1-eps1-above-eps2", "samples-0", "config-key", "help"])
     def test_rejection_loads_no_numpy(self, tmp_path, argv, code):
         # the checks run before numpy or an engine is imported, and nothing is written

@@ -409,6 +409,53 @@ class TestHeatOnly:
         assert peak < 1_000_000
 
 
+class TestScanKernel:
+    """The pieces a scan reads without evaluating them on their own: the hold's
+    energy and Fermi factor, the step powers and the crossing's two times."""
+
+    @pytest.mark.parametrize("gamma_tau,n0,blocks", [
+        (0.01, 1.0, True),   # the scan reaches j_tau and crosses in the hold
+        (10.0, 1.0, True),   # the scan crosses before tau
+        (10.0, 0.5, False),  # n0 at the threshold: no block runs
+        (10.0, 0.3, False),  # n0 below it
+    ])
+    def test_hold_energy_from_the_joined_grid(self, gamma_tau, n0, blocks):
+        schedule = SweepSchedule(-5.0, 1.0, gamma_tau / 0.02)
+        scan = master_eq._scan(schedule, 0.02, n0=n0)
+        assert (scan.g is not None) == blocks
+        e2 = schedule.energy(schedule.tau)
+        assert (type(scan.e2), scan.e2.hex()) == (float, e2.hex())
+        assert (type(scan.f2), scan.f2.hex()) == (float, fermi_occupation(e2).hex())
+
+    def test_step_powers_cached_read_only(self):
+        master_eq._step_powers.cache_clear()
+        a = [master_eq._scan(SweepSchedule(-5.0, 1.0, g / 0.02), 0.02).a for g in (50.0, 100.0)]
+        assert a[0] == a[1]
+        info = master_eq._step_powers.cache_info()
+        assert (info.hits, info.currsize) == (1, 1)  # two Gamma*tau >= 10 points, one array
+        powers = master_eq._step_powers(a[0], master_eq._BLOCK_STEPS)
+        want = a[0] ** np.arange(1, master_eq._BLOCK_STEPS + 1)
+        assert powers.tobytes() == want.tobytes()
+        assert not powers.flags.writeable
+        with pytest.raises(ValueError):
+            powers[0] = 1.0
+
+    @pytest.mark.parametrize("eps1,eps2", PAIRS)
+    def test_crossing_times_without_a_grid(self, eps1, eps2):
+        crossed = 0
+        for gtau in np.geomspace(0.1, 100.0, 50):
+            scan = master_eq._scan(SweepSchedule(eps1, eps2, gtau / 0.02), 0.02)
+            if scan.n > scan.threshold:
+                continue  # crosses in the hold
+            j = scan.n_S.size - 1
+            i, (t_f,) = master_eq._first_crossing(scan.n_S, scan.threshold, scan.max_time,
+                                                  scan.dt * np.arange(j + 1.0))
+            got = master_eq._switch_off(scan)
+            assert (got[0], got[1].hex()) == (i, t_f.hex())
+            crossed += 1
+        assert crossed > 10
+
+
 class TestHeat:
     def test_instant_quench_heat(self):
         # a sweep much faster than the relaxation: the population is still 1

@@ -319,6 +319,17 @@ class TestRecordEntropies:
                 "x", np.diag([math.nan, 0.5]).astype(complex), 0.0, 0.0
             )
 
+    @pytest.mark.parametrize("value", [math.inf, -math.inf])
+    @pytest.mark.parametrize("slot", [0, 1])
+    def test_infinite_population_rejected(self, value, slot):
+        # the clamp would record +-inf as a pure population; it is rejected before
+        diagonal = [0.5, 0.5]
+        diagonal[slot] = value
+        with pytest.raises(ValueError, match=rf"probability {value} outside \[0, 1\]"):
+            ThermoLedger(engine="quasistatic").record(
+                "x", np.diag(diagonal).astype(complex), 0.0, 0.0
+            )
+
     def test_energy_is_the_system_modes(self):
         # E = eps_S * n_S, as the memory mode sits at zero energy; a -0.0 product reads 0.0
         ledger = ThermoLedger(engine="quasistatic")

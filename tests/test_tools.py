@@ -60,6 +60,15 @@ def test_ledger_digest_repeats():
     assert module.digest() == first
 
 
+def test_rate_digest_repeats():
+    spec = importlib.util.spec_from_file_location("rate_digest", TOOLS / "rate_digest.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    first = module.digest()
+    assert len(first) == 64
+    assert module.digest() == first
+
+
 def test_golden_tables_match_manifest(tmp_path):
     # a change that moves a number on purpose regenerates tests/golden_manifest.json
     assert _tool("golden_tables").write_tables(tmp_path) == []
