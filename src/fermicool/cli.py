@@ -100,7 +100,7 @@ def cmd_protocol(params: dict):
     ReservoirSpec(K=config.K, gamma=config.gamma)
     if config.engine == "master-equation":
         _check_rate_dt(config.gamma, config.dt)
-    elif config.dt is not None:  # the exact bath only warns about a coarse step
+    elif config.dt is not None:  # other engines: dt > 0 only (the exact bath warns if coarse)
         _require_positive("dt", config.dt)
     from . import protocol
 

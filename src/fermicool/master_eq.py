@@ -13,7 +13,6 @@ crossing.
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings
 from collections import namedtuple
@@ -91,14 +90,6 @@ def _horizon(schedule: SweepSchedule, gamma: float, dt: float, threshold: float 
     return max_time, int(nsteps)
 
 
-@functools.lru_cache(maxsize=64)  # 64 arrays of at most 4,096 powers: 2 MB
-def _step_powers(a: float, m: int) -> np.ndarray:
-    """a^1..a^m, read-only and shared by every scan with this step factor and block."""
-    powers = a ** np.arange(1, m + 1)
-    powers.flags.writeable = False
-    return powers
-
-
 # one run up to j: the samples n_S, the heat integrand's trapezoid areas, the
 # last block's integrand g, and the hold's n_S = f2 + (n - f2) a^m at offset m
 _Scan = namedtuple("_Scan", "threshold max_time nsteps dt n_S areas g n f2 e2 a")
@@ -132,7 +123,7 @@ def _scan(schedule: SweepSchedule, gamma: float, n0: float = 1.0, dt: float | No
     b0 = h / 6.0 * (1.0 - h + h**2 / 2.0 - h**3 / 4.0)
     bm = h / 6.0 * (4.0 - 2.0 * h + h**2 / 2.0)
     b1 = h / 6.0
-    powers = _step_powers(a, min(_BLOCK_STEPS, j_tau))
+    powers = a ** np.arange(1, min(_BLOCK_STEPS, j_tau) + 1)
 
     n = float(n0)
     chunks = [np.array([n])]
@@ -140,10 +131,12 @@ def _scan(schedule: SweepSchedule, gamma: float, n0: float = 1.0, dt: float | No
     k = 0
     while k < j_tau and n > level:
         m = min(_BLOCK_STEPS, j_tau - k)
-        t = dt * np.arange(k, k + m + 1)
+        grid = np.empty(2 * m + 2)  # t, its midpoints and tau: one energy and Fermi call
+        t = np.multiply(dt, np.arange(k, k + m + 1), out=grid[: m + 1])
+        np.add(t[:-1], 0.5 * dt, out=grid[m + 1:-1])
+        grid[-1] = schedule.tau
         pw = powers[:m]
-        # one energy and Fermi call on the block's grid, its midpoints and tau
-        e = schedule.energy(np.concatenate((t, t[:-1] + 0.5 * dt, (schedule.tau,))))
+        e = schedule.energy(grid)
         f = fermi_occupation(e)
         drive = b0 * f[:m] + bm * f[m + 1:-1] + b1 * f[1:m + 1]
         ns = pw * (n + (drive / pw).cumsum())
@@ -156,12 +149,13 @@ def _scan(schedule: SweepSchedule, gamma: float, n0: float = 1.0, dt: float | No
         kept = ns.size + 1
         nb = np.clip(np.concatenate(([n], ns)), 0.0, 1.0)
         g = e[:kept] * (-gamma * (nb - f[:kept]))
+        n, e2, f2 = float(ns[-1]), float(e[-1]), float(f[-1])
+        del e, f  # the joined arrays are twice a block long: freed as soon as they are read
         areas.append(np.subtract(t[1:kept], t[: kept - 1]) * (g[1:] + g[:-1]) / 2.0)
         chunks.append(nb[1:])
-        n = float(ns[-1])
         k += m
-    e2 = schedule.energy(schedule.tau) if g is None else float(e[-1])
-    f2 = fermi_occupation(e2) if g is None else float(f[-1])
+    if g is None:  # no block ran: tau's energy and Fermi factor through their 0-d paths
+        f2 = fermi_occupation(e2 := schedule.energy(schedule.tau))
     return _Scan(threshold, max_time, nsteps, dt, np.concatenate(chunks), np.concatenate(areas),
                  g, n, f2, e2, a)
 
@@ -183,13 +177,12 @@ def _switch_off(scan: _Scan) -> tuple[int, float, float]:
     j = n_S.size - 1
     count = scan.nsteps - j if scan.n > threshold else 0  # hold steps to max_time
     if not count:
-        t0 = dt * max(j - 1, 0)  # t_{j-1} (t_0 if j == 0); the last sample j is the crossing
+        # the last sample j crosses: t0 = t_{j-1} (t_0 if j == 0), and g ends at j
+        t0, g = dt * max(j - 1, 0), scan.g
         _, (t_f,) = _first_crossing(n_S[-2:], threshold, max_time, (t0, dt * j))
         if j == 0:
             return 0, t_f, 0.0
-        # g ends at j; the partial-step fraction is recomputed from t_f: the
-        # crossing's own can differ in the last bit
-        g = scan.g
+        # the step fraction comes from t_f: the crossing's own can differ in the last bit
         g_tf = g[-2] + (g[-1] - g[-2]) * ((t_f - t0) / (dt * j - t0))
         return j, t_f, float(-(scan.areas[: j - 1].sum() + (t_f - t0) * 0.5 * (g[-2] + g_tf)))
     f2, a = scan.f2, scan.a

@@ -411,7 +411,7 @@ class TestHeatOnly:
 
 class TestScanKernel:
     """The pieces a scan reads without evaluating them on their own: the hold's
-    energy and Fermi factor, the step powers and the crossing's two times."""
+    energy and Fermi factor and the crossing's two times."""
 
     @pytest.mark.parametrize("gamma_tau,n0,blocks", [
         (0.01, 1.0, True),   # the scan reaches j_tau and crosses in the hold
@@ -426,19 +426,6 @@ class TestScanKernel:
         e2 = schedule.energy(schedule.tau)
         assert (type(scan.e2), scan.e2.hex()) == (float, e2.hex())
         assert (type(scan.f2), scan.f2.hex()) == (float, fermi_occupation(e2).hex())
-
-    def test_step_powers_cached_read_only(self):
-        master_eq._step_powers.cache_clear()
-        a = [master_eq._scan(SweepSchedule(-5.0, 1.0, g / 0.02), 0.02).a for g in (50.0, 100.0)]
-        assert a[0] == a[1]
-        info = master_eq._step_powers.cache_info()
-        assert (info.hits, info.currsize) == (1, 1)  # two Gamma*tau >= 10 points, one array
-        powers = master_eq._step_powers(a[0], master_eq._BLOCK_STEPS)
-        want = a[0] ** np.arange(1, master_eq._BLOCK_STEPS + 1)
-        assert powers.tobytes() == want.tobytes()
-        assert not powers.flags.writeable
-        with pytest.raises(ValueError):
-            powers[0] = 1.0
 
     @pytest.mark.parametrize("eps1,eps2", PAIRS)
     def test_crossing_times_without_a_grid(self, eps1, eps2):
