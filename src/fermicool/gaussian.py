@@ -109,7 +109,9 @@ def _entropy_sum(values) -> float:
         if not math.isfinite(x):
             raise ValueError(f"probability {x} outside [0, 1]")
         x = min(max(x, 0.0), 1.0)
-        total += -_xlogx(x) - _xlogx(1.0 - x)
+        y = 1.0 - x
+        # binary_entropy's -_xlogx(x) - _xlogx(y), without two calls a term
+        total += -(x * math.log(x) if x > 0.0 else 0.0) - (y * math.log(y) if y > 0.0 else 0.0)
     return total
 
 

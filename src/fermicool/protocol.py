@@ -50,7 +50,16 @@ def concentration_duration(C, omega: float) -> float:
 
     For the default one-body state (p = 1/2, phi = pi/2) this is the
     quarter period pi/(4*omega); for the opposite phase it is 3*pi/(4*omega).
+    C must be a Hermitian 2x2 matrix and omega positive, with a finite result.
     """
+    C = _two_mode_state(C)
+    _require_positive("omega", omega)
+    duration = _concentration_duration(C, omega)
+    _require_finite("duration", duration)  # a subnormal omega overflows it
+    return duration
+
+
+def _concentration_duration(C: np.ndarray, omega: float) -> float:
     # Bloch-vector components of the two-mode state
     a_y = -2.0 * C[MEMORY, SYSTEM].imag
     a_z = float((C[MEMORY, MEMORY] - C[SYSTEM, SYSTEM]).real)
@@ -92,20 +101,36 @@ def _tunnel_eigenbasis(omega: float) -> tuple[np.ndarray, np.ndarray]:
     return w, V
 
 
-@functools.lru_cache(maxsize=16)
-def _swap_propagator(omega: float) -> tuple[np.ndarray, np.ndarray]:
-    """U and U^dag of the half-period swap, as _rotate builds them, read-only and shared."""
-    dt = math.pi / (2.0 * omega)
-    _require_finite("dt", dt)  # a subnormal omega overflows it, as it does _rotate's
+def _fixed_propagator(omega: float, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """U and U^dag of a rotation by dt, as _propagate builds them, read-only."""
+    _require_finite("dt", dt)  # a subnormal omega overflows it, as it does _propagate's
     U, U_dag = _propagator(*_tunnel_eigenbasis(omega), dt)
     U.flags.writeable = U_dag.flags.writeable = False
     return U, U_dag
 
 
+@functools.lru_cache(maxsize=16)
+def _swap_propagator(omega: float) -> tuple[np.ndarray, np.ndarray]:
+    """U and U^dag of the half-period swap, shared by every call."""
+    return _fixed_propagator(omega, math.pi / (2.0 * omega))
+
+
+@functools.lru_cache(maxsize=16)
+def _quarter_propagator(omega: float) -> tuple[np.ndarray, np.ndarray]:
+    """U and U^dag of the quarter-period rotation, shared by every call."""
+    return _fixed_propagator(omega, math.pi / (4.0 * omega))
+
+
 def _rotate(C: np.ndarray, omega: float, duration: float | None) -> np.ndarray:
-    """step1_rotate on a checked two-mode C and omega; the duration is checked by the kernel."""
+    """step1_rotate on a checked two-mode C and omega; the duration is checked by the kernel.
+
+    The quarter period, the default, comes from its cache; a zero duration copies C.
+    """
+    quarter = math.pi / (4.0 * omega)
     if duration is None:
-        duration = math.pi / (4.0 * omega)
+        duration = quarter
+    if duration == quarter and quarter > 0.0:
+        return _conjugate(C, *_quarter_propagator(float(omega)))
     return _propagate(C, duration, _tunnel_eigenbasis, float(omega))
 
 
@@ -185,20 +210,9 @@ class ThermoLedger:
             s0 = self.steps[0].S_MS
         else:
             e0, s0 = energy, S_MS
-        self.steps.append(
-            StepRecord(
-                label=label,
-                n_M=n_M,
-                n_S=n_S,
-                S_M=S_M,
-                S_S=S_S,
-                S_MS=S_MS,
-                energy=energy,
-                heat=heat,
-                work=(energy - e0) - heat,
-                entropy_production=(S_MS - s0) - heat,
-            )
-        )
+        # StepRecord's fields in order; the last two are work and entropy_production
+        self.steps.append(StepRecord(label, n_M, n_S, S_M, S_S, S_MS, energy, heat,
+                                     (energy - e0) - heat, (S_MS - s0) - heat))
 
 
 def witness_from_ledger(ledger: ThermoLedger) -> float:
@@ -209,7 +223,8 @@ def witness_from_ledger(ledger: ThermoLedger) -> float:
 def _initial_state(config: ProtocolConfig) -> np.ndarray:
     """The initial two-mode state of a config: its diagonal, or the (p, phi) one-body state."""
     if config.diagonal is not None:
-        return np.diag(np.asarray(config.diagonal, dtype=float)).astype(complex)
+        n_M, n_S = config.diagonal
+        return np.array([[n_M, 0.0], [0.0, n_S]], dtype=complex)
     return prepare_one_body_state(config.p, config.phi)
 
 
@@ -289,7 +304,7 @@ def run_purification(config: ProtocolConfig) -> ThermoLedger:
     target = config.step2_target if config.step2_target is not None else n_M0
     operations = [{"op": "relax", "target": target}]
     if coherent:
-        duration = concentration_duration(C0, config.omega)
+        duration = _concentration_duration(C0, config.omega)
         operations.insert(0, {"op": "rotate", "duration": duration})
     if coherent or abs(target - n_M0) <= 1e-12:
         operations.append({"op": "swap"})
@@ -327,12 +342,7 @@ def theorem1_check(ledger: ThermoLedger, initially_separable: bool) -> Theorem1R
     if initially_separable and ledger.purified and ledger.memory_restored:
         if minus_q < -1e-9:
             failures.append(f"-Q = {minus_q:.3e} < -1e-9 for a separable initial state")
-    return Theorem1Result(
-        passed=not failures,
-        minus_q=minus_q,
-        entropy_production=sigma,
-        failures=failures,
-    )
+    return Theorem1Result(not failures, minus_q, sigma, failures)
 
 
 @dataclass
@@ -387,7 +397,4 @@ def run_witness_sequence(C0, operations, omega: float = 1.0) -> WitnessReport:
     n_M1 = float(C[MEMORY, MEMORY].real)
     n_S1 = float(C[SYSTEM, SYSTEM].real)
     value = witness_value(n_S0, n_M0, n_S1, n_M1, heat)
-    return WitnessReport(
-        n_S0=n_S0, n_M0=n_M0, n_S1=n_S1, n_M1=n_M1,
-        beta_q=heat, value=value, certified=value < 0,
-    )
+    return WitnessReport(n_S0, n_M0, n_S1, n_M1, heat, value, value < 0)

@@ -129,6 +129,31 @@ class TestProtocolSteps:
                 call()
 
 
+class TestConcentrationDuration:
+    @pytest.mark.parametrize("C,omega,message", [
+        pytest.param(None, 0.0, "omega must be positive, got 0.0", id="omega-0"),
+        pytest.param(None, -1.0, "omega must be positive, got -1.0", id="omega-negative"),
+        pytest.param(None, math.nan, "omega must be finite, got nan", id="omega-nan"),
+        pytest.param(None, "1", "omega must be a number, got '1'", id="omega-str"),
+        pytest.param(None, 1e-320, "duration must be finite, got inf", id="omega-subnormal"),
+        pytest.param(0.5 * np.eye(3), 1.0, "expected a two-mode state, got shape (3, 3)",
+                     id="3x3"),
+        pytest.param([[0.5, 0.5], [0.0, 0.5]], 1.0, "correlation matrix is not Hermitian",
+                     id="non-hermitian"),
+    ])
+    def test_invalid_input_rejected(self, C, omega, message):
+        # 0 raised ZeroDivisionError, -1 gave a negative duration, nan and a subnormal
+        # omega a non-finite one, and a 3x3 C was read from its top-left block
+        C = prepare_one_body_state(0.5, math.pi / 2) if C is None else C
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            concentration_duration(C, omega)
+
+    def test_nested_list_accepted(self):
+        # a nested list used to raise TypeError from C[MEMORY, SYSTEM]
+        C = prepare_one_body_state(0.3, 0.7)
+        assert concentration_duration(C.tolist(), 1.3) == concentration_duration(C, 1.3)
+
+
 class TestInitialCoherentInformation:
     """The ledger reads I = S_M - S_MS off its initial row, with coherent_information's bits."""
 
@@ -397,6 +422,57 @@ class TestTunnelRotation:
         assert np.array_equal(out, C)
         assert protocol._tunnel_eigenbasis.cache_info().currsize == 0
 
+    def test_cached_quarter_is_read_only(self):
+        U, U_dag = protocol._quarter_propagator(1.0)
+        assert U is protocol._quarter_propagator(1.0)[0]
+        assert np.array_equal(U_dag, U.conj().T)
+        for a in (U, U_dag):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0, 0] = 0.0
+
+    @pytest.mark.parametrize("omega", [0.3, 1.0, 7.5])
+    def test_quarter_period_served_from_cache(self, monkeypatch, omega):
+        # no duration, and the concentration of a p = 1/2 state with sin(phi) > 0, are the
+        # quarter period: both take the cached U, with evolve_step's bits
+        def no_propagate(*args, **kwargs):
+            raise AssertionError("_propagate called for the quarter period")
+
+        H = np.array([[0.0, omega], [omega, 0.0]], dtype=complex)
+        want_duration = math.pi / (4.0 * omega)
+        for phi in np.linspace(0.05, math.pi - 0.05, 12):
+            C = prepare_one_body_state(0.5, float(phi))
+            want = gaussian.evolve_step(C, H, want_duration)
+            with monkeypatch.context() as patch:
+                patch.setattr(protocol, "_propagate", no_propagate)
+                duration = concentration_duration(C, omega)
+                got = [step1_rotate(C, omega), step1_rotate(C, omega, duration),
+                       protocol._rotate(C, omega, None)]
+            assert duration == want_duration, phi
+            for out in got:
+                assert out.tobytes() == want.tobytes(), (omega, phi)
+
+    def test_subnormal_omega_overflows_the_quarter_period(self):
+        # pi/(4 omega) is inf: the cached quarter period raises _propagate's error
+        C0 = prepare_one_body_state(0.5, math.pi / 2)
+        for call in (lambda: run_witness_sequence(C0, [{"op": "rotate"}], omega=5e-324),
+                     lambda: run_purification(ProtocolConfig(omega=5e-324)),
+                     lambda: step1_rotate(C0, 5e-324)):
+            with pytest.raises(ValueError, match=r"^dt must be finite, got inf$"):
+                call()
+
+    def test_vanishing_quarter_period_copies(self, monkeypatch):
+        # 4 omega overflows, so pi/(4 omega) is 0: a copy of C, as for any zero duration
+        def no_cache(omega):
+            raise AssertionError("the quarter-period cache used for a zero duration")
+
+        monkeypatch.setattr(protocol, "_quarter_propagator", no_cache)
+        omega = 1e308
+        C = prepare_one_body_state(0.3, 0.7)
+        H = np.array([[0.0, omega], [omega, 0.0]], dtype=complex)
+        out = step1_rotate(C, omega)
+        assert out is not C
+        assert out.tobytes() == gaussian.evolve_step(C, H, 0.0).tobytes() == C.tobytes()
+
     def test_step1_rejects_non_hermitian_state(self):
         with pytest.raises(ValueError, match="correlation matrix is not Hermitian"):
             step1_rotate(np.array([[0.5, 0.5], [0.0, 0.5]]), omega=1.0)
@@ -656,13 +732,8 @@ class TestWitness:
         with pytest.raises(ValueError, match=message):
             run_witness_sequence(C0, sequence)
 
-    @settings(max_examples=150, deadline=None)
-    @given(st.integers(min_value=0, max_value=2**32 - 1))
-    def test_soundness_on_random_diagonal_states_and_sequences(self, seed):
-        # no sequence of this module's operations can push a separable
-        # (zero-coherence) initial state below the witness bound
-        rng = np.random.default_rng(seed)
-        C0 = np.diag(rng.uniform(0.0, 1.0, size=2)).astype(complex)
+    @staticmethod
+    def _random_sequence(rng):
         ops = []
         for _ in range(int(rng.integers(0, 6))):
             kind = rng.choice(["rotate", "relax", "swap"])
@@ -672,8 +743,46 @@ class TestWitness:
                 ops.append({"op": "relax", "target": float(rng.uniform(0.0, 1.0))})
             else:
                 ops.append({"op": "swap"})
-        report = run_witness_sequence(C0, ops)
+        return ops
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    def test_soundness_on_random_diagonal_states_and_sequences(self, seed):
+        # no sequence of this module's operations can push a separable
+        # (zero-coherence) initial state below the witness bound
+        rng = np.random.default_rng(seed)
+        C0 = np.diag(rng.uniform(0.0, 1.0, size=2)).astype(complex)
+        report = run_witness_sequence(C0, self._random_sequence(rng))
         assert report.value >= -1e-9
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    def test_soundness_on_random_coherent_separable_states_and_sequences(self, seed):
+        # a coherent Gaussian state with zero concurrence, |C_MS|^2 <= det C det(1 - C),
+        # which is |C_MS|^2 <= PQ/(P + Q) for P = n_M n_S and Q = (1 - n_M)(1 - n_S), is
+        # separable too; half the draws sit on that boundary
+        rng = np.random.default_rng(seed)
+        n_M, n_S = rng.uniform(0.0, 1.0, size=2)
+        P, Q = n_M * n_S, (1.0 - n_M) * (1.0 - n_S)
+        scale = 1.0 if rng.uniform() < 0.5 else rng.uniform()
+        c = scale * math.sqrt(P * Q / (P + Q)) * np.exp(1j * rng.uniform(-math.pi, math.pi))
+        C0 = np.array([[n_M, c], [np.conj(c), n_S]])
+        report = run_witness_sequence(C0, self._random_sequence(rng))
+        assert report.value >= -1e-9
+
+    @pytest.mark.parametrize("phi", [math.pi / 2, -math.pi / 2], ids=["pi/2", "-pi/2"])
+    def test_witness_is_minus_coherent_information_on_the_dephased_family(self, phi):
+        # C = [[p, g z], [g z*, 1 - p]], z = sqrt(p(1 - p)) e^{-i phi}, under the protocol's
+        # own sequence.  Only at phi = +-pi/2: the tunnel rotation keeps the Bloch x
+        # component, and at phi = 1.1 the gap reaches 0.42
+        for p in (0.1, 0.2, 0.3, 0.4, 0.5):
+            z = math.sqrt(p * (1.0 - p)) * np.exp(-1j * phi)
+            for g in np.linspace(0.0, 1.0, 21):
+                C0 = np.array([[p, g * z], [g * np.conj(z), 1.0 - p]])
+                ops = [{"op": "rotate", "duration": concentration_duration(C0, 1.0)},
+                       {"op": "relax", "target": p}, {"op": "swap"}]
+                value = run_witness_sequence(C0, ops).value
+                assert abs(value + coherent_information(C0, [MEMORY])) <= 1e-12, (p, g)
 
 
 class TestTheorem1Check:

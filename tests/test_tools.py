@@ -1,7 +1,7 @@
 """The tools/ scripts: the line counter classifies every line of src/ exactly once,
 the ledger digest repeats, the golden tables match their committed manifest, the
-line tracer reports what a test run missed and the benchmark pair summary reads
-canned perfbench results."""
+line tracer reports what a test run missed, the benchmark pair summary reads
+canned perfbench results and the table diff reports each changed cell."""
 
 import importlib.util
 import json
@@ -171,3 +171,42 @@ def test_bench_pairs_ratios():
                                "median", "1", "s"]
     assert rss_line.split() == ["peak_rss_mb", "change/parent", "0.9000", "(-10.0%)", "of",
                                 "parent", "median", "100", "MB"]
+
+
+def _write_tables(directory, minus_q):
+    # two tables as write_table writes them: csv with "# key = value" lines, json with meta/rows
+    directory.mkdir()
+    (directory / "fig1.csv").write_text(
+        "# eps1 = -5.0\n# experiment = fig1\ngamma_tau,minus_Q\n"
+        f"0.1,0.47122435242780025\n1.0,{minus_q!r}\n", encoding="utf-8")
+    (directory / "witness.json").write_text(json.dumps({
+        "meta": {"experiment": "witness", "verdict": "entanglement certified"},
+        "rows": [{"n_S0": 0.0, "witness": -0.6931471805599453}],
+    }, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    (directory / "MANIFEST.json").write_text("{}\n", encoding="utf-8")
+
+
+def test_table_diff_reports_each_change(tmp_path, capsys):
+    table_diff = _tool("table_diff")
+    old, same, new = tmp_path / "old", tmp_path / "same", tmp_path / "new"
+    _write_tables(old, 0.25)
+    _write_tables(same, 0.25)
+    _write_tables(new, 0.2501)
+    assert table_diff.main([str(old), str(same)]) == 0
+    assert capsys.readouterr().out.splitlines() == ["fig1.csv: 0 cells differ",
+                                                    "witness.json: 0 cells differ"]
+    # one moved cell, a text cell and a sign of zero in another table, a table on one side
+    doc = json.loads((new / "witness.json").read_text(encoding="utf-8"))
+    doc["meta"]["verdict"] = "not certified"
+    doc["rows"][0]["n_S0"] = -0.0
+    (new / "witness.json").write_text(json.dumps(doc), encoding="utf-8")
+    (new / "fig2.csv").write_text("t,n_S\n0.0,1.0\n", encoding="utf-8")
+    assert table_diff.main([str(old), str(new)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "fig1.csv: 1 cells differ; max abs 1.000e-04 at row 1 minus_Q; "
+        "max rel 4.000e-04 at row 1 minus_Q",
+        "witness.json: 2 cells differ",
+        "  witness.json meta verdict: entanglement certified -> not certified",
+        "  witness.json row 0 n_S0: 0.0 -> -0.0",
+        "only in new: fig2.csv",
+    ]
