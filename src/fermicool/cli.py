@@ -39,10 +39,8 @@ _MAX_COUNT = 10**5
 
 
 def write_table(path: Path, fmt: str, meta: dict, columns: list[str], rows: list[tuple]):
-    import numpy as np
-
     def cell(x) -> str:
-        return repr(float(x)) if isinstance(x, (float, np.floating)) else str(x)
+        return repr(float(x)) if isinstance(x, float) else str(x)
 
     if fmt == "csv":
         lines = [f"# {k} = {cell(v)}" for k, v in sorted(meta.items())]

@@ -19,8 +19,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .gaussian import fermi_occupation
-from .master_eq import (Relaxation, _first_crossing, _horizon, _scan, _switch_off,
-                        integrate_population)
+from .master_eq import Relaxation, _first_crossing, _horizon, integrate_population
 # ReservoirSpec and the run's budgets (see their comment) live in params, which the
 # CLI loads without numpy
 from .params import (_DENSE_MATRICES, _MEMORY_BUDGET, _WORK_BUDGET, GAMMA_DT, ReservoirSpec,
@@ -298,13 +297,13 @@ def compare_with_master_equation(run: Relaxation) -> DeviationReport:
     """
     n0, max_time = float(run.n_S[0]), run.times[-1] + 5.0 / run.gamma
     threshold = 0.5 if run.threshold is None else run.threshold
-    # the free run spans the exact run's times; the switch-off is a rate-equation run's own
+    # the free run spans the exact run's times; the switch-off is a stopped run's own
     free = integrate_population(run.schedule, run.gamma, n0=n0, threshold=None, max_time=max_time)
-    _, t_f, minus_Q_tf = _switch_off(_scan(run.schedule, run.gamma, n0=n0, threshold=threshold,
-                                           max_time=max_time))
+    stopped = integrate_population(run.schedule, run.gamma, n0=n0, threshold=threshold,
+                                   max_time=max_time)
     master = replace(free, times=run.times, n_S=np.interp(run.times, free.times, free.n_S),
-                     minus_Q=np.interp(run.times, free.times, free.minus_Q),
-                     threshold=threshold, t_f=t_f, minus_Q_tf=minus_Q_tf)
+                     minus_Q=np.interp(run.times, free.times, free.minus_Q), threshold=threshold,
+                     t_f=stopped.t_f, minus_Q_tf=stopped.minus_Q_tf)
     mask = run.times <= (run.t_f if run.t_f is not None else run.times[-1])
     dev = np.abs(run.n_S[mask] - master.n_S[mask])
     if run.minus_Q_tf is None:

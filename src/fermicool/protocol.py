@@ -41,6 +41,7 @@ def prepare_one_body_state(p: float, phi: float) -> np.ndarray:
     maps the p = 1/2 state onto the system mode (test_step1_lands_on_system_mode).
     """
     _require_probability("p", p)
+    _require_finite("phi", phi)
     z = math.sqrt(p * (1.0 - p)) * np.exp(-1j * phi)
     return np.array([[p, z], [np.conj(z), 1.0 - p]], dtype=complex)
 
@@ -82,7 +83,7 @@ def step3_swap(C, omega: float) -> np.ndarray:
     """Half-period tunnel rotation: exchanges system and memory populations."""
     C = _two_mode_state(C)
     _require_positive("omega", omega)
-    return _conjugate(C, *_swap_propagator(float(omega)))
+    return _conjugate(C, *_fixed_propagator(float(omega), 2))
 
 
 def _two_mode_state(C) -> np.ndarray:
@@ -101,24 +102,15 @@ def _tunnel_eigenbasis(omega: float) -> tuple[np.ndarray, np.ndarray]:
     return w, V
 
 
-def _fixed_propagator(omega: float, dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """U and U^dag of a rotation by dt, as _propagate builds them, read-only."""
+@functools.lru_cache(maxsize=32)
+def _fixed_propagator(omega: float, divisor: int) -> tuple[np.ndarray, np.ndarray]:
+    """U and U^dag of a rotation by pi/(divisor*omega), as _propagate builds them,
+    read-only and shared by every call: divisor 2 is the swap, 4 the quarter period."""
+    dt = math.pi / (divisor * omega)
     _require_finite("dt", dt)  # a subnormal omega overflows it, as it does _propagate's
     U, U_dag = _propagator(*_tunnel_eigenbasis(omega), dt)
     U.flags.writeable = U_dag.flags.writeable = False
     return U, U_dag
-
-
-@functools.lru_cache(maxsize=16)
-def _swap_propagator(omega: float) -> tuple[np.ndarray, np.ndarray]:
-    """U and U^dag of the half-period swap, shared by every call."""
-    return _fixed_propagator(omega, math.pi / (2.0 * omega))
-
-
-@functools.lru_cache(maxsize=16)
-def _quarter_propagator(omega: float) -> tuple[np.ndarray, np.ndarray]:
-    """U and U^dag of the quarter-period rotation, shared by every call."""
-    return _fixed_propagator(omega, math.pi / (4.0 * omega))
 
 
 def _rotate(C: np.ndarray, omega: float, duration: float | None) -> np.ndarray:
@@ -130,7 +122,7 @@ def _rotate(C: np.ndarray, omega: float, duration: float | None) -> np.ndarray:
     if duration is None:
         duration = quarter
     if duration == quarter and quarter > 0.0:
-        return _conjugate(C, *_quarter_propagator(float(omega)))
+        return _conjugate(C, *_fixed_propagator(float(omega), 4))
     return _propagate(C, duration, _tunnel_eigenbasis, float(omega))
 
 
@@ -141,6 +133,7 @@ def witness_value(n_S0, n_M0, n_S1, n_M1, beta_q: float) -> float:
     no separable state can satisfy
     h(n_S1) + h(n_M1) - max[h(n_S0), h(n_M0)] - beta*Q < 0.
     """
+    _require_finite("beta_q", beta_q)
     return (
         binary_entropy(n_S1)
         + binary_entropy(n_M1)
@@ -268,7 +261,7 @@ def _run_operations(C, operations, config: ProtocolConfig, ledger: ThermoLedger 
         if kind == "rotate":
             C = _rotate(C, config.omega, op.get("duration"))
         elif kind == "swap":
-            C = _conjugate(C, *_swap_propagator(float(config.omega)))
+            C = _conjugate(C, *_fixed_propagator(float(config.omega), 2))
         else:
             target = float(op.get("target", 0.5))
             q, eps_end, residual = _run_engine(config, float(C[SYSTEM, SYSTEM].real), target)

@@ -50,6 +50,16 @@ class TestPrepareOneBodyState:
         with pytest.raises(ValueError):
             prepare_one_body_state(1.2, 0.0)
 
+    @pytest.mark.parametrize("phi,message", [
+        pytest.param(math.nan, "phi must be finite, got nan", id="nan"),
+        pytest.param(math.inf, "phi must be finite, got inf", id="inf"),
+        pytest.param("1", "phi must be a number, got '1'", id="str"),
+    ])
+    def test_bad_phase_rejected(self, phi, message):
+        # ProtocolConfig's messages, raised before a NaN reaches the coherences
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            prepare_one_body_state(0.5, phi)
+
 
 class TestProtocolSteps:
     def test_step1_lands_on_system_mode(self):
@@ -218,7 +228,7 @@ class TestInitialCoherentInformation:
 
         monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
         protocol._tunnel_eigenbasis.cache_clear()
-        protocol._swap_propagator.cache_clear()
+        protocol._fixed_propagator.cache_clear()
         run_purification(ProtocolConfig())
         run_purification(ProtocolConfig())
         assert eighs == [(2, 2)]
@@ -398,13 +408,13 @@ class TestTunnelRotation:
         for C in states:
             want = protocol._rotate(C, omega, duration)
             assert want.tobytes() == gaussian.evolve_step(C, H, duration).tobytes()
-            for got in (protocol._conjugate(C, *protocol._swap_propagator(omega)),
+            for got in (protocol._conjugate(C, *protocol._fixed_propagator(omega, 2)),
                         step3_swap(C, omega)):
                 assert got.tobytes() == want.tobytes(), (omega, C)
 
     def test_cached_swap_is_read_only(self):
-        U, U_dag = protocol._swap_propagator(1.0)
-        assert U is protocol._swap_propagator(1.0)[0]
+        U, U_dag = protocol._fixed_propagator(1.0, 2)
+        assert U is protocol._fixed_propagator(1.0, 2)[0]
         assert np.array_equal(U_dag, U.conj().T)
         for a in (U, U_dag):
             with pytest.raises(ValueError, match="read-only"):
@@ -423,8 +433,8 @@ class TestTunnelRotation:
         assert protocol._tunnel_eigenbasis.cache_info().currsize == 0
 
     def test_cached_quarter_is_read_only(self):
-        U, U_dag = protocol._quarter_propagator(1.0)
-        assert U is protocol._quarter_propagator(1.0)[0]
+        U, U_dag = protocol._fixed_propagator(1.0, 4)
+        assert U is protocol._fixed_propagator(1.0, 4)[0]
         assert np.array_equal(U_dag, U.conj().T)
         for a in (U, U_dag):
             with pytest.raises(ValueError, match="read-only"):
@@ -462,10 +472,10 @@ class TestTunnelRotation:
 
     def test_vanishing_quarter_period_copies(self, monkeypatch):
         # 4 omega overflows, so pi/(4 omega) is 0: a copy of C, as for any zero duration
-        def no_cache(omega):
+        def no_cache(omega, divisor):
             raise AssertionError("the quarter-period cache used for a zero duration")
 
-        monkeypatch.setattr(protocol, "_quarter_propagator", no_cache)
+        monkeypatch.setattr(protocol, "_fixed_propagator", no_cache)
         omega = 1e308
         C = prepare_one_body_state(0.3, 0.7)
         H = np.array([[0.0, omega], [omega, 0.0]], dtype=complex)
@@ -663,6 +673,16 @@ class TestWitness:
     def test_occupancy_range_validated(self):
         with pytest.raises(ValueError):
             witness_value(1.5, 0.5, 0.5, 0.5, 0.0)
+
+    @pytest.mark.parametrize("beta_q,message", [
+        pytest.param(math.nan, "beta_q must be finite, got nan", id="nan"),
+        pytest.param(math.inf, "beta_q must be finite, got inf", id="inf"),
+        pytest.param("1", "beta_q must be a number, got '1'", id="str"),
+    ])
+    def test_bad_heat_rejected(self, beta_q, message):
+        # a NaN heat is an error, not an uncertified witness
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            witness_value(0.5, 0.5, 0.5, 0.5, beta_q)
 
     def test_sequence_runner_on_entangled_state(self):
         report = run_witness_sequence(

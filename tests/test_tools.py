@@ -1,7 +1,7 @@
 """The tools/ scripts: the line counter classifies every line of src/ exactly once,
-the ledger digest repeats, the golden tables match their committed manifest, the
-line tracer reports what a test run missed, the benchmark pair summary reads
-canned perfbench results and the table diff reports each changed cell."""
+the ledger digest repeats, the golden tables and both digests match their committed
+manifest, the line tracer reports what a test run missed, the benchmark pair summary
+reads canned perfbench results and the table diff reports each changed cell."""
 
 import importlib.util
 import json
@@ -82,9 +82,9 @@ def test_golden_tables_match_manifest(tmp_path):
     moved = [n for n in names if fresh["tables"].get(n) != committed["tables"].get(n)]
     if moved:
         problems.append(f"tables that moved: {', '.join(moved)}")
-    if fresh["ledger_digest"] != committed["ledger_digest"]:
-        problems.append(f"ledger digest {fresh['ledger_digest']}, "
-                        f"committed {committed['ledger_digest']}")
+    for key in ("ledger_digest", "rate_digest"):
+        if fresh[key] != committed[key]:
+            problems.append(f"{key.replace('_', ' ')} {fresh[key]}, committed {committed[key]}")
     assert not problems, "; ".join(problems)
 
 

@@ -8,12 +8,12 @@ checkout this script sits in.  Run it in two checkouts and compare with
 `diff -r OUT_A OUT_B`; a refactor that keeps its numbers leaves no
 difference.
 
-OUTDIR/MANIFEST.json holds the SHA-256 of each table, the digest of
-`tools/ledger_digest.py` and the fingerprint of what the exact-bath bytes
-depend on besides the source: the numpy version, its BLAS and LAPACK (name
-and version, from `np.show_config(mode="dicts")`, numpy >= 1.26) and the
-machine.  tests/golden_manifest.json is its committed copy, which
-tests/test_tools.py compares with a fresh one.
+OUTDIR/MANIFEST.json holds the SHA-256 of each table, the digests of
+`tools/ledger_digest.py` and `tools/rate_digest.py` and the fingerprint of
+what the exact-bath bytes depend on besides the source: the numpy version,
+its BLAS and LAPACK (name and version, from `np.show_config(mode="dicts")`,
+numpy >= 1.26) and the machine.  tests/golden_manifest.json is its committed
+copy, which tests/test_tools.py compares with a fresh one.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ sys.path[:0] = [str(HERE.parent / "src"), str(HERE)]
 
 from fermicool.cli import main  # noqa: E402
 from ledger_digest import digest  # noqa: E402
+from rate_digest import digest as rate_digest  # noqa: E402
 
 # the sequence of tests/test_cli.py::TestWitnessCommand::test_custom_sequence
 CUSTOM_SEQUENCE = {"sequence": [
@@ -89,7 +90,8 @@ def write_tables(outdir: Path) -> list[str]:
                 if main(argv + ["--format", fmt, "--out", str(out)]) != 0:
                     failed.append(out.name)
                 tables[out.name] = hashlib.sha256(out.read_bytes()).hexdigest()
-    manifest = {"fingerprint": fingerprint(), "ledger_digest": digest(), "tables": tables}
+    manifest = {"fingerprint": fingerprint(), "ledger_digest": digest(),
+                "rate_digest": rate_digest(), "tables": tables}
     text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
     (outdir / "MANIFEST.json").write_text(text, encoding="utf-8")
     return failed
