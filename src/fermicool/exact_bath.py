@@ -60,28 +60,16 @@ def build_full_hamiltonian(eps_S: float, levels, t_amp: float) -> np.ndarray:
 class _SecularSolver:
     """Eigenpairs of the arrowhead H(eps) = [[eps, t 1^T], [t 1, diag(d)]], a block of eps at once.
 
-    With ascending, distinct levels d and t > 0 the eigenvalues are the K+1
-    roots of the secular function F(lam) = lam - eps - t^2 sum_k 1/(lam - d_k),
-    one below d_0, one in each interval between levels and one above
-    d_{K-1}; the eigenvector of a root is (1, t/(lam - d_k)), normalised
+    With ascending, distinct levels d and t > 0 the K+1 eigenvalues are the
+    roots of F(lam) = lam - eps - t^2 sum_k 1/(lam - d_k), one in each interval
+    the levels bound, and a root's eigenvector is (1, t/(lam - d_k)), normalised
     (Gu & Eisenstat, SIAM J. Matrix Anal. Appl. 15, 1266 (1994); Stor,
-    Slapnicar & Barlow, Linear Algebra Appl. 464, 62 (2015)).
-
-    Each root is solved as mu = lam - d_j from its nearer level d_j, which
-    the sign of F at the interval midpoint decides, so lam - d_k =
-    mu + (d_j - d_k) keeps full relative accuracy.  Newton on F starts from
-    the perturbative root of mu^2 + ((d_j - eps) - t^2 S_j) mu - t^2, where
-    S_j = sum_{k != j} 1/(d_j - d_k) (its mu^2 term matters only next to
-    eps), and falls back to bisection when it leaves the bracket.  A root
-    leaves the active set once |F| is within its rounding noise, or once a
-    Newton step is so short that the next would be below rounding.  S_j, the
-    midpoint sums and d_j - d_k are computed once per reservoir; a call
-    gathers its roots' rows of d_j - d_k once, so each Newton iteration and
-    the eigenvectors take lam - d_k from them in one addition.
-
-    A call takes up to `block` energies and returns a view of one eigenvector
-    buffer that the next call overwrites; reusing it, and the pole-difference
-    buffer, spares the page faults of fresh arrays.
+    Slapnicar & Barlow, Linear Algebra Appl. 464, 62 (2015)).  Each root is
+    solved by Newton, bisection when it leaves the bracket, as mu = lam - d_j
+    from its nearer level d_j, so that lam - d_k = mu + (d_j - d_k) keeps full
+    relative accuracy, until |F| is within its rounding noise.  A call takes up
+    to `block` energies and returns a view of one eigenvector buffer that the
+    next call overwrites.
     """
 
     def __init__(self, levels: np.ndarray, t_amp: float):
@@ -191,22 +179,15 @@ def simulate(
 ) -> Relaxation:
     """Stepwise-quenched exact evolution of the system-reservoir correlation matrix.
 
-    eps_S is held constant over each [t, t+dt) interval; `_SecularSolver`
-    finds its exact propagator U = V e^{i dt w} V^T in O(K^2), a block of
-    upcoming steps at once.  The run carries the accumulated propagator
-    W <- U W, applied as two real matrix products on the float view of W,
-    and reads n_S and the reservoir energy off the diagonal |W|^2 c0 of
-    C = W diag(c0) W^dag.  Only n_S and -Q are kept per step; C_final is
-    built once, at the end, so C after k steps is the C_final of a run with
-    threshold=None and max_time = k*dt.
-
-    The samples sit on the rate equation's grid t_k = k*dt, up to the first
-    t_k >= max_time (`master_eq._horizon`).  The run stops when n_S first
-    reaches `threshold`; t_f and minus_Q_tf follow the rate equation's
-    switch-off rule.  Raises NoCrossingError at max_time.  Raises ValueError,
-    before allocating any (K+1)^2 matrix, when steps * (K+1)^3 exceeds the
-    work budget _WORK_BUDGET (1e11, about 25 s on a 2-vCPU host); the spec
-    already fits the memory budget.
+    eps_S is held constant over each [t, t+dt) of the rate equation's grid
+    t_k = k*dt, up to the first t_k >= max_time.  Only n_S and -Q are kept
+    per step; C_final is built once, at the end, so C after k steps is the
+    C_final of a run with threshold=None and max_time = k*dt.  The run stops
+    when n_S first reaches `threshold`; t_f and minus_Q_tf follow the rate
+    equation's switch-off rule.  Raises NoCrossingError at max_time, and
+    ValueError, before any (K+1)^2 allocation, when steps * (K+1)^3 exceeds
+    _WORK_BUDGET (1e11, about 25 s on a 2-vCPU host); the spec already fits
+    the memory budget.
     """
     if dt is None:
         dt = GAMMA_DT / spec.gamma

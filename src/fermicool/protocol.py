@@ -87,10 +87,20 @@ def step3_swap(C, omega: float) -> np.ndarray:
 
 
 def _two_mode_state(C) -> np.ndarray:
+    """C as a complex 2x2 array, checked as require_hermitian checks it, in scalar form."""
     C = np.asarray(C, dtype=complex)
     if C.shape != (2, 2):
         raise ValueError(f"expected a two-mode state, got shape {C.shape}")
-    return require_hermitian(C, name="correlation matrix")
+    (c_MM, c_MS), (c_SM, c_SS) = C.tolist()
+    try:  # the entries of |C - C^dag|, whose (S, M) entry equals its (M, S) one
+        terms = (abs(c_MS - c_SM.conjugate()), abs(c_MM - c_MM.conjugate()),
+                 abs(c_SS - c_SS.conjugate()))
+    except OverflowError:  # Python's complex abs raises where numpy's reads inf
+        return require_hermitian(C, name="correlation matrix")
+    # max drops a NaN that is not its first argument; the sum keeps it
+    total = sum(terms)
+    _require_deviation(max(terms) if total == total else total, "correlation matrix")
+    return C
 
 
 @functools.lru_cache(maxsize=16)
@@ -100,6 +110,12 @@ def _tunnel_eigenbasis(omega: float) -> tuple[np.ndarray, np.ndarray]:
     w.flags.writeable = False
     V.flags.writeable = False
     return w, V
+
+
+@functools.lru_cache(maxsize=16)
+def _quasistatic_config(omega: float) -> ProtocolConfig:
+    """The witness sequence's ProtocolConfig, built and checked once per omega."""
+    return ProtocolConfig(omega=omega)
 
 
 @functools.lru_cache(maxsize=32)
@@ -361,11 +377,12 @@ def run_witness_sequence(C0, operations, omega: float = 1.0) -> WitnessReport:
     {"op": "relax", "target": x} (quasistatic, accumulates heat; x in [0, 1],
     1/2 when absent) or {"op": "swap"}, with no other keys.  They are applied
     by the same interpreter as the protocol's steps, with no ledger kept.
-    The whole input is checked before any operation is applied: an omega
-    that is not positive and finite, an operation that breaks these rules
-    and a C0 that is not a Hermitian 2x2 matrix each raise ValueError.
+    The whole input is checked before any operation runs, in this order:
+    omega (positive and finite), the operations (these rules), then C0 (a
+    Hermitian 2x2 matrix); the first check that fails raises ValueError.
     """
-    config = ProtocolConfig(omega=omega)
+    _require_positive("omega", omega)
+    config = _quasistatic_config(float(omega))
     if not isinstance(operations, (list, tuple)):
         raise ValueError(f"sequence must be a list or tuple of operations, got {operations!r}")
     for i, op in enumerate(operations):

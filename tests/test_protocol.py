@@ -61,6 +61,21 @@ class TestPrepareOneBodyState:
             prepare_one_body_state(0.5, phi)
 
 
+def _not_hermitian(dev: str) -> str:
+    return f"correlation matrix is not Hermitian: max deviation {dev} exceeds 1e-12"
+
+
+# two-mode states that require_hermitian rejects, with its message; the scalar check of
+# the entry points must reject each alike
+_BAD_STATES = [
+    pytest.param([[0.5, 0.1], [0.1, math.nan]], _not_hermitian("nan"), id="nan-C11"),
+    pytest.param([[math.inf, 0.0], [0.0, 0.5]], _not_hermitian("nan"), id="inf-population"),
+    pytest.param([[0.5, 0.0], [0.0, 0.5 + 1e-9j]], _not_hermitian("2.000e-09"),
+                 id="imaginary-diagonal"),
+    pytest.param([[0.5, "0.5"], [0.0, 0.5]], _not_hermitian("5.000e-01"), id="string-entry"),
+]
+
+
 class TestProtocolSteps:
     def test_step1_lands_on_system_mode(self):
         out = step1_rotate(prepare_one_body_state(0.5, math.pi / 2), omega=1.0)
@@ -116,6 +131,11 @@ class TestProtocolSteps:
         pytest.param(0.0, "omega must be positive, got 0.0", id="0.0"),
         pytest.param(-1.0, "omega must be positive, got -1.0", id="-1.0"),
         pytest.param("1", "omega must be a number, got '1'", id="str"),
+        pytest.param(0, "omega must be positive, got 0", id="0"),
+        pytest.param(-1, "omega must be positive, got -1", id="-1"),
+        pytest.param(True, "omega must be a number, got True", id="bool"),
+        # unhashable: rejected before it reaches the witness sequence's per-omega config cache
+        pytest.param([1.0], "omega must be a number, got [1.0]", id="list"),
     ])
     def test_non_finite_omega_rejected(self, omega, message):
         # inf made the rotation silently the identity; nan reported "dt must be finite";
@@ -128,6 +148,45 @@ class TestProtocolSteps:
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 call()
 
+    @pytest.mark.parametrize("C,message", _BAD_STATES)
+    def test_invalid_state_rejected(self, C, message):
+        for call in (lambda: run_witness_sequence(C, [{"op": "rotate"}]),
+                     lambda: run_witness_sequence(C, [{"op": "relax"}]),
+                     lambda: run_witness_sequence(C, [{"op": "swap"}]),
+                     lambda: step1_rotate(C, 1.0),
+                     lambda: step3_swap(C, 1.0)):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                call()
+
+    def test_two_mode_check_is_require_hermitians(self):
+        # on perturbed 2x2 matrices the scalar check raises or passes as require_hermitian
+        # does, with its message, and returns its array; the perturbations reach the
+        # tolerance's edge, NaN, infinities and moduli whose abs overflows
+        rng = np.random.default_rng(33)
+        scales = [0.0, 5e-13, 1e-12, 2e-12, 1e-9, 1.0, 1.5e308]
+        specials = [math.nan, math.inf, -math.inf, complex(0.0, math.nan), complex(0.0, math.inf)]
+        outcomes = set()
+        for _ in range(1000):
+            C = prepare_one_body_state(rng.uniform(), rng.uniform(-math.pi, math.pi))
+            for _ in range(int(rng.integers(1, 3))):
+                i, j = rng.integers(0, 2, size=2)
+                if rng.uniform() < 0.15:
+                    C[i, j] = specials[rng.integers(len(specials))]
+                else:
+                    re, im = rng.choice([-1.0, 1.0], size=2) * rng.uniform(size=2)
+                    C[i, j] += scales[rng.integers(len(scales))] * complex(re, im)
+            got, want = [], []
+            for check, out in ((protocol._two_mode_state, got),
+                               (lambda a: gaussian.require_hermitian(a, "correlation matrix"), want)):
+                try:
+                    with np.errstate(all="ignore"):
+                        out.append(check(C.copy()).tobytes())
+                except ValueError as error:
+                    out.append(str(error))
+            assert got == want, C
+            outcomes.add(want[0] if isinstance(want[0], str) else "pass")
+        assert "pass" in outcomes
+        assert {_not_hermitian("nan"), _not_hermitian("inf")} <= outcomes
 
     def test_subnormal_omega_overflows_the_half_period(self):
         # pi/(2 omega) is inf: the cached swap raises _rotate's error, not a NaN state
@@ -150,6 +209,7 @@ class TestConcentrationDuration:
                      id="3x3"),
         pytest.param([[0.5, 0.5], [0.0, 0.5]], 1.0, "correlation matrix is not Hermitian",
                      id="non-hermitian"),
+        *(pytest.param(case.values[0], 1.0, case.values[1], id=case.id) for case in _BAD_STATES),
     ])
     def test_invalid_input_rejected(self, C, omega, message):
         # 0 raised ZeroDivisionError, -1 gave a negative duration, nan and a subnormal
@@ -702,6 +762,18 @@ class TestWitness:
         C0 = np.array([[0.5, 0.5], [0.0, 0.5]], dtype=complex)
         with pytest.raises(ValueError, match="correlation matrix is not Hermitian"):
             run_witness_sequence(C0, [{"op": op}])
+
+    def test_sequence_runner_omega_types_give_the_same_bits(self):
+        # the config cache is keyed on float(omega): an int and a numpy float share its entry
+        assert protocol._quasistatic_config.cache_info().maxsize == 16
+        C0 = prepare_one_body_state(0.3, 0.7)
+        for sequence in ([{"op": "rotate"}, {"op": "relax", "target": 0.0}, {"op": "swap"}],
+                         [{"op": "rotate", "duration": 0.4}, {"op": "relax"}, {"op": "swap"}]):
+            reports = [run_witness_sequence(C0, sequence, omega=omega)
+                       for omega in (1, 1.0, np.float64(1.0))]
+            bits = [[_bits(x) for x in dataclasses.astuple(r)[:-1]] + [r.certified]
+                    for r in reports]
+            assert bits[0] == bits[1] == bits[2], sequence
 
     @pytest.mark.parametrize("op,message", [
         pytest.param({"op": "relax", "target": "0.5"}, "target must be a number",
