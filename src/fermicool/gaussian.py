@@ -23,13 +23,21 @@ def require_hermitian(a, name: str) -> np.ndarray:
     m = np.asarray(a, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"{name} must be square, got shape {m.shape}")
-    if m.size:
-        _require_deviation(np.abs(m - m.conj().T).max(), name)
+    # numpy's abs reads inf where Python's raises, and its max keeps a NaN
+    _require_deviation([np.abs(m - m.conj().T).max(initial=0.0)], name)
     return m
 
 
-def _require_deviation(dev: float, name: str):
-    """Raise unless the Hermiticity deviation dev is within HERMITIAN_TOL; NaN raises."""
+def _require_deviation(entries, name: str):
+    """Raise unless `entries`, entries of C - C^dag or moduli that bound them, are all within
+    HERMITIAN_TOL in modulus; the deviation reported is the largest modulus, NaN if one is."""
+    try:
+        devs = [*map(abs, entries)]
+    except OverflowError:  # Python's complex abs raises where numpy's reads inf
+        devs = [math.hypot(d.real, d.imag) for d in entries]
+    # max drops a NaN that is not its first argument; the sum keeps it
+    total = sum(devs)
+    dev = max(devs) if total == total else total
     if not dev <= HERMITIAN_TOL:
         raise ValueError(
             f"{name} is not Hermitian: max deviation {dev:.3e} exceeds {HERMITIAN_TOL:.0e}"

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import master_eq
 from .gaussian import (_conjugate, _entropy_sum, _propagate, _propagator, _require_deviation,
-                       binary_entropy, fermi_occupation, require_hermitian)
+                       binary_entropy, fermi_occupation)
 # EngineError and ProtocolConfig live in params, which the CLI loads without numpy
 from .params import (EngineError, ProtocolConfig, ReservoirSpec, _require_finite,
                      _require_positive, _require_probability)
@@ -92,14 +92,9 @@ def _two_mode_state(C) -> np.ndarray:
     if C.shape != (2, 2):
         raise ValueError(f"expected a two-mode state, got shape {C.shape}")
     (c_MM, c_MS), (c_SM, c_SS) = C.tolist()
-    try:  # the entries of |C - C^dag|, whose (S, M) entry equals its (M, S) one
-        terms = (abs(c_MS - c_SM.conjugate()), abs(c_MM - c_MM.conjugate()),
-                 abs(c_SS - c_SS.conjugate()))
-    except OverflowError:  # Python's complex abs raises where numpy's reads inf
-        return require_hermitian(C, name="correlation matrix")
-    # max drops a NaN that is not its first argument; the sum keeps it
-    total = sum(terms)
-    _require_deviation(max(terms) if total == total else total, "correlation matrix")
+    # the (S, M) entry of C - C^dag has the modulus of its (M, S) one
+    _require_deviation((c_MS - c_SM.conjugate(), c_MM - c_MM.conjugate(),
+                        c_SS - c_SS.conjugate()), "correlation matrix")
     return C
 
 
@@ -110,12 +105,6 @@ def _tunnel_eigenbasis(omega: float) -> tuple[np.ndarray, np.ndarray]:
     w.flags.writeable = False
     V.flags.writeable = False
     return w, V
-
-
-@functools.lru_cache(maxsize=16)
-def _quasistatic_config(omega: float) -> ProtocolConfig:
-    """The witness sequence's ProtocolConfig, built and checked once per omega."""
-    return ProtocolConfig(omega=omega)
 
 
 @functools.lru_cache(maxsize=32)
@@ -201,10 +190,9 @@ class ThermoLedger:
         real diagonal C.  A Hermiticity deviation over HERMITIAN_TOL, or NaN, raises ValueError.
         """
         (c_MM, c_MS), (c_SM, c_SS) = C.tolist()
-        terms = (abs(c_MS - c_SM.conjugate()), 2.0 * abs(c_MM.imag), 2.0 * abs(c_SS.imag))
-        # max drops a NaN that is not its first argument; the sum keeps it
-        total = sum(terms)
-        _require_deviation(max(terms) if total == total else total, "correlation matrix")
+        # 2 Im c has the modulus of c - c^*, and leaves a non-finite real part to the entropy sum
+        _require_deviation((c_MS - c_SM.conjugate(), 2.0 * c_MM.imag, 2.0 * c_SS.imag),
+                           "correlation matrix")
         n_M, n_S = c_MM.real, c_SS.real
         S_M = _entropy_sum((n_M,))
         S_S = _entropy_sum((n_S,))
@@ -237,11 +225,13 @@ def _initial_state(config: ProtocolConfig) -> np.ndarray:
     return prepare_one_body_state(config.p, config.phi)
 
 
-def _run_engine(config: ProtocolConfig, n0: float, target: float):
-    """Dispatch a relaxation; returns (Q, eps_end, interaction_residual)."""
-    if config.engine == "quasistatic":
-        # reversible: the heat is the temperature times the system entropy change
-        return binary_entropy(target) - binary_entropy(n0), 0.0, 0.0
+def _reversible(n0: float, target: float):
+    """The quasistatic relaxation, Q = T dS_system; returns (Q, eps_end, interaction_residual)."""
+    return binary_entropy(target) - binary_entropy(n0), 0.0, 0.0
+
+
+def _finite_time(config: ProtocolConfig, n0: float, target: float):
+    """A relaxation by the config's finite-time engine; returns _reversible's triple."""
     schedule = master_eq.SweepSchedule(config.eps1, config.eps2, config.tau)
     if fermi_occupation(config.eps2) >= target:
         raise EngineError(
@@ -262,25 +252,25 @@ def _run_engine(config: ProtocolConfig, n0: float, target: float):
     return -run.minus_Q_tf, schedule.energy(run.t_f), exact_bath.interaction_energy(run)
 
 
-def _run_operations(C, operations, config: ProtocolConfig, ledger: ThermoLedger | None = None):
-    """Apply rotate/relax/swap operations (see run_witness_sequence) to C.
+def _run_operations(C, operations, omega: float, relax, ledger: ThermoLedger | None = None):
+    """Apply rotate/relax/swap operations (see run_witness_sequence) to C at tunnel rate omega.
 
-    Relaxations use the configured engine.  With a ledger, each step is
-    recorded under its operation's name.  Returns (final C, total heat).
+    Each relax calls relax(n0, target): `_reversible`, or `_finite_time` bound to a config.
+    With a ledger, each step is recorded under its operation's name.  Returns (C, total heat).
     """
     heat = 0.0
     for op in operations:
         kind = op["op"]
         eps_end = 0.0
-        # C is Hermitian and omega valid here: a config is valid once built, the
-        # callers check C and operations, and every operation returns a Hermitian C
+        # C is Hermitian and omega a positive finite float here: the callers check both
+        # and the operations, and every operation returns a Hermitian C
         if kind == "rotate":
-            C = _rotate(C, config.omega, op.get("duration"))
+            C = _rotate(C, omega, op.get("duration"))
         elif kind == "swap":
-            C = _conjugate(C, *_fixed_propagator(float(config.omega), 2))
+            C = _conjugate(C, *_fixed_propagator(omega, 2))
         else:
             target = float(op.get("target", 0.5))
-            q, eps_end, residual = _run_engine(config, float(C[SYSTEM, SYSTEM].real), target)
+            q, eps_end, residual = relax(float(C[SYSTEM, SYSTEM].real), target)
             heat += q
             # bath contact destroys any residual memory-system coherence
             C = np.array([[C[MEMORY, MEMORY].real, 0.0], [0.0, target]], dtype=complex)
@@ -305,6 +295,8 @@ def run_purification(config: ProtocolConfig) -> ThermoLedger:
     state whose target is not its memory population skips the swap.
     """
     C0 = _initial_state(config)
+    quasistatic = config.engine == "quasistatic"
+    relax = _reversible if quasistatic else functools.partial(_finite_time, config)
     ledger = ThermoLedger(engine=config.engine)
     ledger.record("initial", C0, 0.0, 0.0)
 
@@ -317,9 +309,9 @@ def run_purification(config: ProtocolConfig) -> ThermoLedger:
         operations.insert(0, {"op": "rotate", "duration": duration})
     if coherent or abs(target - n_M0) <= 1e-12:
         operations.append({"op": "swap"})
-    _run_operations(C0, operations, config, ledger)
+    _run_operations(C0, operations, float(config.omega), relax, ledger)
 
-    tol = 1e-6 if config.engine == "quasistatic" else 1e-2
+    tol = 1e-6 if quasistatic else 1e-2
     ledger.purified = ledger.steps[-1].S_S <= tol
     ledger.memory_restored = abs(ledger.steps[-1].n_M - n_M0) <= tol
     return ledger
@@ -376,13 +368,12 @@ def run_witness_sequence(C0, operations, omega: float = 1.0) -> WitnessReport:
     (t >= 0 and finite; null or absent is the quarter period),
     {"op": "relax", "target": x} (quasistatic, accumulates heat; x in [0, 1],
     1/2 when absent) or {"op": "swap"}, with no other keys.  They are applied
-    by the same interpreter as the protocol's steps, with no ledger kept.
+    by the protocol's interpreter with `_reversible` as relaxation, no ledger kept.
     The whole input is checked before any operation runs, in this order:
     omega (positive and finite), the operations (these rules), then C0 (a
     Hermitian 2x2 matrix); the first check that fails raises ValueError.
     """
     _require_positive("omega", omega)
-    config = _quasistatic_config(float(omega))
     if not isinstance(operations, (list, tuple)):
         raise ValueError(f"sequence must be a list or tuple of operations, got {operations!r}")
     for i, op in enumerate(operations):
@@ -403,7 +394,7 @@ def run_witness_sequence(C0, operations, omega: float = 1.0) -> WitnessReport:
     C = _two_mode_state(C0)
     n_M0 = float(C[MEMORY, MEMORY].real)
     n_S0 = float(C[SYSTEM, SYSTEM].real)
-    C, heat = _run_operations(C, operations, config)
+    C, heat = _run_operations(C, operations, float(omega), _reversible)
     n_M1 = float(C[MEMORY, MEMORY].real)
     n_S1 = float(C[SYSTEM, SYSTEM].real)
     value = witness_value(n_S0, n_M0, n_S1, n_M1, heat)

@@ -76,6 +76,23 @@ _BAD_STATES = [
 ]
 
 
+def _perturbed_states(rng, count=1000):
+    """Two-mode one-body states with one or two entries perturbed; the perturbations reach
+    the Hermiticity tolerance's edge, NaN, infinities and moduli whose abs overflows."""
+    scales = [0.0, 5e-13, 1e-12, 2e-12, 1e-9, 1.0, 1.5e308]
+    specials = [math.nan, math.inf, -math.inf, complex(0.0, math.nan), complex(0.0, math.inf)]
+    for _ in range(count):
+        C = prepare_one_body_state(rng.uniform(), rng.uniform(-math.pi, math.pi))
+        for _ in range(int(rng.integers(1, 3))):
+            i, j = rng.integers(0, 2, size=2)
+            if rng.uniform() < 0.15:
+                C[i, j] = specials[rng.integers(len(specials))]
+            else:
+                re, im = rng.choice([-1.0, 1.0], size=2) * rng.uniform(size=2)
+                C[i, j] += scales[rng.integers(len(scales))] * complex(re, im)
+        yield C
+
+
 class TestProtocolSteps:
     def test_step1_lands_on_system_mode(self):
         out = step1_rotate(prepare_one_body_state(0.5, math.pi / 2), omega=1.0)
@@ -134,7 +151,7 @@ class TestProtocolSteps:
         pytest.param(0, "omega must be positive, got 0", id="0"),
         pytest.param(-1, "omega must be positive, got -1", id="-1"),
         pytest.param(True, "omega must be a number, got True", id="bool"),
-        # unhashable: rejected before it reaches the witness sequence's per-omega config cache
+        # unhashable: rejected before float(omega) keys the cached tunnel propagators
         pytest.param([1.0], "omega must be a number, got [1.0]", id="list"),
     ])
     def test_non_finite_omega_rejected(self, omega, message):
@@ -160,21 +177,9 @@ class TestProtocolSteps:
 
     def test_two_mode_check_is_require_hermitians(self):
         # on perturbed 2x2 matrices the scalar check raises or passes as require_hermitian
-        # does, with its message, and returns its array; the perturbations reach the
-        # tolerance's edge, NaN, infinities and moduli whose abs overflows
-        rng = np.random.default_rng(33)
-        scales = [0.0, 5e-13, 1e-12, 2e-12, 1e-9, 1.0, 1.5e308]
-        specials = [math.nan, math.inf, -math.inf, complex(0.0, math.nan), complex(0.0, math.inf)]
+        # does, with its message, and returns its array
         outcomes = set()
-        for _ in range(1000):
-            C = prepare_one_body_state(rng.uniform(), rng.uniform(-math.pi, math.pi))
-            for _ in range(int(rng.integers(1, 3))):
-                i, j = rng.integers(0, 2, size=2)
-                if rng.uniform() < 0.15:
-                    C[i, j] = specials[rng.integers(len(specials))]
-                else:
-                    re, im = rng.choice([-1.0, 1.0], size=2) * rng.uniform(size=2)
-                    C[i, j] += scales[rng.integers(len(scales))] * complex(re, im)
+        for C in _perturbed_states(np.random.default_rng(33)):
             got, want = [], []
             for check, out in ((protocol._two_mode_state, got),
                                (lambda a: gaussian.require_hermitian(a, "correlation matrix"), want)):
@@ -406,6 +411,36 @@ class TestRecordEntropies:
         for C in states:
             got, want = protocol._eigvalsh(C, signature="D->d"), np.linalg.eigvalsh(C)
             assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes()), C
+
+    def test_overflowing_deviation_rejected(self):
+        # the deviation's modulus overflows: Python's complex abs raises OverflowError there
+        C = np.array([[0.5, 1.5e308 * (1 + 1j)], [0.0, 0.5]], dtype=complex)
+        with pytest.raises(ValueError, match=f"^{re.escape(_not_hermitian('inf'))}$"):
+            ThermoLedger(engine="quasistatic").record("x", C, 0.0, 0.0)
+
+    def test_hermiticity_check_is_require_hermitians(self):
+        # on the perturbed states with a finite real diagonal, where record's 2 Im c and
+        # require_hermitian's c - c^* agree, record raises require_hermitian's message or
+        # gets past its check (a later error, from the entropy sum, is not the check's)
+        outcomes = set()
+        for C in _perturbed_states(np.random.default_rng(33)):
+            if not (math.isfinite(C[0, 0].real) and math.isfinite(C[1, 1].real)):
+                continue
+            got = want = "pass"
+            with np.errstate(all="ignore"):
+                try:
+                    gaussian.require_hermitian(C, "correlation matrix")
+                except ValueError as error:
+                    want = str(error)
+                try:
+                    ThermoLedger(engine="quasistatic").record("x", C, 0.0, 0.0)
+                except ValueError as error:
+                    if "not Hermitian" in str(error):
+                        got = str(error)
+            assert got == want, C
+            outcomes.add(want)
+        assert "pass" in outcomes
+        assert {_not_hermitian("nan"), _not_hermitian("inf")} <= outcomes
 
     def test_nan_population_rejected(self):
         # the clamp keeps a NaN; the entropy sum raises binary_entropy's error for it
@@ -764,8 +799,6 @@ class TestWitness:
             run_witness_sequence(C0, [{"op": op}])
 
     def test_sequence_runner_omega_types_give_the_same_bits(self):
-        # the config cache is keyed on float(omega): an int and a numpy float share its entry
-        assert protocol._quasistatic_config.cache_info().maxsize == 16
         C0 = prepare_one_body_state(0.3, 0.7)
         for sequence in ([{"op": "rotate"}, {"op": "relax", "target": 0.0}, {"op": "swap"}],
                          [{"op": "rotate", "duration": 0.4}, {"op": "relax"}, {"op": "swap"}]):
@@ -816,13 +849,25 @@ class TestWitness:
         pytest.param(None, "sequence must be a list or tuple of operations, got None", id="none"),
     ])
     def test_sequence_checked_before_any_operation_runs(self, monkeypatch, sequence, message):
-        def no_engine(*args, **kwargs):
+        def no_operation(*args, **kwargs):
             raise AssertionError("an operation ran before the sequence was checked")
 
-        monkeypatch.setattr(protocol, "_run_engine", no_engine)
+        # the relaxation, the rotation and the swap's conjugation
+        for name in ("_reversible", "_rotate", "_conjugate"):
+            monkeypatch.setattr(protocol, name, no_operation)
         C0 = prepare_one_body_state(0.5, math.pi / 2)
         with pytest.raises(ValueError, match=message):
             run_witness_sequence(C0, sequence)
+
+    def test_sequence_never_runs_a_finite_time_engine(self, monkeypatch):
+        # a witness sequence relaxes reversibly, whatever engine a protocol run would pick
+        def no_finite_time(*args, **kwargs):
+            raise AssertionError("a witness sequence reached a finite-time engine")
+
+        monkeypatch.setattr(protocol, "_finite_time", no_finite_time)
+        report = run_witness_sequence(prepare_one_body_state(0.5, math.pi / 2),
+                                      [{"op": "rotate"}, {"op": "relax"}, {"op": "swap"}])
+        assert report.beta_q == pytest.approx(LN2, abs=1e-12)
 
     @staticmethod
     def _random_sequence(rng):

@@ -173,6 +173,34 @@ def test_bench_pairs_ratios():
                                 "parent", "median", "100", "MB"]
 
 
+def test_bench_pairs_defaults(tmp_path, monkeypatch, capsys):
+    # without --pairs and --seconds, MIN_PAIRS pairs of the change's run_seconds; no
+    # perfbench runs, as run_once is replaced by a canned result
+    bench_pairs = _tool("bench_pairs")
+    calls = []
+
+    def run_once(checkout, workload, seed, seconds):
+        calls.append((checkout.name, workload, seed, seconds))
+        return {"correct": True, "attempted": 40, "failed": 0,
+                "metrics": {"op_s": {"value": 1.0, "unit": "s"}}}
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    for name, seconds in (("parent", 99), ("change", 7)):
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "BENCHMARK.json").write_text(json.dumps({
+            "run_seconds": seconds,
+            "end_to_end": [{"name": "op_s", "unit": "s", "better": "lower", "bound": 0.25}],
+        }), encoding="utf-8")
+    assert bench_pairs.main([str(tmp_path / "parent"), str(tmp_path / "change"),
+                             "--workload", "ledger"]) == 0
+    assert len(calls) == 2 * bench_pairs.MIN_PAIRS
+    assert {call[1:] for call in calls} == {("ledger", 0, 7.0)}
+    # the parent runs first in even pairs, the change first in odd ones
+    assert [call[0] for call in calls[:4]] == ["parent", "change", "change", "parent"]
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "workload ledger, 10 pairs of 7 s runs, seed 0"
+
+
 def _write_tables(directory, minus_q):
     # two tables as write_table writes them: csv with "# key = value" lines, json with meta/rows
     directory.mkdir()

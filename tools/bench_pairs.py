@@ -1,9 +1,12 @@
 """Run perfbench in two checkouts in alternating pairs and summarise each end-to-end metric.
 
-    python3 tools/bench_pairs.py PARENT CHANGE --workload W --pairs N --seconds S [--seed K]
+    python3 tools/bench_pairs.py PARENT CHANGE --workload W [--pairs N] [--seconds S] [--seed K]
 
-Each pair runs `perfbench/run.py --workload W --seed K --seconds S --trace 0`
-once in each checkout, from that checkout's root, so that each imports its
+N defaults to MIN_PAIRS (ten) and S to the `run_seconds` of
+CHANGE/BENCHMARK.json, so that the default run is the one that can back or
+refuse a gain.  Each pair runs
+`perfbench/run.py --workload W --seed K --seconds S --trace 0` once in each
+checkout, from that checkout's root, so that each imports its
 own `src/`; the parent runs first in even pairs and the change first in odd
 ones.  The last line of each run's output is its JSON result.
 
@@ -98,11 +101,14 @@ def main(argv=None) -> int:
     parser.add_argument("parent", type=Path)
     parser.add_argument("change", type=Path)
     parser.add_argument("--workload", required=True)
-    parser.add_argument("--pairs", type=int, required=True)
-    parser.add_argument("--seconds", type=float, required=True)
+    parser.add_argument("--pairs", type=int, default=MIN_PAIRS)
+    parser.add_argument("--seconds", type=float)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
-    metrics = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]
+    benchmark = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
+    metrics = benchmark["end_to_end"]
+    if args.seconds is None:
+        args.seconds = float(benchmark["run_seconds"])
     pairs = []
     for i in range(args.pairs):
         sides = (args.parent, args.change) if i % 2 == 0 else (args.change, args.parent)
