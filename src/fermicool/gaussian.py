@@ -94,15 +94,17 @@ def _conjugate(C: np.ndarray, U: np.ndarray, U_dag: np.ndarray) -> np.ndarray:
 
 def binary_entropy(x: float) -> float:
     """h(x) = -x ln x - (1-x) ln(1-x), with h(0) = h(1) = 0."""
+    x = min(max(_require_population(x), 0.0), 1.0)
+    y = 1.0 - x
+    return -(x * math.log(x) if x > 0.0 else 0.0) - (y * math.log(y) if y > 0.0 else 0.0)
+
+
+def _require_population(x) -> float:
+    """float(x), unclamped; raises ValueError unless it lies within PROB_TOL of [0, 1]."""
     x = float(x)
     if not -PROB_TOL <= x <= 1.0 + PROB_TOL:
         raise ValueError(f"probability {x} outside [0, 1]")
-    x = min(max(x, 0.0), 1.0)
-    return -_xlogx(x) - _xlogx(1.0 - x)
-
-
-def _xlogx(x: float) -> float:
-    return x * math.log(x) if x > 0.0 else 0.0
+    return x
 
 
 def _entropy_sum(values) -> float:
@@ -118,7 +120,7 @@ def _entropy_sum(values) -> float:
             raise ValueError(f"probability {x} outside [0, 1]")
         x = min(max(x, 0.0), 1.0)
         y = 1.0 - x
-        # binary_entropy's -_xlogx(x) - _xlogx(y), without two calls a term
+        # binary_entropy's terms, without its range check
         total += -(x * math.log(x) if x > 0.0 else 0.0) - (y * math.log(y) if y > 0.0 else 0.0)
     return total
 

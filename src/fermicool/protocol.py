@@ -21,7 +21,7 @@ import numpy as np
 
 from . import master_eq
 from .gaussian import (_conjugate, _entropy_sum, _propagate, _propagator, _require_deviation,
-                       binary_entropy, fermi_occupation)
+                       _require_population, binary_entropy, fermi_occupation)
 # EngineError and ProtocolConfig live in params, which the CLI loads without numpy
 from .params import (EngineError, ProtocolConfig, ReservoirSpec, _require_finite,
                      _require_positive, _require_probability)
@@ -139,12 +139,8 @@ def witness_value(n_S0, n_M0, n_S1, n_M1, beta_q: float) -> float:
     h(n_S1) + h(n_M1) - max[h(n_S0), h(n_M0)] - beta*Q < 0.
     """
     _require_finite("beta_q", beta_q)
-    return (
-        binary_entropy(n_S1)
-        + binary_entropy(n_M1)
-        - max(binary_entropy(n_S0), binary_entropy(n_M0))
-        - float(beta_q)
-    )
+    return (binary_entropy(n_S1) + binary_entropy(n_M1)
+            - max(binary_entropy(n_S0), binary_entropy(n_M0)) - float(beta_q))
 
 
 @dataclass
@@ -213,8 +209,12 @@ class ThermoLedger:
 
 
 def witness_from_ledger(ledger: ThermoLedger) -> float:
+    """witness_value's checks and expression on the end steps, from the entropies they recorded."""
     first, last = ledger.steps[0], ledger.steps[-1]
-    return witness_value(first.n_S, first.n_M, last.n_S, last.n_M, last.heat)
+    _require_finite("beta_q", last.heat)
+    for n in (last.n_S, last.n_M, first.n_S, first.n_M):
+        _require_population(n)
+    return last.S_S + last.S_M - max(first.S_S, first.S_M) - float(last.heat)
 
 
 def _initial_state(config: ProtocolConfig) -> np.ndarray:

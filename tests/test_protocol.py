@@ -5,7 +5,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fermicool import gaussian, protocol
@@ -297,6 +297,24 @@ class TestInitialCoherentInformation:
         run_purification(ProtocolConfig())
         run_purification(ProtocolConfig())
         assert eighs == [(2, 2)]
+
+
+def _zero_concurrence_bound(P: float, Q: float) -> float:
+    """x* = 2PQ / ((1 + P + Q) + sqrt((1 + P + Q)^2 - 4PQ)), lower root of x = (P - x)(Q - x).
+
+    C = [[n_M, c], [c*, n_S]] with P = n_M n_S and Q = (1 - n_M)(1 - n_S) has zero concurrence
+    exactly when |c|^2 <= (P - |c|^2)(Q - |c|^2), that is |c|^2 <= x* (Wootters, PRL 80, 2245
+    (1998)).
+    """
+    s = 1.0 + P + Q
+    return 2.0 * P * Q / (s + math.sqrt(s * s - 4.0 * P * Q))
+
+
+def _concurrence(C) -> float:
+    """2 max(0, |c| - sqrt((P - |c|^2)(Q - |c|^2))) of a two-mode Gaussian C, as above."""
+    n_M, n_S, x = C[MEMORY, MEMORY].real, C[SYSTEM, SYSTEM].real, abs(C[MEMORY, SYSTEM]) ** 2
+    P, Q = n_M * n_S, (1.0 - n_M) * (1.0 - n_S)
+    return 2.0 * max(0.0, math.sqrt(x) - math.sqrt(max(0.0, (P - x) * (Q - x))))
 
 
 def _bits(x: float) -> bytes:
@@ -892,20 +910,43 @@ class TestWitness:
         report = run_witness_sequence(C0, self._random_sequence(rng))
         assert report.value >= -1e-9
 
-    @settings(max_examples=150, deadline=None)
-    @given(st.integers(min_value=0, max_value=2**32 - 1))
-    def test_soundness_on_random_coherent_separable_states_and_sequences(self, seed):
-        # a coherent Gaussian state with zero concurrence, |C_MS|^2 <= det C det(1 - C),
-        # which is |C_MS|^2 <= PQ/(P + Q) for P = n_M n_S and Q = (1 - n_M)(1 - n_S), is
-        # separable too; half the draws sit on that boundary
+    @classmethod
+    def _coherent_draw(cls, seed, bound=_zero_concurrence_bound):
+        """A seeded coherent C, |C_MS|^2 = bound(P, Q) in half the draws and below it in the
+        rest, and a seeded random sequence; P = n_M n_S and Q = (1 - n_M)(1 - n_S)."""
         rng = np.random.default_rng(seed)
         n_M, n_S = rng.uniform(0.0, 1.0, size=2)
         P, Q = n_M * n_S, (1.0 - n_M) * (1.0 - n_S)
         scale = 1.0 if rng.uniform() < 0.5 else rng.uniform()
-        c = scale * math.sqrt(P * Q / (P + Q)) * np.exp(1j * rng.uniform(-math.pi, math.pi))
+        c = scale * math.sqrt(bound(P, Q)) * np.exp(1j * rng.uniform(-math.pi, math.pi))
         C0 = np.array([[n_M, c], [np.conj(c), n_S]])
-        report = run_witness_sequence(C0, self._random_sequence(rng))
-        assert report.value >= -1e-9
+        return C0, cls._random_sequence(rng)
+
+    # the two seeds a random run drew when the draws used the wrong bound PQ/(P + Q)
+    @example(25469424)
+    @example(2152637294)
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    def test_soundness_on_random_coherent_separable_states_and_sequences(self, seed):
+        # a coherent Gaussian state with zero concurrence is separable too; half the
+        # draws sit on the boundary |C_MS|^2 = x* (see _zero_concurrence_bound)
+        C0, sequence = self._coherent_draw(seed)
+        assert _concurrence(C0) <= 1e-12
+        assert run_witness_sequence(C0, sequence).value >= -1e-9
+
+    def test_soundness_on_a_fixed_coherent_separable_corpus(self):
+        # the random test's draws, seeds 0-1,999: no chance in which states are tried
+        for seed in range(2000):
+            C0, sequence = self._coherent_draw(seed)
+            assert _concurrence(C0) <= 1e-12, seed
+            assert run_witness_sequence(C0, sequence).value >= -1e-9, seed
+
+    def test_state_inside_the_old_bound_is_entangled_and_certified(self):
+        # |C_MS|^2 <= PQ/(P + Q) is x^2 <= (P - x)(Q - x), not the zero-concurrence rule, and
+        # lets in entangled states: this one's witness is negative, as it should be
+        C0, sequence = self._coherent_draw(25469424, bound=lambda P, Q: P * Q / (P + Q))
+        assert _concurrence(C0) > 0.1
+        assert run_witness_sequence(C0, sequence).certified
 
     @pytest.mark.parametrize("phi", [math.pi / 2, -math.pi / 2], ids=["pi/2", "-pi/2"])
     def test_witness_is_minus_coherent_information_on_the_dephased_family(self, phi):
@@ -920,6 +961,73 @@ class TestWitness:
                        {"op": "relax", "target": p}, {"op": "swap"}]
                 value = run_witness_sequence(C0, ops).value
                 assert abs(value + coherent_information(C0, [MEMORY])) <= 1e-12, (p, g)
+
+
+def _witness_value_of(ledger) -> float:
+    """witness_value on the ledger's end-step populations and heat, as a witness is measured."""
+    first, last = ledger.steps[0], ledger.steps[-1]
+    return witness_value(first.n_S, first.n_M, last.n_S, last.n_M, last.heat)
+
+
+def _hand_ledger(first, last, heat) -> ThermoLedger:
+    """A two-step ledger of diagonal states (n_M, n_S); `record` stores each population as given."""
+    ledger = ThermoLedger(engine="quasistatic")
+    ledger.record("initial", np.diag(first).astype(complex), 0.0, 0.0)
+    ledger.record("final", np.diag(last).astype(complex), 0.0, heat)
+    return ledger
+
+
+class TestWitnessFromLedger:
+    # the ledger digest's edge states (every (p, phi) and pure diagonal, under each target)
+    # and one ledger of each finite-time engine
+    _CONFIGS = [
+        *(ProtocolConfig(p=p, phi=phi, step2_target=target)
+          for p in (0.0, 0.5, 1.0) for phi in (0.0, math.pi / 2, -math.pi / 2, math.pi)
+          for target in (None, 0.0, 1.0)),
+        *(ProtocolConfig(diagonal=(a, b), step2_target=target)
+          for a in (0.0, 1.0) for b in (0.0, 0.3, 0.7, 1.0) for target in (None, 0.0, 1.0)),
+        ProtocolConfig(engine="master-equation"),
+        ProtocolConfig(engine="exact-bath", K=50),
+    ]
+
+    @pytest.mark.parametrize("config", _CONFIGS)
+    def test_recorded_entropies_give_witness_values_bits(self, config):
+        ledger = run_purification(config)
+        assert repr(witness_from_ledger(ledger)) == repr(_witness_value_of(ledger))
+
+    def test_recorded_entropies_give_witness_values_bits_on_seeded_states(self):
+        rng = np.random.default_rng(35)
+        for i in range(300):
+            target = (None, 0.0, 1.0)[i % 3]
+            p, phi, n_M, n_S = rng.uniform(0.0, 1.0, 4).tolist()
+            for config in (ProtocolConfig(p=p, phi=2.0 * math.pi * phi, step2_target=target),
+                           ProtocolConfig(diagonal=(n_M, n_S), step2_target=target)):
+                ledger = run_purification(config)
+                assert repr(witness_from_ledger(ledger)) == repr(_witness_value_of(ledger)), config
+
+    @pytest.mark.parametrize("first,last,heat", [
+        pytest.param((0.5, 0.5), (0.5, 0.0), math.nan, id="heat-nan"),
+        pytest.param((0.5, 0.5), (0.5, 0.0), -math.inf, id="heat-minus-inf"),
+        # a non-finite heat is named before any population
+        pytest.param((0.5, 2.0), (0.5, 0.0), math.inf, id="heat-before-population"),
+        pytest.param((0.5, 0.5), (0.5, 1.0 + 1e-9), 0.0, id="n_S1"),
+        pytest.param((0.5, 0.5), (1.0 + 1e-9, 0.0), 0.0, id="n_M1"),
+        pytest.param((0.5, 1.0 + 1e-9), (0.5, 0.0), 0.0, id="n_S0"),
+        pytest.param((-1e-9, 0.5), (0.5, 0.0), 0.0, id="n_M0"),
+        # witness_value's order: n_S1, n_M1, n_S0, n_M0
+        pytest.param((1.5, 1.25), (1.125, 1.0625), 0.0, id="all-four"),
+    ])
+    def test_rejects_what_witness_value_rejects(self, first, last, heat):
+        ledger = _hand_ledger(first, last, heat)
+        with pytest.raises(ValueError) as expected:
+            _witness_value_of(ledger)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(expected.value))}$"):
+            witness_from_ledger(ledger)
+
+    def test_populations_within_tolerance_accepted(self):
+        # PROB_TOL lets witness_value read 1 + 1e-13 as 1, and so must the ledger
+        ledger = _hand_ledger((0.5, 0.5), (-1e-13, 1.0 + 1e-13), 0.0)
+        assert repr(witness_from_ledger(ledger)) == repr(_witness_value_of(ledger))
 
 
 class TestTheorem1Check:

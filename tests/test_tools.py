@@ -101,7 +101,7 @@ def test_src_coverage_reports_lines_never_run(tmp_path):
     assert proc.returncode == 0, proc.stdout + proc.stderr
     report = proc.stdout.split("gaussian.py:", 1)[1].split(".py:", 1)[0]
     assert 'raise ValueError(f"probability {x} outside [0, 1]")' in report
-    assert "return -_xlogx(x) - _xlogx(1.0 - x)" not in report
+    assert "x = min(max(_require_population(x), 0.0), 1.0)" not in report
 
 
 def test_bench_pairs_summary():
